@@ -4,9 +4,10 @@ Kerr-nonlinear mode through an excitation-exchange interaction.
 The deformed ladder algebra satisfies A A+ - q^2 A+ A = 1, so every
 combinatorial factor n is replaced by the bracket [n] = (1 - q^(2n)) /
 (1 - q^2).  Total excitation number is conserved, which splits the
-Hamiltonian into real symmetric tridiagonal blocks; each block is
-diagonalized once and the state is propagated spectrally.  Entanglement is
-measured by the von Neumann entropy of either reduced mode.
+Hamiltonian into real symmetric tridiagonal blocks; each block where the
+state has weight is diagonalized once and the state is propagated
+spectrally.  Entanglement is measured by the von Neumann entropy of either
+reduced mode.
 """
 
 from .blocks import BlockMatrix, SystemParams, build_block, total_hamiltonian_dense

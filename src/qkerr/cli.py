@@ -22,8 +22,10 @@ import numpy as np
 from .blocks import SystemParams
 from .exceptions import ConvergenceError
 from .harness import (
+    Q_FLOOR,
     EntropySeries,
     InitialState,
+    _fmt,
     detect_revivals,
     find_optimal_q,
     q_grid,
@@ -31,15 +33,6 @@ from .harness import (
     run_sweep_q,
     time_grid,
 )
-
-# The driver refuses the deeply saturated regime; the library itself
-# accepts any q in (0, 1].
-CLI_Q_FLOOR = 0.05
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
 
 def _log_base(text: str) -> float:
     if text == "2":
@@ -54,8 +47,8 @@ def _q_value(text: str) -> float:
         q = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid q value {text!r}") from None
-    if not CLI_Q_FLOOR < q <= 1.0:
-        raise argparse.ArgumentTypeError(f"q must lie in ({CLI_Q_FLOOR}, 1], got {text}")
+    if not Q_FLOOR < q <= 1.0:
+        raise argparse.ArgumentTypeError(f"q must lie in ({Q_FLOOR}, 1], got {text}")
     return q
 
 

@@ -8,12 +8,14 @@ n + m = N: with a_m = psi(N - m, m) and the block spectrum (V, lambda),
 
     a(t) = V diag(exp(-i lambda t)) V^T a(0),
 
-so a single diagonalization per block serves every requested time.
+so one diagonalization per block serves every requested time, and only
+the blocks where the state has weight need one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,17 +67,20 @@ class TwoModeState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
+    def occupied_blocks(self) -> tuple[int, ...]:
+        """Ascending total excitations N = n + m that hold nonzero weight."""
+        n_idx, m_idx = np.indices(self.amplitudes.shape)
+        totals = (n_idx + m_idx)[self.amplitudes != 0]
+        return tuple(int(n) for n in np.unique(totals))
+
 
 @dataclass(frozen=True)
 class SpectralCache:
-    """Block spectra of one parameter set, indexed by total excitation."""
+    """Spectra of some excitation blocks of one parameter set, keyed by
+    total excitation N."""
 
     params: SystemParams
-    blocks: tuple[BlockSpectrum, ...]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.blocks) - 1
+    blocks: Mapping[int, BlockSpectrum]
 
 
 @dataclass(frozen=True)
@@ -141,36 +146,36 @@ def prepare_coherent(
     return TwoModeState(n_max=n_max, amplitudes=amps)
 
 
-def build_spectral_cache(params: SystemParams, n_max: int) -> SpectralCache:
-    """Diagonalize every block N = 0..n_max once for reuse across times."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    spectra = []
-    for n_total in range(n_max + 1):
+def build_spectral_cache(params: SystemParams, blocks: Iterable[int]) -> SpectralCache:
+    """Diagonalize the requested blocks once for reuse across times.
+
+    Pass state.occupied_blocks() for the blocks one state needs, or
+    range(n_max + 1) for every block up to n_max.
+    """
+    spectra = {}
+    for n_total in sorted({int(n) for n in blocks}):
         block = build_block(params, n_total)
         try:
-            spectra.append(eigh_tridiagonal(block.diag, block.offdiag))
+            spectra[n_total] = eigh_tridiagonal(block.diag, block.offdiag)
         except ConvergenceError as exc:
             raise ConvergenceError(f"q={params.q:g}: {exc}") from exc
-    return SpectralCache(params=params, blocks=tuple(spectra))
+    return SpectralCache(params=params, blocks=spectra)
 
 
 def _propagate(state: TwoModeState, cache: SpectralCache, times: np.ndarray) -> np.ndarray:
     """Amplitude tables at each time, shape (len(times), dim, dim)."""
-    if cache.n_max < state.n_max:
-        raise ValueError(
-            f"spectral cache covers blocks up to N={cache.n_max} but the "
-            f"state needs N={state.n_max}"
-        )
     dim = state.n_max + 1
     psi = np.zeros((times.size, dim, dim), dtype=complex)
-    for n_total in range(state.n_max + 1):
+    for n_total in state.occupied_blocks():
+        spec = cache.blocks.get(n_total)
+        if spec is None:
+            raise ValueError(
+                f"spectral cache has no spectrum for block N={n_total}, "
+                "where the state has weight"
+            )
         ms = np.arange(n_total + 1)
         ns = n_total - ms
         a0 = state.amplitudes[ns, ms]
-        if not a0.any():
-            continue
-        spec = cache.blocks[n_total]
         modes = spec.eigenvectors.T @ a0
         phases = np.exp(-1j * spec.eigenvalues[:, None] * times[None, :])
         a_t = spec.eigenvectors @ (phases * modes[:, None])

@@ -1,31 +1,26 @@
 """Eigensolvers behind the block dynamics.
 
-Two entry points:
+Two validated front ends over LAPACK (numpy.linalg.eigh):
 
-* eigh_tridiagonal -- implicit-shift QL with eigenvector accumulation for
-  the real symmetric tridiagonal Hamiltonian blocks.  Written in-house so
-  the iteration budget and failure reporting are under our control; the
-  test suite checks it against a Sturm-sequence bisection oracle.
-* eigh_hermitian -- validated front end over LAPACK (numpy.linalg.eigh)
-  for the complex Hermitian reduced density matrices and the dense
-  reference Hamiltonian.
+* eigh_tridiagonal -- the real symmetric tridiagonal Hamiltonian blocks,
+  assembled densely (blocks are at most a few hundred rows).  The test
+  suite checks it against a Sturm-sequence bisection oracle.
+* eigh_hermitian -- the complex Hermitian reduced density matrices and the
+  dense reference Hamiltonian.
 
 Both are deterministic: eigenvalues ascending, and each eigenvector is
-normalized so its first significant component is real and positive.
+normalized so its first significant component is real and positive.  A
+LAPACK failure surfaces as ConvergenceError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConvergenceError
 
-_EPS = float(np.finfo(float).eps)
-# iteration budget per block: 50 implicit-shift steps per eigenvalue
-_QL_ITER_FACTOR = 50
 _HERMITIAN_TOL = 1e-12
 
 
@@ -44,83 +39,28 @@ class BlockSpectrum:
 
 
 def eigh_tridiagonal(diag, offdiag) -> BlockSpectrum:
-    """Diagonalize a real symmetric tridiagonal matrix by implicit-shift QL.
+    """Diagonalize a real symmetric tridiagonal matrix.
 
-    diag has the n diagonal entries, offdiag the n - 1 couplings.  Raises
-    ConvergenceError if the sweep budget (50 per eigenvalue) is exhausted,
-    naming the block.
+    diag has the n diagonal entries, offdiag the n - 1 couplings.  The
+    matrix is assembled densely and handed to LAPACK (numpy.linalg.eigh);
+    a LAPACK failure is raised as ConvergenceError naming the block.
     """
-    d = np.array(diag, dtype=float)
+    d = np.asarray(diag, dtype=float)
     if d.ndim != 1 or d.size == 0:
         raise ValueError("diag must be a nonempty 1-d array")
     n = d.size
-    e_in = np.asarray(offdiag, dtype=float)
-    if e_in.shape != (n - 1,):
-        raise ValueError(f"offdiag must have length {n - 1}, got shape {e_in.shape}")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e_in))):
+    e = np.asarray(offdiag, dtype=float)
+    if e.shape != (n - 1,):
+        raise ValueError(f"offdiag must have length {n - 1}, got shape {e.shape}")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValueError("tridiagonal entries must be finite")
 
-    e = np.zeros(n)
-    e[: n - 1] = e_in
-    vecs = np.eye(n)
-    budget = _QL_ITER_FACTOR * n
-    used = 0
-
-    for low in range(n):
-        while True:
-            # first index at or above `low` where the off-diagonal is negligible
-            for split in range(low, n - 1):
-                scale = abs(d[split]) + abs(d[split + 1])
-                if abs(e[split]) <= _EPS * scale:
-                    break
-            else:
-                split = n - 1
-            if split == low:
-                break
-            used += 1
-            if used > budget:
-                raise ConvergenceError(
-                    f"QL failed to converge within {budget} implicit shifts "
-                    f"on block N={n - 1}"
-                )
-            # Wilkinson-style shift from the leading 2x2
-            g = (d[low + 1] - d[low]) / (2.0 * e[low])
-            r = math.hypot(g, 1.0)
-            g = d[split] - d[low] + e[low] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(split - 1, low - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # rotation annihilated early; deflate and restart the sweep
-                    d[i + 1] -= p
-                    e[split] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col_i = vecs[:, i].copy()
-                col_j = vecs[:, i + 1].copy()
-                vecs[:, i + 1] = s * col_i + c * col_j
-                vecs[:, i] = c * col_i - s * col_j
-            else:
-                d[low] -= p
-                e[low] = g
-                e[split] = 0.0
-
-    order = np.argsort(d, kind="stable")
-    return BlockSpectrum(
-        n_total=n - 1,
-        eigenvalues=d[order],
-        eigenvectors=_fix_signs(vecs[:, order]),
-    )
+    dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    try:
+        vals, vecs = np.linalg.eigh(dense)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolve failed on block N={n - 1}: {exc}") from exc
+    return BlockSpectrum(n_total=n - 1, eigenvalues=vals, eigenvectors=_fix_signs(vecs))
 
 
 def eigh_hermitian(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -153,11 +93,11 @@ def eigh_hermitian(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     """Rotate each column's phase so its first significant entry is real > 0."""
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        mags = np.abs(col)
-        lead = int(np.argmax(mags > 1e-12 * mags.max()))
-        pivot = col[lead]
-        if pivot != 0:
-            vecs[:, j] = col * (abs(pivot) / pivot)
-    return vecs
+    mags = np.abs(vecs)
+    lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    pivots = vecs[lead, np.arange(vecs.shape[1])]
+    # hypot, not np.abs: numpy's vectorized complex abs can round differently
+    # from the scalar abs(pivot), and the phases should not depend on that
+    moduli = np.hypot(pivots.real, pivots.imag)
+    phases = np.divide(moduli, pivots, out=np.ones_like(pivots), where=pivots != 0)
+    return vecs * phases

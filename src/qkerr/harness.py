@@ -42,6 +42,11 @@ FOCK_STEPS = 14_001
 COHERENT_GT_MAX = 1400.0
 COHERENT_STEPS = 28_001
 
+# Smallest deformation (exclusive) that q grids and the CLI accept: below it
+# [n] -> 1/(1-q^2) is tiny and every block is nearly degenerate.  The library
+# itself accepts any q in (0, 1].
+Q_FLOOR = 0.05
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
@@ -106,16 +111,14 @@ def time_grid(t_min: float, t_max: float, steps: int) -> np.ndarray:
 
 
 def q_grid(q_min: float, q_max: float, q_steps: int) -> np.ndarray:
-    """Uniform deformation grid.  The floor 0.05 keeps the saturated regime
-    (where [n] -> 1/(1-q^2) is tiny and every block is nearly degenerate)
-    out of the driver; the library itself accepts any q in (0, 1]."""
+    """Uniform deformation grid, with q_min above Q_FLOOR."""
     if not isinstance(q_steps, int) or isinstance(q_steps, bool):
         raise ValueError("q_steps must be an integer")
     if q_steps < 1:
         raise ValueError("q grid needs at least 1 sample")
     q_min, q_max = float(q_min), float(q_max)
-    if not q_min > 0.05:
-        raise ValueError("q_min must exceed 0.05")
+    if not q_min > Q_FLOOR:
+        raise ValueError(f"q_min must exceed {Q_FLOOR}")
     if not q_max <= 1.0:
         raise ValueError("q_max must not exceed 1")
     if q_steps == 1:
@@ -276,10 +279,11 @@ def run_evolve(
 ) -> EntropySeries:
     """Evolve the prepared state across a time grid and record entropies.
 
-    The per-block spectra are diagonalized once and reused for every sample.
+    The spectra of the blocks where the state has weight are diagonalized
+    once and reused for every sample.
     """
     state = initial.build(params.q)
-    cache = build_spectral_cache(params, state.n_max)
+    cache = build_spectral_cache(params, state.occupied_blocks())
     times = np.asarray(times, dtype=float)
     s_field, s_atom, purity_field = entropy_series(state, cache, times, log_base=log_base)
     return EntropySeries(
@@ -302,7 +306,7 @@ def _entropy_at(
 ) -> float:
     params = SystemParams(omega=omega, chi=chi, gamma=gamma, q=q)
     state = initial.build(q)
-    cache = build_spectral_cache(params, state.n_max)
+    cache = build_spectral_cache(params, state.occupied_blocks())
     s_field, _, _ = entropy_series(state, cache, np.array([float(t)]), log_base=log_base)
     return float(s_field[0])
 
@@ -318,8 +322,9 @@ def run_sweep_q(
 ) -> SweepResult:
     """Field-mode entropy at fixed time t across a deformation grid.
 
-    Each grid point rebuilds the state and spectra from scratch: the
-    truncation of a coherent state and every block matrix depend on q.
+    Each grid point rebuilds the state and the spectra of the blocks where
+    it has weight: the truncation of a coherent state and every block
+    matrix depend on q.
     """
     qs = np.asarray(qs, dtype=float)
     out = np.empty_like(qs)

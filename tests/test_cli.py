@@ -114,6 +114,21 @@ class TestEvolve:
         )
         assert code == 3
 
+    def test_eigensolver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            ["evolve", "--gamma", "1", "--q", "0.9", "--t-max", "1", "--steps", "3", "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and "block N=5" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_degenerate_grid_exits_2(self, tmp_path):
         code = run_cli(
             [

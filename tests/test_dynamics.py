@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkerr.blocks import SystemParams
 from qkerr.dynamics import (
@@ -66,6 +68,20 @@ class TestPreparation:
         assert state.n_max == 0
         assert state.amplitude(0, 0) == 1.0
 
+    def test_occupied_blocks(self, rng):
+        assert prepare_fock(7).occupied_blocks() == (7,)
+        coherent = prepare_coherent(CoherentSpec(alpha_sq=0.5), 0.9)
+        assert coherent.occupied_blocks() == tuple(range(coherent.n_max + 1))
+        amps = np.zeros((5, 5), dtype=complex)
+        amps[0, 2] = 0.6
+        amps[3, 1] = 0.8j
+        assert TwoModeState(n_max=4, amplitudes=amps).occupied_blocks() == (2, 4)
+
+    def test_cache_holds_requested_blocks_only(self):
+        cache = build_spectral_cache(SystemParams(chi=0.01, q=0.8), [5, 2, 5])
+        assert sorted(cache.blocks) == [2, 5]
+        assert all(spec.n_total == n for n, spec in cache.blocks.items())
+
     def test_state_validation(self):
         with pytest.raises(ValueError):
             TwoModeState(n_max=1, amplitudes=np.eye(2, dtype=complex))  # corner populated
@@ -78,27 +94,27 @@ class TestPreparation:
 class TestEvolution:
     def test_time_zero_is_identity(self, rng):
         state = random_triangle_state(rng, 6)
-        cache = build_spectral_cache(SystemParams(chi=0.01, q=0.9), 6)
+        cache = build_spectral_cache(SystemParams(chi=0.01, q=0.9), range(7))
         out = evolve(state, cache, 0.0)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-13)
 
     def test_reversibility(self, rng):
         state = random_triangle_state(rng, 5)
-        cache = build_spectral_cache(SystemParams(chi=0.02, gamma=0.7, q=0.8), 5)
+        cache = build_spectral_cache(SystemParams(chi=0.02, gamma=0.7, q=0.8), range(6))
         there = evolve(state, cache, 3.7)
         back = evolve(there, cache, -3.7)
         np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-10)
 
     def test_norm_preserved_long_time(self):
         state = prepare_fock(5)
-        cache = build_spectral_cache(SystemParams(chi=0.01, q=0.7), 5)
+        cache = build_spectral_cache(SystemParams(chi=0.01, q=0.7), range(6))
         out = evolve(state, cache, 800.0)
         assert out.norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_beam_splitter_binomial(self):
         # gamma*t = -pi/4 with gamma = -pi/4, t = 1.
         state = prepare_fock(5)
-        cache = build_spectral_cache(SystemParams(gamma=-math.pi / 4.0), 5)
+        cache = build_spectral_cache(SystemParams(gamma=-math.pi / 4.0), range(6))
         out = evolve(state, cache, 1.0)
         weights = np.abs(out.amplitudes[5 - np.arange(6), np.arange(6)]) ** 2
         expected = np.array([math.comb(5, m) for m in range(6)]) / 32.0
@@ -106,8 +122,16 @@ class TestEvolution:
 
     def test_cache_requires_matching_support(self, rng):
         state = random_triangle_state(rng, 6)
-        cache = build_spectral_cache(SystemParams(), 4)
+        cache = build_spectral_cache(SystemParams(), range(5))
         with pytest.raises(ValueError):
+            evolve(state, cache, 1.0)
+
+    def test_cache_missing_occupied_block_rejected(self):
+        amps = np.zeros((4, 4), dtype=complex)
+        amps[1, 0] = amps[1, 2] = 1.0 / math.sqrt(2.0)  # blocks N = 1 and 3
+        state = TwoModeState(n_max=3, amplitudes=amps)
+        cache = build_spectral_cache(SystemParams(chi=0.01, q=0.9), [0, 1, 2])
+        with pytest.raises(ValueError, match="block N=3"):
             evolve(state, cache, 1.0)
 
     @pytest.mark.parametrize("q", [1.0, 0.9, 0.6])
@@ -117,7 +141,7 @@ class TestEvolution:
             n_max = int(rng.integers(1, 8))
             state = random_triangle_state(rng, n_max)
             t = float(rng.uniform(-3.0, 3.0))
-            cache = build_spectral_cache(params, n_max)
+            cache = build_spectral_cache(params, range(n_max + 1))
             fast = evolve(state, cache, t)
             slow = dense_reference_evolve(state, params, t)
             np.testing.assert_allclose(fast.amplitudes, slow.amplitudes, atol=1e-9)
@@ -138,7 +162,7 @@ class TestEvolution:
             g = 0.9
             params = SystemParams(gamma=g, q=q)
             state = prepare_fock(1)
-            cache = build_spectral_cache(params, 1)
+            cache = build_spectral_cache(params, range(2))
             delta = (q * q - 1.0) / 2.0
             omega_r = math.sqrt(g * g + 0.25 * delta * delta)
             for t in (0.3, 1.0, 2.4):
@@ -151,7 +175,7 @@ class TestEvolution:
 class TestReducedStates:
     def test_fock_reduced_is_diagonal(self):
         state = prepare_fock(5)
-        cache = build_spectral_cache(SystemParams(chi=0.01), 5)
+        cache = build_spectral_cache(SystemParams(chi=0.01), range(6))
         out = evolve(state, cache, 2.0)
         rho = reduced_field(out)
         off = rho.matrix - np.diag(np.diag(rho.matrix))
@@ -182,7 +206,7 @@ class TestReducedStates:
 class TestEntropy:
     def test_beam_splitter_value(self):
         state = prepare_fock(5)
-        cache = build_spectral_cache(SystemParams(gamma=-math.pi / 4.0), 5)
+        cache = build_spectral_cache(SystemParams(gamma=-math.pi / 4.0), range(6))
         out = evolve(state, cache, 1.0)
         s = von_neumann_entropy(reduced_field(out)).value
         # Independent oracle: Shannon entropy of binomial(5, 1/2).
@@ -242,7 +266,7 @@ class TestEntropy:
 class TestEntropySeries:
     def test_matches_single_step_api(self, rng):
         state = random_triangle_state(rng, 5)
-        cache = build_spectral_cache(SystemParams(chi=0.05, gamma=0.8, q=0.9), 5)
+        cache = build_spectral_cache(SystemParams(chi=0.05, gamma=0.8, q=0.9), range(6))
         times = np.linspace(0.0, 4.0, 9)
         s_field, s_atom, pur = entropy_series(state, cache, times)
         for i, t in enumerate(times):
@@ -256,7 +280,7 @@ class TestEntropySeries:
 
     def test_chunking_invariant(self, rng):
         state = random_triangle_state(rng, 4)
-        cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), 4)
+        cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(5))
         times = np.linspace(0.0, 10.0, 57)
         a = entropy_series(state, cache, times, chunk_size=8)
         b = entropy_series(state, cache, times, chunk_size=2048)
@@ -270,6 +294,39 @@ class TestEntropySeries:
         times = np.linspace(0.0, 20.0, 81)
         params_1 = SystemParams(omega=1.0, chi=0.01, gamma=1.0, q=1.0)
         params_q = SystemParams(omega=1.0, chi=0.01, gamma=1.0, q=0.9999)
-        s1, _, _ = entropy_series(state, build_spectral_cache(params_1, 5), times)
-        sq, _, _ = entropy_series(state, build_spectral_cache(params_q, 5), times)
+        s1, _, _ = entropy_series(state, build_spectral_cache(params_1, range(6)), times)
+        sq, _, _ = entropy_series(state, build_spectral_cache(params_q, range(6)), times)
         assert np.abs(s1 - sq).max() < 0.02
+
+
+@st.composite
+def block_supported_states(draw):
+    """A random state whose weight lies on a random set of blocks."""
+    n_max = draw(st.integers(min_value=0, max_value=8))
+    support = draw(st.sets(st.integers(min_value=0, max_value=n_max), min_size=1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    dim = n_max + 1
+    table = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    n_idx, m_idx = np.indices((dim, dim))
+    table[~np.isin(n_idx + m_idx, sorted(support))] = 0.0
+    table /= np.linalg.norm(table)
+    return TwoModeState(n_max=n_max, amplitudes=table), support
+
+
+class TestOccupiedBlockCache:
+    @given(
+        drawn=block_supported_states(),
+        q=st.floats(min_value=0.3, max_value=1.0),
+        chi=st.floats(min_value=0.0, max_value=0.1),
+        gamma=st.floats(min_value=-1.5, max_value=1.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_series_equals_full_cache_series(self, drawn, q, chi, gamma):
+        state, support = drawn
+        assert state.occupied_blocks() == tuple(sorted(support))
+        params = SystemParams(chi=chi, gamma=gamma, q=q)
+        times = np.linspace(-5.0, 40.0, 23)
+        pruned = entropy_series(state, build_spectral_cache(params, state.occupied_blocks()), times)
+        full = entropy_series(state, build_spectral_cache(params, range(state.n_max + 1)), times)
+        for a, b in zip(pruned, full):
+            assert np.array_equal(a, b)

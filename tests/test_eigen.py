@@ -1,15 +1,16 @@
 """Eigensolver tests.
 
-The tridiagonal QL solver is checked against a from-scratch Sturm-sequence
-bisection oracle (eigenvalues only), plus orthonormality and residual
-bounds that do not presuppose any reference solver.
+The tridiagonal block solver is checked against a from-scratch
+Sturm-sequence bisection oracle (eigenvalues only), plus orthonormality and
+residual bounds that do not presuppose any reference solver.
 """
 
 import numpy as np
 import pytest
 
 from qkerr.blocks import SystemParams, build_block, block_matrix_dense
-from qkerr.eigen import BlockSpectrum, eigh_hermitian, eigh_tridiagonal
+from qkerr.eigen import BlockSpectrum, _fix_signs, eigh_hermitian, eigh_tridiagonal
+from qkerr.exceptions import ConvergenceError
 
 
 def sturm_count(d, e, x):
@@ -107,6 +108,24 @@ class TestTridiagonal:
             oracle = sturm_eigenvalues(block.diag, block.offdiag, tol=1e-13)
             np.testing.assert_allclose(spec.eigenvalues, oracle, atol=1e-9)
 
+    def test_physical_n200_block_against_oracle(self):
+        block = build_block(SystemParams(chi=0.01, gamma=1.0, q=0.9), 200)
+        spec = eigh_tridiagonal(block.diag, block.offdiag)
+        # bisection cannot resolve below the float spacing of the spectrum
+        # (largest eigenvalue about 600), so the oracle stops at 1e-10
+        oracle = sturm_eigenvalues(block.diag, block.offdiag, tol=1e-10)
+        np.testing.assert_allclose(spec.eigenvalues, oracle, atol=1e-9)
+        v = spec.eigenvectors
+        np.testing.assert_allclose(v.T @ v, np.eye(201), atol=1e-12)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(ConvergenceError, match="block N=2"):
+            eigh_tridiagonal(np.ones(3), np.ones(2))
+
     def test_byte_determinism(self, rng):
         d = rng.standard_normal(10)
         e = rng.standard_normal(9)
@@ -127,6 +146,33 @@ class TestTridiagonal:
         spec = eigh_tridiagonal(np.array([1.0, 2.0]), np.array([0.1]))
         assert isinstance(spec, BlockSpectrum)
         assert spec.dim == 2
+
+
+def fix_signs_by_column(vecs):
+    """Column-by-column reference for the eigenvector phase convention."""
+    vecs = vecs.copy()
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        mags = np.abs(col)
+        lead = int(np.argmax(mags > 1e-12 * mags.max()))
+        pivot = col[lead]
+        if pivot != 0:
+            vecs[:, j] = col * (abs(pivot) / pivot)
+    return vecs
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_fix_signs_matches_column_loop(rng, complex_entries):
+    for n in (1, 2, 5, 12):
+        a = rng.standard_normal((n, n))
+        if complex_entries:
+            a = a + 1j * rng.standard_normal((n, n))
+        _, vecs = np.linalg.eigh(a + a.conj().T)
+        vecs[0, : n // 2] = 0.0  # push the leading entry of some columns down
+        expected = fix_signs_by_column(vecs)
+        got = _fix_signs(vecs.copy())
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestHermitian:
