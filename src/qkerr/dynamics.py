@@ -162,24 +162,29 @@ def build_spectral_cache(params: SystemParams, blocks: Iterable[int]) -> Spectra
     return SpectralCache(params=params, blocks=spectra)
 
 
+def _block_amplitudes(
+    state: TwoModeState, cache: SpectralCache, n_total: int, times: np.ndarray
+) -> np.ndarray:
+    """Amplitudes a_m(t) = psi(N - m, m; t) of block N, shape (len(times), N + 1)."""
+    spec = cache.blocks.get(n_total)
+    if spec is None:
+        raise ValueError(
+            f"spectral cache has no spectrum for block N={n_total}, "
+            "where the state has weight"
+        )
+    ms = np.arange(n_total + 1)
+    modes = spec.eigenvectors.T @ state.amplitudes[n_total - ms, ms]
+    phases = np.exp(-1j * spec.eigenvalues[:, None] * times[None, :])
+    return (spec.eigenvectors @ (phases * modes[:, None])).T
+
+
 def _propagate(state: TwoModeState, cache: SpectralCache, times: np.ndarray) -> np.ndarray:
     """Amplitude tables at each time, shape (len(times), dim, dim)."""
     dim = state.n_max + 1
     psi = np.zeros((times.size, dim, dim), dtype=complex)
     for n_total in state.occupied_blocks():
-        spec = cache.blocks.get(n_total)
-        if spec is None:
-            raise ValueError(
-                f"spectral cache has no spectrum for block N={n_total}, "
-                "where the state has weight"
-            )
         ms = np.arange(n_total + 1)
-        ns = n_total - ms
-        a0 = state.amplitudes[ns, ms]
-        modes = spec.eigenvectors.T @ a0
-        phases = np.exp(-1j * spec.eigenvalues[:, None] * times[None, :])
-        a_t = spec.eigenvectors @ (phases * modes[:, None])
-        psi[:, ns, ms] = a_t.T
+        psi[:, n_total - ms, ms] = _block_amplitudes(state, cache, n_total, times)
     return psi
 
 
@@ -233,9 +238,16 @@ def entropy_series(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Field entropy, atom entropy, and field purity along a time grid.
 
-    Evolves in chunks so long grids never materialize all amplitude
-    tables at once; each chunk reduces both modes and diagonalizes the
-    density-matrix stacks in one batched call.
+    Evolves in chunks so long grids never hold every sample at once.  A
+    state on one excitation block N (every Fock state) stays on it, so
+    with a_m(t) = psi(N - m, m; t) both reduced states are exactly
+    diagonal: rho_atom has eigenvalues p_m = |a_m(t)|^2 and rho_field the
+    same values indexed by n = N - m.  There the entropies are the Shannon
+    entropies of p, the purity is sum p^2, and only the (chunk, N + 1)
+    block amplitudes are formed.  A state on several blocks has coherences
+    between them; each chunk then builds the amplitude tables, reduces
+    both modes and diagonalizes the density-matrix stacks in one batched
+    call.
     """
     _check_log_base(log_base)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -245,11 +257,19 @@ def entropy_series(
         raise ValueError("times must be finite")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    blocks = state.occupied_blocks()
     s_field = np.empty(times.size)
     s_atom = np.empty(times.size)
     purity_field = np.empty(times.size)
     for start in range(0, times.size, chunk_size):
         sl = slice(start, min(start + chunk_size, times.size))
+        if len(blocks) == 1:
+            a = _block_amplitudes(state, cache, blocks[0], times[sl])
+            p = a.real**2 + a.imag**2
+            s_field[sl] = _entropy_of_spectra(p[:, ::-1], log_base)
+            s_atom[sl] = _entropy_of_spectra(p, log_base)
+            purity_field[sl] = (p**2).sum(axis=1)
+            continue
         psi = _propagate(state, cache, times[sl])
         rho_field = psi @ psi.conj().transpose(0, 2, 1)
         rho_atom = psi.transpose(0, 2, 1) @ psi.conj()

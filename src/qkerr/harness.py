@@ -435,10 +435,12 @@ def detect_revivals(
     2*pi/chi (k >= 1) are near-revivals; within 5% of an odd multiple of
     pi/chi, fractional-revival candidates; anything else is reported with
     classification "none" rather than dropped, since unscheduled deep dips
-    are exactly the feature that falsifies a revival structure.
+    are exactly the feature that falsifies a revival structure.  A dip too
+    far out to count in half-periods (gamma*t / (pi/chi) overflows) is
+    also "none".
     """
-    if not chi > 0.0:
-        raise ValueError("revival classification needs chi > 0")
+    if not (chi > 0.0 and math.isfinite(chi)):
+        raise ValueError(f"revival classification needs a finite chi > 0, got {chi!r}")
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     gt = series.gamma_t
@@ -463,12 +465,12 @@ def detect_revivals(
         if not lo <= g <= hi:
             continue
         label = "none"
-        k = round(g / period)
-        if k >= 1 and abs(g - k * period) <= CLASSIFY_REL_TOL * k * period:
-            label = "near-revival"
-        else:
+        if math.isfinite(g / half):
+            k = round(g / period)
             j = round(g / half)
-            if j >= 1 and j % 2 == 1 and abs(g - j * half) <= CLASSIFY_REL_TOL * j * half:
+            if k >= 1 and abs(g - k * period) <= CLASSIFY_REL_TOL * k * period:
+                label = "near-revival"
+            elif j >= 1 and j % 2 == 1 and abs(g - j * half) <= CLASSIFY_REL_TOL * j * half:
                 label = "fractional-revival-candidate"
         dips.append(RevivalDip(t=float(series.t[i]), gamma_t=g, entropy=float(s[i]), classification=label))
     return RevivalReport(threshold=threshold, window=(lo, hi), dips=dips)

@@ -218,6 +218,19 @@ class TestRevivals:
     def test_bad_threshold_exits_2(self, fock_series):
         assert run_cli(["revivals", str(fock_series), "--chi", "0.01", "--threshold", "1.5"]) == 2
 
+    def test_infinite_chi_exits_2(self, fock_series, capsys):
+        assert run_cli(["revivals", str(fock_series), "--chi", "inf"]) == 2
+        assert "finite chi" in capsys.readouterr().err
+
+    def test_huge_chi_labels_uncountable_dips_none(self, fock_series, tmp_path):
+        # pi/chi is ~3e-308, so gamma*t in half-periods overflows past
+        # gamma*t ~ 5.6; those dips have no revival clock to be read against.
+        out = tmp_path / "dips.csv"
+        assert run_cli(["revivals", str(fock_series), "--chi", "1e308", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        far = [label for _, gamma_t, _, label in rows if float(gamma_t) / (math.pi / 1e308) == math.inf]
+        assert far and set(far) == {"none"}
+
 
 class TestParser:
     def test_unknown_command(self):

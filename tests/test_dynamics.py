@@ -14,6 +14,7 @@ Key closed-form oracles:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,20 +264,80 @@ class TestEntropy:
         assert p_field == pytest.approx(p_atom, abs=1e-12)
 
 
+def random_block_state(rng: np.random.Generator, n_max: int, n_total: int) -> TwoModeState:
+    """Random normalized complex state on the single block n + m = n_total."""
+    ms = np.arange(n_total + 1)
+    amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    amps[n_total - ms, ms] = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
+    amps /= np.linalg.norm(amps)
+    return TwoModeState(n_max=n_max, amplitudes=amps)
+
+
+def assert_series_matches_single_step_api(state, cache, times):
+    """entropy_series against evolve, the reductions and eigenvalue entropy,
+    one time at a time."""
+    s_field, s_atom, pur = entropy_series(state, cache, times)
+    for i, t in enumerate(times):
+        out = evolve(state, cache, float(t))
+        rho_f = reduced_field(out)
+        assert s_field[i] == pytest.approx(von_neumann_entropy(rho_f).value, abs=1e-12)
+        assert s_atom[i] == pytest.approx(
+            von_neumann_entropy(reduced_atom(out)).value, abs=1e-12
+        )
+        assert pur[i] == pytest.approx(purity(rho_f), abs=1e-12)
+
+
 class TestEntropySeries:
     def test_matches_single_step_api(self, rng):
-        state = random_triangle_state(rng, 5)
         cache = build_spectral_cache(SystemParams(chi=0.05, gamma=0.8, q=0.9), range(6))
         times = np.linspace(0.0, 4.0, 9)
-        s_field, s_atom, pur = entropy_series(state, cache, times)
-        for i, t in enumerate(times):
-            out = evolve(state, cache, float(t))
-            rho_f = reduced_field(out)
-            assert s_field[i] == pytest.approx(von_neumann_entropy(rho_f).value, abs=1e-12)
-            assert s_atom[i] == pytest.approx(
-                von_neumann_entropy(reduced_atom(out)).value, abs=1e-12
-            )
-            assert pur[i] == pytest.approx(purity(rho_f), abs=1e-12)
+        # a state on all six blocks (dense path), then two single-block states
+        for state, blocks in (
+            (random_triangle_state(rng, 5), 6),
+            (prepare_fock(5), 1),
+            (random_block_state(rng, 5, 4), 1),
+        ):
+            assert len(state.occupied_blocks()) == blocks
+            assert_series_matches_single_step_api(state, cache, times)
+
+    @given(
+        n_total=st.integers(min_value=0, max_value=12),
+        q=st.floats(min_value=0.3, max_value=1.0),
+        chi=st.floats(min_value=0.0, max_value=0.1),
+        gamma=st.floats(min_value=-1.5, max_value=1.5),
+        times=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_single_block_matches_single_step_api(self, n_total, q, chi, gamma, times, seed):
+        # A single-block state takes the diagonal (Shannon) path; the
+        # single-time API reduces and diagonalizes the full tables.
+        state = random_block_state(np.random.default_rng(seed), n_total, n_total)
+        cache = build_spectral_cache(SystemParams(chi=chi, gamma=gamma, q=q), [n_total])
+        assert_series_matches_single_step_api(state, cache, np.array(times))
+
+    def test_single_block_cache_missing_block_rejected(self):
+        state = prepare_fock(4)
+        cache = build_spectral_cache(SystemParams(chi=0.01, q=0.9), range(4))
+        with pytest.raises(ValueError, match="block N=4"):
+            entropy_series(state, cache, np.linspace(0.0, 1.0, 3))
+
+    def test_single_block_memory_bounded_by_block_amplitudes(self):
+        # A Fock state at N = 200 needs only (chunk, N + 1) amplitude arrays.
+        # A (chunk, dim, dim) amplitude table would be 2048 * 201**2 * 16
+        # bytes, 1.3 GB; the bound allows eight (chunk, N + 1) complex arrays.
+        n, chunk = 200, 2048
+        state = prepare_fock(n)
+        cache = build_spectral_cache(SystemParams(chi=0.01, q=0.7), state.occupied_blocks())
+        times = np.linspace(0.0, 700.0, 14_001)
+        tracemalloc.start()
+        try:
+            s_field, _, _ = entropy_series(state, cache, times, chunk_size=chunk)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * chunk * (n + 1) * 16
+        assert np.all((s_field >= 0.0) & (s_field <= math.log2(n + 1) + 1e-12))
 
     def test_chunking_invariant(self, rng):
         state = random_triangle_state(rng, 4)
