@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -91,6 +92,10 @@ def _initial_from(args: argparse.Namespace) -> InitialState:
     )
 
 
+def _params_from(args: argparse.Namespace) -> SystemParams:
+    return SystemParams(omega=args.omega, chi=args.chi, gamma=args.gamma)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkerr",
@@ -139,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep_q(args: argparse.Namespace) -> int:
     qs = q_grid(args.q_min, args.q_max, args.q_steps)
     initial = _initial_from(args)
-    result = run_sweep_q(initial, args.omega, args.chi, args.gamma, qs, args.t, log_base=args.log_base)
+    result = run_sweep_q(initial, _params_from(args), qs, args.t, log_base=args.log_base)
     result.write_csv(args.out)
     print(f"wrote {qs.shape[0]} rows to {args.out}")
     return 0
@@ -147,18 +152,10 @@ def _cmd_sweep_q(args: argparse.Namespace) -> int:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     initial = _initial_from(args)
-    t_max, steps = args.t_max, args.steps
-    if t_max is None:
-        t_max, default_steps = initial.default_grid(args.gamma)
-        if steps is None:
-            steps = default_steps
-    elif steps is None:
-        from .harness import COHERENT_STEPS, FOCK_STEPS
-
-        steps = FOCK_STEPS if initial.kind == "fock" else COHERENT_STEPS
+    t_max = initial.default_t_max(args.gamma) if args.t_max is None else args.t_max
+    steps = initial.default_steps if args.steps is None else args.steps
     times = time_grid(args.t_min, t_max, steps)
-    params = SystemParams(omega=args.omega, chi=args.chi, gamma=args.gamma, q=args.q)
-    series = run_evolve(initial, params, times, log_base=args.log_base)
+    series = run_evolve(initial, replace(_params_from(args), q=args.q), times, log_base=args.log_base)
     series.write_csv(args.out)
     print(f"wrote {times.shape[0]} rows to {args.out}")
     return 0
@@ -168,9 +165,7 @@ def _cmd_find_optimal_q(args: argparse.Namespace) -> int:
     initial = _initial_from(args)
     result = find_optimal_q(
         initial,
-        args.omega,
-        args.chi,
-        args.gamma,
+        _params_from(args),
         args.t,
         log_base=args.log_base,
         q_min=args.q_min,
@@ -185,12 +180,7 @@ def _cmd_find_optimal_q(args: argparse.Namespace) -> int:
 
 def _cmd_revivals(args: argparse.Namespace) -> int:
     series = EntropySeries.read_csv(args.series)
-    window = None
-    if args.window_lo is not None or args.window_hi is not None:
-        lo = args.window_lo if args.window_lo is not None else float(series.gamma_t.min())
-        hi = args.window_hi if args.window_hi is not None else float(series.gamma_t.max())
-        window = (lo, hi)
-    report = detect_revivals(series, args.chi, args.threshold, window=window)
+    report = detect_revivals(series, args.chi, args.threshold, window=(args.window_lo, args.window_hi))
     if args.out is not None:
         report.write_csv(args.out)
     else:

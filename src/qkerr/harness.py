@@ -4,7 +4,11 @@ search, and revival-dip detection, with deterministic CSV output.
 Everything here is a thin orchestration layer over dynamics: build the
 initial state, build the per-block spectra once, evaluate the entropy on a
 grid, and serialize.  All CSV is written with 12 significant digits and
-``\\n`` newlines so repeated runs are byte-identical.
+``\\n`` newlines so repeated runs are byte-identical: the numeric series
+and sweep tables go through one ``np.savetxt(fmt="%.12g")``, and a series
+is read back with ``np.loadtxt`` behind the header, width, emptiness and
+time-order checks.  The drivers take the physics as one ``SystemParams``;
+the q drivers replace its ``q`` at each grid point.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,13 +91,17 @@ class InitialState:
         spec = CoherentSpec(alpha_sq=self.alpha_sq, alpha_phase=self.alpha_phase)
         return prepare_coherent(spec, q, tail_tol=self.tail_tol)
 
-    def default_grid(self, gamma: float) -> tuple[float, int]:
-        """Default (t_max, samples) so that gamma*t spans the revival window."""
+    @property
+    def default_steps(self) -> int:
+        """Default number of time samples, which depends on the kind alone."""
+        return FOCK_STEPS if self.kind == "fock" else COHERENT_STEPS
+
+    def default_t_max(self, gamma: float) -> float:
+        """Default end time, so that gamma*t spans the revival window."""
         if gamma == 0.0:
             raise ValueError("cannot infer a default time grid with gamma = 0; pass t_max")
-        if self.kind == "fock":
-            return FOCK_GT_MAX / abs(gamma), FOCK_STEPS
-        return COHERENT_GT_MAX / abs(gamma), COHERENT_STEPS
+        gt_max = FOCK_GT_MAX if self.kind == "fock" else COHERENT_GT_MAX
+        return gt_max / abs(gamma)
 
 
 def time_grid(t_min: float, t_max: float, steps: int) -> np.ndarray:
@@ -149,70 +157,42 @@ class EntropySeries:
                 raise ValueError(f"{name} must match the time grid shape ({n},)")
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            _write_series(fh, self)
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        _write_series(buf, self)
-        return buf.getvalue()
+        _write_table(path, SERIES_COLUMNS, (self.t, self.gamma_t, self.s_field, self.s_atom, self.purity_field))
 
     @classmethod
     def read_csv(cls, path: str) -> "EntropySeries":
-        with open(path, newline="") as fh:
-            return _read_series(fh, source=path)
-
-
-def _write_series(fh, series: EntropySeries) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(SERIES_COLUMNS)
-    for i in range(series.t.shape[0]):
-        writer.writerow(
-            [
-                _fmt(series.t[i]),
-                _fmt(series.gamma_t[i]),
-                _fmt(series.s_field[i]),
-                _fmt(series.s_atom[i]),
-                _fmt(series.purity_field[i]),
-            ]
-        )
-
-
-def _read_series(fh, source: str = "<stream>") -> EntropySeries:
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"malformed series CSV {source}: empty file") from None
-    if tuple(header) != SERIES_COLUMNS:
-        raise ValueError(
-            f"malformed series CSV {source}: expected header "
-            f"{','.join(SERIES_COLUMNS)}, got {','.join(header)}"
-        )
-    cols: list[list[float]] = [[], [], [], [], []]
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ValueError(f"malformed series CSV {source}: line {lineno} has {len(row)} fields")
+        """Parse a series CSV, raising ValueError on anything evolve would
+        not have written: another header, no data rows, rows not 5 fields
+        wide, a field that is not a plain numeral, or non-increasing t.
+        Blank lines are skipped."""
+        with open(path) as fh:
+            header = fh.readline()
+            body = fh.read()
+        if not header:
+            raise ValueError(f"malformed series CSV {path}: empty file")
+        if header.rstrip("\n") != ",".join(SERIES_COLUMNS):
+            raise ValueError(
+                f"malformed series CSV {path}: expected header "
+                f"{','.join(SERIES_COLUMNS)}, got {header.rstrip()}"
+            )
+        # Checked on the text: loadtxt warns on input with no data.
+        if not body.strip():
+            raise ValueError(f"malformed series CSV {path}: no data rows")
         try:
-            values = [float(x) for x in row]
-        except ValueError:
-            raise ValueError(f"malformed series CSV {source}: non-numeric entry on line {lineno}") from None
-        for col, v in zip(cols, values):
-            col.append(v)
-    if not cols[0]:
-        raise ValueError(f"malformed series CSV {source}: no data rows")
-    t = np.asarray(cols[0])
-    if t.shape[0] > 1 and not np.all(np.diff(t) > 0):
-        raise ValueError(f"malformed series CSV {source}: time column is not strictly increasing")
-    return EntropySeries(
-        t=t,
-        gamma_t=np.asarray(cols[1]),
-        s_field=np.asarray(cols[2]),
-        s_atom=np.asarray(cols[3]),
-        purity_field=np.asarray(cols[4]),
-    )
+            data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"malformed series CSV {path}: {exc}") from None
+        if data.shape[1] != len(SERIES_COLUMNS):
+            raise ValueError(f"malformed series CSV {path}: rows have {data.shape[1]} fields")
+        t = data[:, 0]
+        if not np.all(np.diff(t) > 0):
+            raise ValueError(f"malformed series CSV {path}: time column is not strictly increasing")
+        return cls(*data.T.copy())
+
+
+def _write_table(path: str, columns: tuple[str, ...], values: tuple[np.ndarray, ...]) -> None:
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, np.column_stack(values), fmt="%.12g", delimiter=",", header=",".join(columns), comments="")
 
 
 @dataclass(frozen=True)
@@ -227,11 +207,7 @@ class SweepResult:
             raise ValueError("S_field must match the q grid shape")
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(SWEEP_COLUMNS)
-            for i in range(self.q.shape[0]):
-                writer.writerow([_fmt(self.q[i]), _fmt(self.s_field[i])])
+        _write_table(path, SWEEP_COLUMNS, (self.q, self.s_field))
 
 
 @dataclass(frozen=True)
@@ -295,17 +271,8 @@ def run_evolve(
     )
 
 
-def _entropy_at(
-    initial: InitialState,
-    omega: float,
-    chi: float,
-    gamma: float,
-    q: float,
-    t: float,
-    log_base: float,
-) -> float:
-    params = SystemParams(omega=omega, chi=chi, gamma=gamma, q=q)
-    state = initial.build(q)
+def _entropy_at(initial: InitialState, params: SystemParams, t: float, log_base: float) -> float:
+    state = initial.build(params.q)
     cache = build_spectral_cache(params, state.occupied_blocks())
     s_field, _, _ = entropy_series(state, cache, np.array([float(t)]), log_base=log_base)
     return float(s_field[0])
@@ -313,24 +280,23 @@ def _entropy_at(
 
 def run_sweep_q(
     initial: InitialState,
-    omega: float,
-    chi: float,
-    gamma: float,
+    params: SystemParams,
     qs: np.ndarray,
     t: float,
     log_base: float = 2.0,
 ) -> SweepResult:
     """Field-mode entropy at fixed time t across a deformation grid.
 
-    Each grid point rebuilds the state and the spectra of the blocks where
-    it has weight: the truncation of a coherent state and every block
+    params.q is replaced by each grid point in turn; its own value is not
+    used.  Each grid point rebuilds the state and the spectra of the blocks
+    where it has weight: the truncation of a coherent state and every block
     matrix depend on q.
     """
     qs = np.asarray(qs, dtype=float)
     out = np.empty_like(qs)
     for i, q in enumerate(qs):
         try:
-            out[i] = _entropy_at(initial, omega, chi, gamma, float(q), t, log_base)
+            out[i] = _entropy_at(initial, replace(params, q=float(q)), t, log_base)
         except ConvergenceError as exc:
             raise ConvergenceError(f"sweep failed at q={q:.6g}: {exc}") from exc
     return SweepResult(q=qs, s_field=out)
@@ -382,9 +348,7 @@ def _parabolic_peak(f, qa, qb, qc, sa, sb, sc, tol=1e-7, max_iter=60):
 
 def find_optimal_q(
     initial: InitialState,
-    omega: float,
-    chi: float,
-    gamma: float,
+    params: SystemParams,
     t: float,
     log_base: float = 2.0,
     q_min: float = 0.5,
@@ -397,16 +361,17 @@ def find_optimal_q(
     Coarse scan over [q_min, q_max] followed by parabolic refinement when
     the best coarse point is interior; a boundary best is returned as-is.
     Ties on the coarse grid resolve toward smaller q (first occurrence on
-    an ascending grid).
+    an ascending grid).  params.q is replaced at every point evaluated; its
+    own value is not used.
     """
     qs = q_grid(q_min, q_max, q_steps)
-    scan = run_sweep_q(initial, omega, chi, gamma, qs, t, log_base=log_base)
+    scan = run_sweep_q(initial, params, qs, t, log_base=log_base)
     best = int(np.argmax(scan.s_field))
     if best == 0 or best == qs.shape[0] - 1:
         return OptimalQResult(q_star=float(qs[best]), s_star=float(scan.s_field[best]), scan=scan)
 
     def f(q: float) -> float:
-        return _entropy_at(initial, omega, chi, gamma, q, t, log_base)
+        return _entropy_at(initial, replace(params, q=q), t, log_base)
 
     q_star, s_star = _parabolic_peak(
         f,
@@ -425,15 +390,16 @@ def detect_revivals(
     series: EntropySeries,
     chi: float,
     threshold: float,
-    window: tuple[float, float] | None = None,
+    window: tuple[float | None, float | None] = (None, None),
 ) -> RevivalReport:
     """Find entropy dips and classify them against the Kerr revival clock.
 
     A dip is a strict local minimum of the sampled S_field that falls below
     threshold * max(S_field over the full series) and inside the window
-    (gamma*t units, defaults to the whole series).  Dips within 5% of k *
-    2*pi/chi (k >= 1) are near-revivals; within 5% of an odd multiple of
-    pi/chi, fractional-revival candidates; anything else is reported with
+    (gamma*t units; a missing edge, None, is the series' smallest or
+    largest gamma*t).  Dips within 5% of k * 2*pi/chi (k >= 1) are
+    near-revivals; within 5% of an odd multiple of pi/chi,
+    fractional-revival candidates; anything else is reported with
     classification "none" rather than dropped, since unscheduled deep dips
     are exactly the feature that falsifies a revival structure.  A dip too
     far out to count in half-periods (gamma*t / (pi/chi) overflows) is
@@ -444,9 +410,8 @@ def detect_revivals(
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     gt = series.gamma_t
-    if window is None:
-        window = (float(gt.min()), float(gt.max()))
-    lo, hi = float(window[0]), float(window[1])
+    lo = float(gt.min()) if window[0] is None else float(window[0])
+    hi = float(gt.max()) if window[1] is None else float(window[1])
     if not hi >= lo:
         raise ValueError("window upper edge must not be below the lower edge")
 

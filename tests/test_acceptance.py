@@ -160,8 +160,9 @@ def test_criterion_2_optimal_deformation(tmp_path, capsys):
 
 def test_criterion_3_optimum_drifts_toward_unity(capsys):
     """Larger initial excitation pushes the optimal deformation toward 1."""
-    r5 = find_optimal_q(InitialState(kind="fock", fock_n=5), OMEGA, 0.0, GAMMA_BS, 1.0)
-    r10 = find_optimal_q(InitialState(kind="fock", fock_n=10), OMEGA, 0.0, GAMMA_BS, 1.0)
+    params = SystemParams(omega=OMEGA, chi=0.0, gamma=GAMMA_BS)
+    r5 = find_optimal_q(InitialState(kind="fock", fock_n=5), params, 1.0)
+    r10 = find_optimal_q(InitialState(kind="fock", fock_n=10), params, 1.0)
     ok = r10.q_star > r5.q_star
     report(capsys, 3, ok, f"q*(N=10) = {r10.q_star:.6f} > q*(N=5) = {r5.q_star:.6f}")
     assert r10.q_star > r5.q_star
@@ -186,7 +187,7 @@ def test_criterion_4_single_quantum_insensitive(capsys):
     worst_oracle_gap = 0.0
     from qkerr.harness import run_sweep_q
 
-    sweep = run_sweep_q(init, OMEGA, 0.0, g, qs, t)
+    sweep = run_sweep_q(init, SystemParams(omega=OMEGA, chi=0.0, gamma=g), qs, t)
     s_at_unity = sweep.s_field[-1]
     for q, s in zip(qs, sweep.s_field):
         worst_dev = max(worst_dev, abs(s - s_at_unity))

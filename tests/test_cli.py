@@ -73,6 +73,17 @@ class TestEvolve:
         assert series.s_field[0] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(series.gamma_t, series.t)
 
+    def test_default_steps_with_explicit_t_max(self, tmp_path):
+        # gamma = 0 has no default span, but the sample count still defaults
+        # by the initial kind.
+        out = tmp_path / "series.csv"
+        code = run_cli(["evolve", "--gamma", "0", "--q", "0.9", "--t-max", "5", "--out", str(out)])
+        assert code == 0
+        series = EntropySeries.read_csv(str(out))
+        assert series.t.shape == (14_001,)
+        assert series.t[-1] == 5.0
+        np.testing.assert_allclose(series.s_field, 0.0, atol=1e-12)
+
     def test_t_min_flag(self, tmp_path):
         out = tmp_path / "series.csv"
         code = run_cli(
@@ -200,6 +211,17 @@ class TestRevivals:
         text = out.read_text()
         assert "near-revival" in text
 
+    def test_one_window_edge_defaults_the_other(self, fock_series, tmp_path):
+        # A missing --window-hi is the series' largest gamma*t.
+        gt_max = float(EntropySeries.read_csv(str(fock_series)).gamma_t.max())
+        lo_only, both = tmp_path / "lo.csv", tmp_path / "both.csv"
+        common = ["revivals", str(fock_series), "--chi", "0.01", "--threshold", "0.5"]
+        assert run_cli(common + ["--window-lo", "300", "--out", str(lo_only)]) == 0
+        assert run_cli(common + ["--window-lo", "300", "--window-hi", repr(gt_max), "--out", str(both)]) == 0
+        assert lo_only.read_bytes() == both.read_bytes()
+        rows = lo_only.read_text().splitlines()[1:]
+        assert rows and all(float(row.split(",")[1]) >= 300.0 for row in rows)
+
     def test_stdout_when_no_out(self, fock_series, capsys):
         code = run_cli(["revivals", str(fock_series), "--chi", "0.01"])
         assert code == 0
@@ -209,8 +231,17 @@ class TestRevivals:
 
     def test_malformed_csv_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text("not,a,series\n1,2,3\n")
-        assert run_cli(["revivals", str(bad), "--chi", "0.01"]) == 2
+        header = "t,gamma_t,S_field,S_atom,purity_field\n"
+        for text in (
+            "not,a,series\n1,2,3\n",
+            header,
+            header + "1,2,3,4,5,6\n",
+            header + "1,2,3,4,5\n1,2,3\n",
+            header + "1,2,,4,5\n",
+            header + "2,2,3,4,5\n1,2,3,4,5\n",
+        ):
+            bad.write_text(text)
+            assert run_cli(["revivals", str(bad), "--chi", "0.01"]) == 2
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli(["revivals", str(tmp_path / "absent.csv"), "--chi", "0.01"]) == 2

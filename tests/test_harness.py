@@ -2,15 +2,19 @@
 and revival-dip classification on synthetic series."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qkerr.blocks import SystemParams
 from qkerr.harness import (
+    SERIES_COLUMNS,
+    SWEEP_COLUMNS,
     EntropySeries,
     InitialState,
     RevivalReport,
+    SweepResult,
     _parabolic_peak,
     detect_revivals,
     find_optimal_q,
@@ -73,15 +77,13 @@ class TestInitialState:
 
     def test_default_grid(self):
         fock = InitialState(kind="fock")
-        t_max, steps = fock.default_grid(2.0)
-        assert t_max == pytest.approx(350.0)
-        assert steps == 14_001
+        assert fock.default_t_max(2.0) == pytest.approx(350.0)
+        assert fock.default_steps == 14_001
         coh = InitialState(kind="coherent")
-        t_max, steps = coh.default_grid(-1.0)
-        assert t_max == pytest.approx(1400.0)
-        assert steps == 28_001
+        assert coh.default_t_max(-1.0) == pytest.approx(1400.0)
+        assert coh.default_steps == 28_001
         with pytest.raises(ValueError):
-            fock.default_grid(0.0)
+            fock.default_t_max(0.0)
 
 
 class TestSweep:
@@ -91,7 +93,7 @@ class TestSweep:
         qs = np.array([0.8, 0.9, 1.0])
         t = 1.0
         gamma = -math.pi / 4.0
-        sweep = run_sweep_q(init, 1.0, 0.0, gamma, qs, t)
+        sweep = run_sweep_q(init, SystemParams(omega=1.0, chi=0.0, gamma=gamma), qs, t)
         for q, s in zip(qs, sweep.s_field):
             params = SystemParams(omega=1.0, chi=0.0, gamma=gamma, q=float(q))
             series = run_evolve(init, params, np.array([0.0, t]))
@@ -99,8 +101,21 @@ class TestSweep:
 
     def test_vacuum_sweep_is_zero(self):
         init = InitialState(kind="fock", fock_n=0)
-        sweep = run_sweep_q(init, 1.0, 0.0, 1.0, np.array([0.5, 1.0]), 1.0)
+        sweep = run_sweep_q(init, SystemParams(omega=1.0, chi=0.0, gamma=1.0), np.array([0.5, 1.0]), 1.0)
         np.testing.assert_allclose(sweep.s_field, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["fock", "coherent"])
+    def test_params_q_is_replaced(self, kind):
+        # The grid, not params.q, sets the deformation at every point.
+        init = InitialState(kind=kind, fock_n=4, alpha_sq=0.5)
+        qs = np.array([0.6, 0.8, 1.0])
+        a = run_sweep_q(init, SystemParams(chi=0.01, gamma=-0.7, q=0.3), qs, 1.5)
+        b = run_sweep_q(init, SystemParams(chi=0.01, gamma=-0.7, q=1.0), qs, 1.5)
+        assert a.s_field.tobytes() == b.s_field.tobytes()
+        assert a.q.tobytes() == qs.tobytes()
+        c = find_optimal_q(init, SystemParams(chi=0.01, gamma=-0.7, q=0.3), 1.5, q_steps=10)
+        d = find_optimal_q(init, SystemParams(chi=0.01, gamma=-0.7, q=1.0), 1.5, q_steps=10)
+        assert (c.q_star, c.s_star) == (d.q_star, d.s_star)
 
 
 class TestParabolicPeak:
@@ -132,7 +147,7 @@ class TestParabolicPeak:
 class TestFindOptimalQ:
     def test_interior_peak_refined(self):
         init = InitialState(kind="fock", fock_n=5)
-        result = find_optimal_q(init, 1.0, 0.0, -math.pi / 4.0, 1.0, q_steps=60)
+        result = find_optimal_q(init, SystemParams(omega=1.0, chi=0.0, gamma=-math.pi / 4.0), 1.0, q_steps=60)
         assert 0.93 < result.q_star < 0.95
         assert result.s_star > result.scan.s_field.max() - 1e-12
         assert result.scan.q.shape == (60,)
@@ -141,7 +156,7 @@ class TestFindOptimalQ:
         # N = 0: entropy identically zero, argmax lands on the first grid
         # point, which is the boundary.
         init = InitialState(kind="fock", fock_n=0)
-        result = find_optimal_q(init, 1.0, 0.0, 1.0, 1.0, q_steps=10)
+        result = find_optimal_q(init, SystemParams(omega=1.0, chi=0.0, gamma=1.0), 1.0, q_steps=10)
         assert result.q_star == 0.5
         assert result.s_star == 0.0
 
@@ -209,6 +224,14 @@ class TestDetectRevivals:
             detect_revivals(series, 0.01, 1.0)
 
 
+def reference_csv(header, columns):
+    """The series or sweep CSV built row by row, at 12 significant digits."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(format(float(x), ".12g") for x in row))
+    return "\n".join(lines) + "\n"
+
+
 class TestCsv:
     def test_series_roundtrip(self, tmp_path):
         init = InitialState(kind="fock", fock_n=3)
@@ -241,18 +264,57 @@ class TestCsv:
 
     def test_malformed_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("nope\n1,2\n")
-        with pytest.raises(ValueError):
-            EntropySeries.read_csv(str(p))
-        p.write_text("t,gamma_t,S_field,S_atom,purity_field\n1,2,3\n")
-        with pytest.raises(ValueError):
-            EntropySeries.read_csv(str(p))
-        p.write_text("t,gamma_t,S_field,S_atom,purity_field\n1,2,x,4,5\n")
-        with pytest.raises(ValueError):
-            EntropySeries.read_csv(str(p))
-        p.write_text("t,gamma_t,S_field,S_atom,purity_field\n")
-        with pytest.raises(ValueError):
-            EntropySeries.read_csv(str(p))
+        header = "t,gamma_t,S_field,S_atom,purity_field\n"
+        for text in (
+            "nope\n1,2\n",
+            "",
+            header + "1,2,3\n",
+            header + "1,2,3,4,5\n2,2,3,4,5,6\n",
+            # Uniform widths other than 5, which a bare numeric parser accepts.
+            header + "1,2,3,4,5,6\n2,2,3,4,5,6\n",
+            header + "1,2,3\n2,2,3\n",
+            header + "1,2,x,4,5\n",
+            header + "1,2,,4,5\n",
+            # evolve never quotes a field or groups digits with underscores.
+            header + '"1",2,3,4,5\n',
+            header + "1_0,2,3,4,5\n",
+            # A comment line is not data, and no line is skipped as one.
+            header + "1,2,3,4,5\n# comment\n2,2,3,4,5\n",
+            header + "2,2,3,4,5\n1,2,3,4,5\n",
+        ):
+            p.write_text(text)
+            with pytest.raises(ValueError, match="malformed series CSV"):
+                EntropySeries.read_csv(str(p))
+        # Header only: rejected, with no warning on the way.
+        p.write_text(header)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows"):
+                EntropySeries.read_csv(str(p))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "gaps.csv"
+        p.write_text("t,gamma_t,S_field,S_atom,purity_field\n1,2,3,4,5\n\n2,2,3,4,5\n\n")
+        series = EntropySeries.read_csv(str(p))
+        np.testing.assert_array_equal(series.t, [1.0, 2.0])
+
+    def test_writer_matches_row_by_row_reference(self, tmp_path):
+        values = [-0.0, 1.0 / 3.0, 1e-300, 5e-324, 1e300, 123456789012345.0]
+        cols = [np.array(values[k:] + values[:k]) for k in range(5)]
+        cols[0] = np.arange(len(values)) + 1.0 / 3.0  # read_csv wants increasing t
+        series = EntropySeries(*cols)
+        sweep = SweepResult(q=cols[1], s_field=cols[2])
+        for obj, header, columns in ((series, SERIES_COLUMNS, cols), (sweep, SWEEP_COLUMNS, cols[1:3])):
+            path = tmp_path / "out.csv"
+            obj.write_csv(str(path))
+            assert path.read_bytes() == reference_csv(header, columns).encode()
+        series.write_csv(str(path))
+        back = EntropySeries.read_csv(str(path))
+        for got, col in zip(
+            (back.t, back.gamma_t, back.s_field, back.s_atom, back.purity_field), cols
+        ):
+            want = np.array([float(format(x, ".12g")) for x in col])
+            assert got.tobytes() == want.tobytes()
 
     def test_report_csv(self, tmp_path):
         gt = np.linspace(600, 660, 601)
