@@ -13,7 +13,6 @@ reduced mode.
 from .blocks import BlockMatrix, SystemParams, build_block, total_hamiltonian_dense
 from .dynamics import (
     DensityMatrix,
-    EntropyResult,
     SpectralCache,
     TwoModeState,
     build_spectral_cache,
@@ -27,7 +26,7 @@ from .dynamics import (
     reduced_field,
     von_neumann_entropy,
 )
-from .eigen import BlockSpectrum, eigh_hermitian, eigh_tridiagonal
+from .eigen import BlockSpectrum, eigh_tridiagonal
 from .exceptions import ConvergenceError, TruncationError
 from .harness import (
     EntropySeries,
@@ -48,10 +47,6 @@ from .qalgebra import (
     box_n,
     bracket_radius,
     coherent_amplitudes,
-    ladder_down_element,
-    ladder_up_element,
-    q_exponential,
-    q_factorial,
     select_truncation,
 )
 
@@ -63,7 +58,6 @@ __all__ = [
     "CoherentSpec",
     "ConvergenceError",
     "DensityMatrix",
-    "EntropyResult",
     "EntropySeries",
     "InitialState",
     "OptimalQResult",
@@ -81,18 +75,13 @@ __all__ = [
     "coherent_amplitudes",
     "dense_reference_evolve",
     "detect_revivals",
-    "eigh_hermitian",
     "eigh_tridiagonal",
     "entropy_series",
     "evolve",
     "find_optimal_q",
-    "ladder_down_element",
-    "ladder_up_element",
     "prepare_coherent",
     "prepare_fock",
     "purity",
-    "q_exponential",
-    "q_factorial",
     "q_grid",
     "reduced_atom",
     "reduced_field",

@@ -26,7 +26,6 @@ from .harness import (
     Q_FLOOR,
     EntropySeries,
     InitialState,
-    _fmt,
     detect_revivals,
     find_optimal_q,
     q_grid,
@@ -34,6 +33,11 @@ from .harness import (
     run_sweep_q,
     time_grid,
 )
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".12g")
+
 
 def _log_base(text: str) -> float:
     if text == "2":
@@ -184,7 +188,7 @@ def _cmd_revivals(args: argparse.Namespace) -> int:
     if args.out is not None:
         report.write_csv(args.out)
     else:
-        sys.stdout.write(report.to_csv_text())
+        report.write(sys.stdout)
     counts: dict[str, int] = {}
     for dip in report.dips:
         counts[dip.classification] = counts.get(dip.classification, 0) + 1

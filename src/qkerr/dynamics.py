@@ -22,7 +22,7 @@ import numpy as np
 
 from . import qalgebra
 from .blocks import SystemParams, build_block, lattice_index, total_hamiltonian_dense
-from .eigen import BlockSpectrum, eigh_hermitian, eigh_tridiagonal
+from .eigen import BlockSpectrum, eigh_tridiagonal
 from .exceptions import ConvergenceError
 
 _NORM_TOL = 1e-10
@@ -85,7 +85,7 @@ class SpectralCache:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Reduced density matrix: Hermitian, unit trace.
+    """Reduced density matrix: finite, Hermitian, unit trace.
 
     Positivity is not verified here (it costs a diagonalization); the
     entropy routine rejects eigenvalues below -1e-10.
@@ -97,6 +97,8 @@ class DensityMatrix:
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError(f"density matrix must be square, got {rho.shape}")
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("density matrix entries must be finite")
         scale = max(1.0, float(np.abs(rho).max()))
         defect = float(np.abs(rho - rho.conj().T).max())
         if defect > _HERM_TOL * scale:
@@ -109,14 +111,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class EntropyResult:
-    """Von Neumann entropy value together with the logarithm base used."""
-
-    value: float
-    log_base: float
 
 
 def prepare_fock(fock_n: int) -> TwoModeState:
@@ -211,7 +205,7 @@ def reduced_atom(state: TwoModeState) -> DensityMatrix:
     return DensityMatrix(matrix=0.5 * (rho + rho.conj().T))
 
 
-def von_neumann_entropy(rho: DensityMatrix, log_base: float = 2.0) -> EntropyResult:
+def von_neumann_entropy(rho: DensityMatrix, log_base: float = 2.0) -> float:
     """S = -sum_k lambda_k log(lambda_k) over the eigenvalues of rho.
 
     Eigenvalues in [-1e-10, 0) are clipped to zero (roundoff from the
@@ -219,9 +213,8 @@ def von_neumann_entropy(rho: DensityMatrix, log_base: float = 2.0) -> EntropyRes
     raises.  log_base must be 2 or e.
     """
     _check_log_base(log_base)
-    vals, _ = eigh_hermitian(rho.matrix)
-    value = float(_entropy_of_spectra(vals[None, :], log_base)[0])
-    return EntropyResult(value=value, log_base=log_base)
+    vals = np.linalg.eigvalsh(rho.matrix)
+    return float(_entropy_of_spectra(vals[None, :], log_base)[0])
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -295,7 +288,7 @@ def dense_reference_evolve(state: TwoModeState, params: SystemParams, t: float) 
             f"got {state.n_max}"
         )
     ham = total_hamiltonian_dense(params, state.n_max)
-    vals, vecs = eigh_hermitian(ham)
+    vals, vecs = np.linalg.eigh(ham)
     vec0 = np.zeros(ham.shape[0], dtype=complex)
     for n in range(state.n_max + 1):
         for m in range(state.n_max + 1 - n):

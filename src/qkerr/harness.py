@@ -4,8 +4,8 @@ search, and revival-dip detection, with deterministic CSV output.
 Everything here is a thin orchestration layer over dynamics: build the
 initial state, build the per-block spectra once, evaluate the entropy on a
 grid, and serialize.  All CSV is written with 12 significant digits and
-``\\n`` newlines so repeated runs are byte-identical: the numeric series
-and sweep tables go through one ``np.savetxt(fmt="%.12g")``, and a series
+``\\n`` newlines so repeated runs are byte-identical: the series, sweep
+and revival-dip tables all go through one ``np.savetxt``, and a series
 is read back with ``np.loadtxt`` behind the header, width, emptiness and
 time-order checks.  The drivers take the physics as one ``SystemParams``;
 the q drivers replace its ``q`` at each grid point.
@@ -13,10 +13,10 @@ the q drivers replace its ``q`` at each grid point.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
+from typing import IO
 
 import numpy as np
 
@@ -46,14 +46,13 @@ FOCK_STEPS = 14_001
 COHERENT_GT_MAX = 1400.0
 COHERENT_STEPS = 28_001
 
+# Width of the bracket at which the parabolic refinement of q* stops.
+REFINE_TOL = 1e-7
+
 # Smallest deformation (exclusive) that q grids and the CLI accept: below it
 # [n] -> 1/(1-q^2) is tiny and every block is nearly degenerate.  The library
 # itself accepts any q in (0, 1].
 Q_FLOOR = 0.05
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,11 @@ class EntropySeries:
 
 def _write_table(path: str, columns: tuple[str, ...], values: tuple[np.ndarray, ...]) -> None:
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack(values), fmt="%.12g", delimiter=",", header=",".join(columns), comments="")
+        _save_table(fh, columns, np.column_stack(values), "%.12g")
+
+
+def _save_table(fh: IO[str], columns: tuple[str, ...], table: np.ndarray, fmt: str) -> None:
+    np.savetxt(fh, table, fmt=fmt, delimiter=",", header=",".join(columns), comments="")
 
 
 @dataclass(frozen=True)
@@ -233,18 +236,13 @@ class RevivalReport:
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
-            self._write(fh)
+            self.write(fh)
 
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self._write(buf)
-        return buf.getvalue()
-
-    def _write(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DIP_COLUMNS)
-        for dip in self.dips:
-            writer.writerow([_fmt(dip.t), _fmt(dip.gamma_t), _fmt(dip.entropy), dip.classification])
+    def write(self, fh: IO[str]) -> None:
+        """Write the dip table as CSV to an open text stream."""
+        rows = [(dip.t, dip.gamma_t, dip.entropy, dip.classification) for dip in self.dips]
+        table = np.array(rows, dtype=object).reshape(-1, len(DIP_COLUMNS))
+        _save_table(fh, DIP_COLUMNS, table, "%.12g,%.12g,%.12g,%s")
 
 
 def run_evolve(
@@ -272,10 +270,7 @@ def run_evolve(
 
 
 def _entropy_at(initial: InitialState, params: SystemParams, t: float, log_base: float) -> float:
-    state = initial.build(params.q)
-    cache = build_spectral_cache(params, state.occupied_blocks())
-    s_field, _, _ = entropy_series(state, cache, np.array([float(t)]), log_base=log_base)
-    return float(s_field[0])
+    return float(run_evolve(initial, params, np.array([t]), log_base).s_field[0])
 
 
 def run_sweep_q(
@@ -302,7 +297,7 @@ def run_sweep_q(
     return SweepResult(q=qs, s_field=out)
 
 
-def _parabolic_peak(f, qa, qb, qc, sa, sb, sc, tol=1e-7, max_iter=60):
+def _parabolic_peak(f, qa, qb, qc, sa, sb, sc, tol=REFINE_TOL, max_iter=60):
     """Maximize f on the bracket qa < qb < qc with f(qb) >= f(qa), f(qc).
 
     Successive parabolic interpolation through the three bracket points,
@@ -354,12 +349,12 @@ def find_optimal_q(
     q_min: float = 0.5,
     q_max: float = 1.0,
     q_steps: int = 200,
-    refine_tol: float = 1e-7,
 ) -> OptimalQResult:
     """Locate the deformation that maximizes the fixed-time entropy.
 
     Coarse scan over [q_min, q_max] followed by parabolic refinement when
-    the best coarse point is interior; a boundary best is returned as-is.
+    the best coarse point is interior, down to a bracket of REFINE_TOL; a
+    boundary best is returned as-is.
     Ties on the coarse grid resolve toward smaller q (first occurrence on
     an ascending grid).  params.q is replaced at every point evaluated; its
     own value is not used.
@@ -381,7 +376,6 @@ def find_optimal_q(
         float(scan.s_field[best - 1]),
         float(scan.s_field[best]),
         float(scan.s_field[best + 1]),
-        tol=refine_tol,
     )
     return OptimalQResult(q_star=float(q_star), s_star=float(s_star), scan=scan)
 

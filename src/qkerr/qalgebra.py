@@ -7,9 +7,9 @@ integer (bracket) is
     [n] = (1 - q^(2n)) / (1 - q^2),   0 < q <= 1,
 
 which reduces to n at q = 1 and saturates at 1/(1 - q^2) for q < 1.
-Everything else here -- deformed factorials, the deformed exponential
-series, ladder matrix elements, coherent-state amplitude vectors -- is
-built from the bracket.
+The block Hamiltonian takes its couplings from the bracket, and the
+deformed coherent state its amplitudes c_n = alpha^n / sqrt([n]!), with
+the truncation chosen from the same weights.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError, TruncationError
+from .exceptions import TruncationError
 
-# Hard caps: series terms for the deformed exponential, and the largest
-# coherent-state truncation the package will ever build.
-QEXP_MAX_TERMS = 10_000
+# The largest coherent-state truncation the package will ever build.
 COHERENT_N_CAP = 512
 
 
@@ -40,9 +38,10 @@ def check_deformation(q: float) -> float:
 
 
 def bracket_radius(q: float) -> float:
-    """Convergence radius 1/(1 - q^2) of the deformed exponential series.
+    """Supremum 1/(1 - q^2) of the brackets [n], infinite at q = 1.
 
-    Infinite at q = 1.  This is also the supremum of the brackets [n].
+    It is also the convergence radius of sum_n x^n / [n]!, so a coherent
+    intensity must stay below it for the state to be normalizable.
     """
     q = check_deformation(q)
     if q == 1.0:
@@ -66,63 +65,6 @@ def box_n(n: int, q: float) -> float:
         return 0.0
     log_q2 = 2.0 * math.log(q)
     return math.expm1(n * log_q2) / math.expm1(log_q2)
-
-
-def q_factorial(n: int, q: float) -> float:
-    """Deformed factorial [n]! = [1][2]...[n], with [0]! = 1."""
-    n = _check_count(n)
-    q = check_deformation(q)
-    out = 1.0
-    for k in range(1, n + 1):
-        out *= box_n(k, q)
-    if math.isinf(out):
-        raise OverflowError(f"[{n}]! at q={q:g} exceeds the double-precision range")
-    return out
-
-
-def q_exponential(x: float, q: float, tail_tol: float = 1e-15) -> float:
-    """Deformed exponential e_q(x) = sum_n x^n / [n]!.
-
-    For q < 1 the series converges only for |x| < 1/(1 - q^2); arguments on
-    or beyond that radius raise ConvergenceError.  Summation stops once the
-    absolute current term drops below tail_tol * |partial sum|.
-    """
-    x = float(x)
-    q = check_deformation(q)
-    if not math.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x!r}")
-    if not (0.0 < tail_tol < 1.0):
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
-    radius = bracket_radius(q)
-    if abs(x) >= radius:
-        raise ConvergenceError(
-            f"e_q series diverges: |x|={abs(x):g} is outside the radius {radius:g} for q={q:g}"
-        )
-    term = 1.0
-    total = 1.0
-    for n in range(1, QEXP_MAX_TERMS + 1):
-        term *= x / box_n(n, q)
-        total += term
-        if abs(term) < tail_tol * abs(total):
-            return total
-    raise ConvergenceError(
-        f"e_q series did not settle within {QEXP_MAX_TERMS} terms "
-        f"(x={x:g}, q={q:g}, last term {term:.3e})"
-    )
-
-
-def ladder_down_element(n: int, q: float) -> float:
-    """Matrix element <n-1|A|n> = sqrt([n]) of the deformed annihilator, n >= 1."""
-    n = _check_count(n)
-    if n < 1:
-        raise ValueError("annihilator matrix element needs n >= 1")
-    return math.sqrt(box_n(n, q))
-
-
-def ladder_up_element(n: int, q: float) -> float:
-    """Matrix element <n+1|A+|n> = sqrt([n+1]) of the deformed creator, n >= 0."""
-    n = _check_count(n)
-    return math.sqrt(box_n(n + 1, q))
 
 
 @dataclass(frozen=True)

@@ -363,8 +363,8 @@ def test_criterion_9_invariant_suite(capsys):
                 abs(float(np.trace(rho_f.matrix).real) - 1.0),
                 abs(float(np.trace(rho_a.matrix).real) - 1.0),
             )
-            s_f = von_neumann_entropy(rho_f).value
-            s_a = von_neumann_entropy(rho_a).value
+            s_f = von_neumann_entropy(rho_f)
+            s_a = von_neumann_entropy(rho_a)
             worst_schmidt = max(worst_schmidt, abs(s_f - s_a))
     if worst_norm > 1e-10:
         failures.append(f"norm drift {worst_norm:.2e}")

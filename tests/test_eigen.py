@@ -2,14 +2,16 @@
 
 The tridiagonal block solver is checked against a from-scratch
 Sturm-sequence bisection oracle (eigenvalues only), plus orthonormality and
-residual bounds that do not presuppose any reference solver.
+residual bounds that do not presuppose any reference solver.  That results
+do not depend on the eigenvector signs is a property test in
+test_dynamics.py.
 """
 
 import numpy as np
 import pytest
 
 from qkerr.blocks import SystemParams, build_block, block_matrix_dense
-from qkerr.eigen import BlockSpectrum, _fix_signs, eigh_hermitian, eigh_tridiagonal
+from qkerr.eigen import eigh_tridiagonal
 from qkerr.exceptions import ConvergenceError
 
 
@@ -57,9 +59,6 @@ class TestTridiagonal:
         np.testing.assert_allclose(spec.eigenvalues, [1.5, 2.5], rtol=1e-14)
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(np.abs(spec.eigenvectors), inv_sqrt2, rtol=1e-12)
-        # Sign convention: first significant component positive.
-        assert spec.eigenvectors[0, 0] > 0
-        assert spec.eigenvectors[0, 1] > 0
 
     def test_diagonal_input(self):
         d = np.array([3.0, -1.0, 2.0])
@@ -142,93 +141,14 @@ class TestTridiagonal:
         with pytest.raises(ValueError):
             eigh_tridiagonal(np.array([1.0, np.nan]), np.zeros(1))
 
-    def test_blockspectrum_dim(self):
-        spec = eigh_tridiagonal(np.array([1.0, 2.0]), np.array([0.1]))
-        assert isinstance(spec, BlockSpectrum)
-        assert spec.dim == 2
-
-
-def fix_signs_by_column(vecs):
-    """Column-by-column reference for the eigenvector phase convention."""
-    vecs = vecs.copy()
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        mags = np.abs(col)
-        lead = int(np.argmax(mags > 1e-12 * mags.max()))
-        pivot = col[lead]
-        if pivot != 0:
-            vecs[:, j] = col * (abs(pivot) / pivot)
-    return vecs
-
-
-@pytest.mark.parametrize("complex_entries", [False, True])
-def test_fix_signs_matches_column_loop(rng, complex_entries):
-    for n in (1, 2, 5, 12):
-        a = rng.standard_normal((n, n))
-        if complex_entries:
-            a = a + 1j * rng.standard_normal((n, n))
-        _, vecs = np.linalg.eigh(a + a.conj().T)
-        vecs[0, : n // 2] = 0.0  # push the leading entry of some columns down
-        expected = fix_signs_by_column(vecs)
-        got = _fix_signs(vecs.copy())
-        assert got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes()
-
 
 class TestHermitian:
-    def test_identity(self):
-        vals, vecs = eigh_hermitian(np.eye(3, dtype=complex))
-        np.testing.assert_allclose(vals, np.ones(3))
-        np.testing.assert_allclose(vecs @ vecs.conj().T, np.eye(3), atol=1e-14)
-
-    def test_pauli_y(self):
-        sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-        vals, vecs = eigh_hermitian(sy)
-        np.testing.assert_allclose(vals, [-1.0, 1.0], atol=1e-14)
-        for k in range(2):
-            resid = sy @ vecs[:, k] - vals[k] * vecs[:, k]
-            assert np.abs(resid).max() < 1e-14
-
-    def test_rank_one_projector(self):
-        v = np.array([1.0, 1.0j, -1.0]) / np.sqrt(3.0)
-        rho = np.outer(v, v.conj())
-        vals, vecs = eigh_hermitian(rho)
-        np.testing.assert_allclose(np.sort(vals), [0.0, 0.0, 1.0], atol=1e-14)
-
-    def test_random_hermitian(self, rng):
-        n = 12
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (a + a.conj().T) / 2.0
-        vals, vecs = eigh_hermitian(h)
-        resid = h @ vecs - vecs * vals
-        assert np.abs(resid).max() <= 1e-10 * max(1.0, np.linalg.norm(h))
-        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(n), atol=1e-12)
-
-    def test_phase_convention_deterministic(self, rng):
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        h = (a + a.conj().T) / 2.0
-        _, v1 = eigh_hermitian(h)
-        _, v2 = eigh_hermitian(h.copy())
-        assert np.array_equal(v1, v2)
-        # First significant component of each column is real positive.
-        for k in range(5):
-            col = v1[:, k]
-            lead = col[np.argmax(np.abs(col) > 1e-12 * np.abs(col).max())]
-            assert lead.real > 0
-            assert abs(lead.imag) <= 1e-14 * abs(lead.real)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eigh_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            eigh_hermitian(np.zeros((2, 3)))
+    """The block solver against the dense Hermitian solver of LAPACK."""
 
     def test_agrees_with_tridiagonal_on_real_blocks(self):
         block = build_block(SystemParams(chi=0.01, gamma=-0.8, q=0.8), 6)
         spec = eigh_tridiagonal(block.diag, block.offdiag)
-        vals, _ = eigh_hermitian(block_matrix_dense(block).astype(complex))
+        vals = np.linalg.eigvalsh(block_matrix_dense(block).astype(complex))
         np.testing.assert_allclose(spec.eigenvalues, vals, atol=1e-11)
 
     def test_trace_preserved_by_both_solvers(self, rng):
@@ -239,5 +159,5 @@ class TestHermitian:
         )
         a = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
         h = (a + a.conj().T) / 2.0
-        vals, _ = eigh_hermitian(h)
+        vals = np.linalg.eigvalsh(h)
         np.testing.assert_allclose(vals.sum(), np.trace(h).real, rtol=1e-11)

@@ -1,6 +1,7 @@
 """Driver-layer tests: grids, sweeps, CSV determinism, peak refinement,
 and revival-dip classification on synthetic series."""
 
+import io
 import math
 import warnings
 
@@ -9,10 +10,12 @@ import pytest
 
 from qkerr.blocks import SystemParams
 from qkerr.harness import (
+    DIP_COLUMNS,
     SERIES_COLUMNS,
     SWEEP_COLUMNS,
     EntropySeries,
     InitialState,
+    RevivalDip,
     RevivalReport,
     SweepResult,
     _parabolic_peak,
@@ -225,10 +228,11 @@ class TestDetectRevivals:
 
 
 def reference_csv(header, columns):
-    """The series or sweep CSV built row by row, at 12 significant digits."""
+    """A CSV table built row by row: numbers at 12 significant digits,
+    labels as they are."""
     lines = [",".join(header)]
     for row in zip(*columns):
-        lines.append(",".join(format(float(x), ".12g") for x in row))
+        lines.append(",".join(x if isinstance(x, str) else format(float(x), ".12g") for x in row))
     return "\n".join(lines) + "\n"
 
 
@@ -304,10 +308,25 @@ class TestCsv:
         cols[0] = np.arange(len(values)) + 1.0 / 3.0  # read_csv wants increasing t
         series = EntropySeries(*cols)
         sweep = SweepResult(q=cols[1], s_field=cols[2])
-        for obj, header, columns in ((series, SERIES_COLUMNS, cols), (sweep, SWEEP_COLUMNS, cols[1:3])):
+        labels = ["near-revival", "fractional-revival-candidate", "none"] * 2
+        dip_cols = (cols[1], cols[2], cols[3], labels)
+        dips = RevivalReport(0.2, (0.0, 1.0), [RevivalDip(*row) for row in zip(*dip_cols)])
+        no_dips = RevivalReport(0.2, (0.0, 1.0))
+        for obj, header, columns in (
+            (series, SERIES_COLUMNS, cols),
+            (sweep, SWEEP_COLUMNS, cols[1:3]),
+            (dips, DIP_COLUMNS, dip_cols),
+            (no_dips, DIP_COLUMNS, ([], [], [], [])),
+        ):
+            expected = reference_csv(header, columns)
             path = tmp_path / "out.csv"
             obj.write_csv(str(path))
-            assert path.read_bytes() == reference_csv(header, columns).encode()
+            assert path.read_bytes() == expected.encode()
+            if isinstance(obj, RevivalReport):
+                # revivals without --out writes the same table to stdout
+                text = io.StringIO()
+                obj.write(text)
+                assert text.getvalue() == expected
         series.write_csv(str(path))
         back = EntropySeries.read_csv(str(path))
         for got, col in zip(

@@ -5,7 +5,6 @@ definition [n] = (1 - q^(2n)) / (1 - q^2):
 
     q = 0.5: [1] = 1, [2] = (1 - 0.0625)/0.75 = 1.25,
              [3] = (1 - 0.015625)/0.75 = 1.3125
-    [3]! at q = 0.5: 1 * 1.25 * 1.3125 = 1.640625
 """
 
 import math
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkerr.exceptions import ConvergenceError, TruncationError
+from qkerr.exceptions import TruncationError
 from qkerr.qalgebra import (
     COHERENT_N_CAP,
     CoherentSpec,
@@ -23,10 +22,6 @@ from qkerr.qalgebra import (
     bracket_radius,
     check_deformation,
     coherent_amplitudes,
-    ladder_down_element,
-    ladder_up_element,
-    q_exponential,
-    q_factorial,
     select_truncation,
 )
 
@@ -89,87 +84,6 @@ class TestBracket:
             box_n(2.5, 0.5)
         with pytest.raises(ValueError):
             box_n(True, 0.5)
-
-
-class TestQFactorial:
-    def test_frozen_value(self):
-        assert q_factorial(3, 0.5) == pytest.approx(1.640625, rel=1e-15)
-        assert q_factorial(0, 0.5) == 1.0
-        assert q_factorial(1, 0.37) == 1.0
-
-    def test_reduces_to_factorial(self):
-        assert q_factorial(6, 1.0) == pytest.approx(720.0, rel=1e-14)
-
-    def test_overflow_reported(self):
-        with pytest.raises(OverflowError):
-            q_factorial(200, 1.0)
-
-    @given(
-        n=st.integers(min_value=1, max_value=40),
-        q=st.floats(min_value=0.1, max_value=1.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_ratio_is_bracket(self, n, q):
-        assert q_factorial(n, q) / q_factorial(n - 1, q) == pytest.approx(
-            box_n(n, q), rel=1e-12, abs=1e-300
-        )
-
-
-class TestLadderElements:
-    def test_matrix_elements(self):
-        assert ladder_down_element(2, 0.5) == pytest.approx(math.sqrt(1.25), rel=1e-15)
-        assert ladder_up_element(1, 0.5) == pytest.approx(math.sqrt(1.25), rel=1e-15)
-        assert ladder_down_element(1, 0.9) == 1.0
-
-    def test_down_needs_positive_n(self):
-        with pytest.raises(ValueError):
-            ladder_down_element(0, 0.5)
-
-    @given(
-        n=st.integers(min_value=0, max_value=60),
-        q=st.floats(min_value=0.1, max_value=1.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_adjoint_pairing(self, n, q):
-        # <n+1| A+ |n> = <n| A |n+1> for a real algebra.
-        assert ladder_up_element(n, q) == ladder_down_element(n + 1, q)
-
-
-class TestQExponential:
-    def _series_oracle(self, x, q, terms=2000):
-        total, term = 0.0, 1.0
-        for n in range(1, terms + 1):
-            total += term
-            term *= x / box_n(n, q)
-        return total + term
-
-    def test_reduces_to_exp(self):
-        for x in (0.0, 0.5, 3.0, -2.0):
-            assert q_exponential(x, 1.0) == pytest.approx(math.exp(x), rel=1e-14)
-
-    def test_against_long_series(self):
-        for x, q in ((0.5, 0.9), (2.0, 0.8), (-1.5, 0.7), (3.9, 0.95)):
-            assert q_exponential(x, q) == pytest.approx(self._series_oracle(x, q), rel=1e-12)
-
-    def test_diverges_outside_radius(self):
-        q = 0.8
-        radius = bracket_radius(q)
-        with pytest.raises(ConvergenceError):
-            q_exponential(radius * 1.01, q)
-        with pytest.raises(ConvergenceError):
-            q_exponential(-radius * 1.01, q)
-
-    def test_tail_tol_validated(self):
-        with pytest.raises(ValueError):
-            q_exponential(0.5, 0.9, tail_tol=0.0)
-        with pytest.raises(ValueError):
-            q_exponential(0.5, 0.9, tail_tol=1.5)
-
-    def test_monotone_on_positive_axis(self):
-        q = 0.8
-        xs = np.linspace(0.0, 0.95 * bracket_radius(q), 12)
-        values = [q_exponential(float(x), q) for x in xs]
-        assert all(b > a for a, b in zip(values, values[1:]))
 
 
 class TestCoherentSpec:
@@ -259,6 +173,18 @@ class TestCoherentAmplitudes:
             phase = math.atan2(amps[n].imag, amps[n].real)
             expected = math.remainder(n * math.pi / 3, 2 * math.pi)
             assert math.remainder(phase - expected, 2 * math.pi) == pytest.approx(0.0, abs=1e-12)
+
+    def test_rejects_intensity_outside_radius(self):
+        # The weights alpha_sq^n / [n]! are summable only below 1/(1 - q^2).
+        q = 0.8
+        radius = bracket_radius(q)
+        for alpha_sq in (radius, radius * 1.01):
+            spec = CoherentSpec(alpha_sq=alpha_sq)
+            with pytest.raises(ValueError, match="normalizable"):
+                select_truncation(spec, q)
+            with pytest.raises(ValueError, match="normalizable"):
+                coherent_amplitudes(spec, q, 40)
+        assert select_truncation(CoherentSpec(alpha_sq=0.9 * radius), q) > 0
 
     def test_undersized_cut_raises(self):
         with pytest.raises(TruncationError):
