@@ -29,6 +29,10 @@ _NORM_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
 _TRACE_TOL = 1e-10
 _HERM_TOL = 1e-12
+# Cap on the bytes of the largest array entropy_series forms per chunk: the
+# (chunk, dim, dim) complex tables on several blocks, the (chunk, N + 1)
+# amplitudes on one.
+_CHUNK_BYTES = 8 * 2**20
 # the dense reference evolver is meant for cross-checks at test scale
 DENSE_REFERENCE_N_CAP = 20
 
@@ -57,7 +61,7 @@ class TwoModeState:
         if np.any(amps[n_idx + m_idx > self.n_max] != 0):
             raise ValueError("amplitudes beyond n + m = n_max must be zero")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -107,10 +111,6 @@ class DensityMatrix:
         if abs(trace - 1.0) > _TRACE_TOL:
             raise ValueError(f"density matrix trace deviates from 1 by {abs(trace - 1.0):.3e}")
         object.__setattr__(self, "matrix", rho)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def prepare_fock(fock_n: int) -> TwoModeState:
@@ -231,16 +231,19 @@ def entropy_series(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Field entropy, atom entropy, and field purity along a time grid.
 
-    Evolves in chunks so long grids never hold every sample at once.  A
-    state on one excitation block N (every Fock state) stays on it, so
-    with a_m(t) = psi(N - m, m; t) both reduced states are exactly
-    diagonal: rho_atom has eigenvalues p_m = |a_m(t)|^2 and rho_field the
-    same values indexed by n = N - m.  There the entropies are the Shannon
-    entropies of p, the purity is sum p^2, and only the (chunk, N + 1)
-    block amplitudes are formed.  A state on several blocks has coherences
-    between them; each chunk then builds the amplitude tables, reduces
-    both modes and diagonalizes the density-matrix stacks in one batched
-    call.
+    Evolves in chunks so long grids never hold every sample at once: a
+    chunk has at most chunk_size samples, and fewer where its largest
+    array would pass _CHUNK_BYTES.  A state on one excitation block N
+    (every Fock state) stays on it, so with a_m(t) = psi(N - m, m; t) both
+    reduced states are exactly diagonal: rho_atom has eigenvalues
+    p_m = |a_m(t)|^2 and rho_field the same values indexed by n = N - m.
+    There the entropies are the Shannon entropies of p, the purity is
+    sum p^2, and only the (chunk, N + 1) block amplitudes are formed.  A
+    state on several blocks has coherences between them; each chunk then
+    builds the amplitude tables, reduces the field mode only and
+    diagonalizes the rho_field stack in one batched call.  The state is
+    pure, so rho_atom has the same nonzero spectrum (the Schmidt
+    coefficients) and S_atom is taken from that one spectrum.
     """
     _check_log_base(log_base)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -251,12 +254,15 @@ def entropy_series(
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     blocks = state.occupied_blocks()
+    single = len(blocks) == 1
+    row_bytes = 16 * (blocks[0] + 1) if single else 16 * (state.n_max + 1) ** 2
+    step = max(1, min(chunk_size, _CHUNK_BYTES // row_bytes))
     s_field = np.empty(times.size)
     s_atom = np.empty(times.size)
     purity_field = np.empty(times.size)
-    for start in range(0, times.size, chunk_size):
-        sl = slice(start, min(start + chunk_size, times.size))
-        if len(blocks) == 1:
+    for start in range(0, times.size, step):
+        sl = slice(start, min(start + step, times.size))
+        if single:
             a = _block_amplitudes(state, cache, blocks[0], times[sl])
             p = a.real**2 + a.imag**2
             s_field[sl] = _entropy_of_spectra(p[:, ::-1], log_base)
@@ -265,9 +271,8 @@ def entropy_series(
             continue
         psi = _propagate(state, cache, times[sl])
         rho_field = psi @ psi.conj().transpose(0, 2, 1)
-        rho_atom = psi.transpose(0, 2, 1) @ psi.conj()
         s_field[sl] = _entropy_of_spectra(np.linalg.eigvalsh(rho_field), log_base)
-        s_atom[sl] = _entropy_of_spectra(np.linalg.eigvalsh(rho_atom), log_base)
+        s_atom[sl] = s_field[sl]
         purity_field[sl] = (np.abs(rho_field) ** 2).sum(axis=(1, 2))
     return s_field, s_atom, purity_field
 

@@ -5,10 +5,10 @@ Everything here is a thin orchestration layer over dynamics: build the
 initial state, build the per-block spectra once, evaluate the entropy on a
 grid, and serialize.  All CSV is written with 12 significant digits and
 ``\\n`` newlines so repeated runs are byte-identical: the series, sweep
-and revival-dip tables all go through one ``np.savetxt``, and a series
-is read back with ``np.loadtxt`` behind the header, width, emptiness and
-time-order checks.  The drivers take the physics as one ``SystemParams``;
-the q drivers replace its ``q`` at each grid point.
+and revival-dip tables all go through one block-formatted writer, and a
+series is read back with ``np.loadtxt`` behind the header, width,
+emptiness and time-order checks.  The drivers take the physics as one
+``SystemParams``; the q drivers replace its ``q`` at each grid point.
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ FOCK_GT_MAX = 700.0
 FOCK_STEPS = 14_001
 COHERENT_GT_MAX = 1400.0
 COHERENT_STEPS = 28_001
+
+# Rows formatted per % in the CSV writer: one % over a whole 28,001-row
+# series would hold all its text at once.
+_WRITE_ROWS = 2048
 
 # Width of the bracket at which the parabolic refinement of q* stops.
 REFINE_TOL = 1e-7
@@ -191,11 +195,16 @@ class EntropySeries:
 
 def _write_table(path: str, columns: tuple[str, ...], values: tuple[np.ndarray, ...]) -> None:
     with open(path, "w", newline="") as fh:
-        _save_table(fh, columns, np.column_stack(values), "%.12g")
+        _save_table(fh, columns, np.column_stack(values), ",".join(["%.12g"] * len(columns)))
 
 
 def _save_table(fh: IO[str], columns: tuple[str, ...], table: np.ndarray, fmt: str) -> None:
-    np.savetxt(fh, table, fmt=fmt, delimiter=",", header=",".join(columns), comments="")
+    """Header line, then the rows of table through the row format fmt,
+    one C-level % per block of _WRITE_ROWS rows (bounded text size)."""
+    fh.write(",".join(columns) + "\n")
+    for start in range(0, len(table), _WRITE_ROWS):
+        block = table[start : start + _WRITE_ROWS]
+        fh.write(((fmt + "\n") * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)

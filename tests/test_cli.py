@@ -109,8 +109,9 @@ class TestEvolve:
         assert run_cli(base + ["--q", "1.2"]) == 2
 
     def test_truncation_failure_exits_3(self, tmp_path):
-        # |alpha|^2 = 5.2 is beyond the q = 0.9 convergence radius; state
-        # preparation cannot converge.
+        # |alpha|^2 = 5.2 is inside the q = 0.9 convergence radius (5.263)
+        # but so close to it that the tail weight does not fall below
+        # tail_tol up to COHERENT_N_CAP: TruncationError, exit 3.
         code = run_cli(
             [
                 "evolve",
@@ -124,6 +125,25 @@ class TestEvolve:
             ]
         )
         assert code == 3
+
+    def test_coherent_outside_radius_exits_2(self, tmp_path, capsys):
+        # |alpha|^2 = 9 is beyond the q = 0.9 convergence radius: bad input.
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            [
+                "evolve",
+                "--gamma", "1",
+                "--q", "0.9",
+                "--initial", "coherent",
+                "--alpha-sq", "9",
+                "--t-max", "1",
+                "--steps", "3",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "[0, 5.26316)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eigensolver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def failing(matrix):

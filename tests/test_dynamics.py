@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkerr import dynamics
 from qkerr.blocks import SystemParams
 from qkerr.dynamics import (
     DENSE_REFERENCE_N_CAP,
@@ -90,6 +91,9 @@ class TestPreparation:
         bad = np.zeros((2, 2), dtype=complex)
         bad[0, 0] = 0.5  # not normalized
         with pytest.raises(ValueError):
+            TwoModeState(n_max=1, amplitudes=bad)
+        bad[0, 0] = np.nan  # a NaN norm is not within tolerance of 1
+        with pytest.raises(ValueError, match="norm"):
             TwoModeState(n_max=1, amplitudes=bad)
 
 
@@ -342,14 +346,61 @@ class TestEntropySeries:
         assert peak < 8 * chunk * (n + 1) * 16
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(n + 1) + 1e-12))
 
+    def test_multi_block_memory_bounded_by_chunk_bytes(self, rng):
+        # At n_max = 60 a 2048-sample (chunk, dim, dim) complex table is
+        # 122 MB, 14.5 times _CHUNK_BYTES; the budget cuts chunks to 140
+        # samples.  Measured peak: 4.0 _CHUNK_BYTES.
+        state = random_triangle_state(rng, 60)
+        cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(61))
+        times = np.linspace(0.0, 40.0, 3000)
+        tracemalloc.start()
+        try:
+            s_field, s_atom, _ = entropy_series(state, cache, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * dynamics._CHUNK_BYTES
+        assert np.array_equal(s_field, s_atom)
+        assert np.all((s_field >= 0.0) & (s_field <= math.log2(61) + 1e-12))
+
     def test_chunking_invariant(self, rng):
+        # Every chunk of two or more samples goes through the same BLAS
+        # matrix products, so the series is exactly the same.
         state = random_triangle_state(rng, 4)
         cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(5))
         times = np.linspace(0.0, 10.0, 57)
-        a = entropy_series(state, cache, times, chunk_size=8)
         b = entropy_series(state, cache, times, chunk_size=2048)
-        for x, y in zip(a, b):
+        for chunk in (3, 5, 10, 19, 30):
+            for x, y in zip(entropy_series(state, cache, times, chunk_size=chunk), b):
+                assert np.array_equal(x, y)
+        # A one-sample chunk (57 = 7 * 8 + 1) makes numpy call BLAS's
+        # matrix-vector product instead, which may round differently.
+        for x, y in zip(entropy_series(state, cache, times, chunk_size=8), b):
             np.testing.assert_allclose(x, y, atol=1e-14)
+        # n_max 60: the byte budget cuts 2048 to 140 samples a chunk.
+        state = random_triangle_state(rng, 60)
+        assert dynamics._CHUNK_BYTES // (16 * 61**2) == 140
+        cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(61))
+        times = np.linspace(0.0, 40.0, 300)
+        b = entropy_series(state, cache, times, chunk_size=2048)
+        for x, y in zip(entropy_series(state, cache, times, chunk_size=64), b):
+            assert np.array_equal(x, y)
+
+    def test_one_eigvalsh_call_per_multi_block_chunk(self, rng, monkeypatch):
+        # The field spectrum alone gives S_field and S_atom (Schmidt).
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        state = random_triangle_state(rng, 4)
+        cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(5))
+        s_field, s_atom, _ = entropy_series(state, cache, np.linspace(0.0, 10.0, 57), chunk_size=8)
+        assert calls == [(8, 5, 5)] * 7 + [(1, 5, 5)]
+        assert np.array_equal(s_field, s_atom)
 
     def test_q_continuity_toward_unity(self):
         # The q -> 1 limit must be smooth: a 1e-4 deformation moves the
@@ -364,10 +415,11 @@ class TestEntropySeries:
 
 
 @st.composite
-def block_supported_states(draw):
-    """A random state whose weight lies on a random set of blocks."""
-    n_max = draw(st.integers(min_value=0, max_value=8))
-    support = draw(st.sets(st.integers(min_value=0, max_value=n_max), min_size=1))
+def block_supported_states(draw, min_blocks=1):
+    """A random state whose weight lies on a random set of at least
+    min_blocks blocks."""
+    n_max = draw(st.integers(min_value=min_blocks - 1, max_value=8))
+    support = draw(st.sets(st.integers(min_value=0, max_value=n_max), min_size=min_blocks))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     dim = n_max + 1
     table = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -375,6 +427,23 @@ def block_supported_states(draw):
     table[~np.isin(n_idx + m_idx, sorted(support))] = 0.0
     table /= np.linalg.norm(table)
     return TwoModeState(n_max=n_max, amplitudes=table), support
+
+
+class TestSchmidtSpectrum:
+    @given(
+        drawn=block_supported_states(min_blocks=2),
+        q=st.floats(min_value=0.3, max_value=1.0),
+        chi=st.floats(min_value=0.0, max_value=0.1),
+        gamma=st.floats(min_value=-1.5, max_value=1.5),
+        times=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_multi_block_matches_single_step_api(self, drawn, q, chi, gamma, times):
+        # A multi-block series takes S_atom from the field spectrum; the
+        # single-time API reduces the atom mode and diagonalizes it.
+        state, _ = drawn
+        cache = build_spectral_cache(SystemParams(chi=chi, gamma=gamma, q=q), state.occupied_blocks())
+        assert_series_matches_single_step_api(state, cache, np.array(times))
 
 
 class TestOccupiedBlockCache:

@@ -18,6 +18,7 @@ from qkerr.harness import (
     RevivalDip,
     RevivalReport,
     SweepResult,
+    _WRITE_ROWS,
     _parabolic_peak,
     detect_revivals,
     find_optimal_q,
@@ -303,12 +304,19 @@ class TestCsv:
         np.testing.assert_array_equal(series.t, [1.0, 2.0])
 
     def test_writer_matches_row_by_row_reference(self, tmp_path):
+        # 6 rows fit in one formatting block, 2 * _WRITE_ROWS fill two
+        # exactly, and 5,000 end in a partial block.
+        for rows in (6, 2 * _WRITE_ROWS, 5000):
+            self._check_writer(tmp_path, rows)
+
+    @staticmethod
+    def _check_writer(tmp_path, rows):
         values = [-0.0, 1.0 / 3.0, 1e-300, 5e-324, 1e300, 123456789012345.0]
-        cols = [np.array(values[k:] + values[:k]) for k in range(5)]
-        cols[0] = np.arange(len(values)) + 1.0 / 3.0  # read_csv wants increasing t
+        cols = [np.resize(values[k:] + values[:k], rows) for k in range(5)]
+        cols[0] = np.arange(rows) + 1.0 / 3.0  # read_csv wants increasing t
         series = EntropySeries(*cols)
         sweep = SweepResult(q=cols[1], s_field=cols[2])
-        labels = ["near-revival", "fractional-revival-candidate", "none"] * 2
+        labels = (["near-revival", "fractional-revival-candidate", "none"] * rows)[:rows]
         dip_cols = (cols[1], cols[2], cols[3], labels)
         dips = RevivalReport(0.2, (0.0, 1.0), [RevivalDip(*row) for row in zip(*dip_cols)])
         no_dips = RevivalReport(0.2, (0.0, 1.0))
