@@ -13,7 +13,6 @@ reduced mode.
 from .blocks import BlockMatrix, SystemParams, build_block, total_hamiltonian_dense
 from .dynamics import (
     DensityMatrix,
-    SpectralCache,
     TwoModeState,
     build_spectral_cache,
     dense_reference_evolve,
@@ -42,13 +41,7 @@ from .harness import (
     run_sweep_q,
     time_grid,
 )
-from .qalgebra import (
-    CoherentSpec,
-    box_n,
-    bracket_radius,
-    coherent_amplitudes,
-    select_truncation,
-)
+from .qalgebra import CoherentSpec, box_n, bracket_radius, coherent_amplitudes
 
 __version__ = "0.1.0"
 
@@ -63,7 +56,6 @@ __all__ = [
     "OptimalQResult",
     "RevivalDip",
     "RevivalReport",
-    "SpectralCache",
     "SweepResult",
     "SystemParams",
     "TruncationError",
@@ -87,7 +79,6 @@ __all__ = [
     "reduced_field",
     "run_evolve",
     "run_sweep_q",
-    "select_truncation",
     "time_grid",
     "total_hamiltonian_dense",
     "von_neumann_entropy",

@@ -33,6 +33,7 @@ from .harness import (
     run_sweep_q,
     time_grid,
 )
+from .qalgebra import TAIL_TOL
 
 
 def _fmt(x: float) -> str:
@@ -64,7 +65,6 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--log-base",
         type=_log_base,
-        choices=[2.0, math.e],
         default=2.0,
         metavar="{2,e}",
         help="entropy log base (default 2)",
@@ -82,8 +82,16 @@ def _add_initial(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha-sq", type=float, default=0.5, help="coherent |alpha|^2 (default 0.5)")
     parser.add_argument("--alpha-phase", type=float, default=0.0, help="coherent phase arg(alpha) (default 0)")
     parser.add_argument(
-        "--tail-tol", type=float, default=1e-10, help="coherent truncation tail tolerance (default 1e-10)"
+        "--tail-tol", type=float, default=TAIL_TOL, help=f"coherent truncation tail tolerance (default {TAIL_TOL:g})"
     )
+
+
+def _add_q_scan(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--t", type=float, default=1.0, help="evolution time (default 1)")
+    parser.add_argument("--q-min", type=_q_value, default=0.5)
+    parser.add_argument("--q-max", type=_q_value, default=1.0)
+    parser.add_argument("--q-steps", type=int, default=200)
+    parser.add_argument("--out", required=True, help="CSV path for the q scan")
 
 
 def _initial_from(args: argparse.Namespace) -> InitialState:
@@ -110,11 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep-q", help="entropy vs deformation at fixed time")
     _add_shared(p_sweep)
     _add_initial(p_sweep)
-    p_sweep.add_argument("--t", type=float, default=1.0, help="evolution time (default 1)")
-    p_sweep.add_argument("--q-min", type=_q_value, default=0.5)
-    p_sweep.add_argument("--q-max", type=_q_value, default=1.0)
-    p_sweep.add_argument("--q-steps", type=int, default=200)
-    p_sweep.add_argument("--out", required=True, help="output CSV path")
+    _add_q_scan(p_sweep)
 
     p_evolve = sub.add_parser("evolve", help="entropy time series for one deformation")
     _add_shared(p_evolve)
@@ -128,11 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("find-optimal-q", help="deformation maximizing the fixed-time entropy")
     _add_shared(p_opt)
     _add_initial(p_opt)
-    p_opt.add_argument("--t", type=float, default=1.0, help="evolution time (default 1)")
-    p_opt.add_argument("--q-min", type=_q_value, default=0.5)
-    p_opt.add_argument("--q-max", type=_q_value, default=1.0)
-    p_opt.add_argument("--q-steps", type=int, default=200)
-    p_opt.add_argument("--out", required=True, help="scan CSV path")
+    _add_q_scan(p_opt)
 
     p_rev = sub.add_parser("revivals", help="detect and classify entropy dips in an evolve CSV")
     p_rev.add_argument("series", help="CSV produced by the evolve subcommand")
@@ -166,16 +166,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_find_optimal_q(args: argparse.Namespace) -> int:
-    initial = _initial_from(args)
-    result = find_optimal_q(
-        initial,
-        _params_from(args),
-        args.t,
-        log_base=args.log_base,
-        q_min=args.q_min,
-        q_max=args.q_max,
-        q_steps=args.q_steps,
-    )
+    qs = q_grid(args.q_min, args.q_max, args.q_steps)
+    result = find_optimal_q(_initial_from(args), _params_from(args), qs, args.t, log_base=args.log_base)
     result.scan.write_csv(args.out)
     print(f"q_star = {_fmt(result.q_star)}")
     print(f"S_star = {_fmt(result.s_star)}")

@@ -15,7 +15,7 @@ the blocks where the state has weight need one.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,15 +79,6 @@ class TwoModeState:
 
 
 @dataclass(frozen=True)
-class SpectralCache:
-    """Spectra of some excitation blocks of one parameter set, keyed by
-    total excitation N."""
-
-    params: SystemParams
-    blocks: Mapping[int, BlockSpectrum]
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     """Reduced density matrix: finite, Hermitian, unit trace.
 
@@ -127,23 +118,24 @@ def prepare_fock(fock_n: int) -> TwoModeState:
 
 
 def prepare_coherent(
-    spec: qalgebra.CoherentSpec, q: float, tail_tol: float = 1e-10
+    spec: qalgebra.CoherentSpec, q: float, tail_tol: float = qalgebra.TAIL_TOL
 ) -> TwoModeState:
     """Deformed coherent field state with the atomic mode in vacuum.
 
-    The field truncation is auto-selected so the omitted (unnormalized)
-    weight stays below tail_tol of the total.
+    The field truncation n_max is the one coherent_amplitudes selects: the
+    omitted (unnormalized) weight stays below tail_tol of the total.
     """
-    n_max = qalgebra.select_truncation(spec, q, tail_tol)
-    amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    amps[:, 0] = qalgebra.coherent_amplitudes(spec, q, n_max, tail_tol)
-    return TwoModeState(n_max=n_max, amplitudes=amps)
+    field = qalgebra.coherent_amplitudes(spec, q, tail_tol=tail_tol)
+    amps = np.zeros((field.size, field.size), dtype=complex)
+    amps[:, 0] = field
+    return TwoModeState(n_max=field.size - 1, amplitudes=amps)
 
 
-def build_spectral_cache(params: SystemParams, blocks: Iterable[int]) -> SpectralCache:
+def build_spectral_cache(params: SystemParams, blocks: Iterable[int]) -> dict[int, BlockSpectrum]:
     """Diagonalize the requested blocks once for reuse across times.
 
-    Pass state.occupied_blocks() for the blocks one state needs, or
+    Returns the spectra keyed by total excitation N.  Pass
+    state.occupied_blocks() for the blocks one state needs, or
     range(n_max + 1) for every block up to n_max.
     """
     spectra = {}
@@ -153,14 +145,14 @@ def build_spectral_cache(params: SystemParams, blocks: Iterable[int]) -> Spectra
             spectra[n_total] = eigh_tridiagonal(block.diag, block.offdiag)
         except ConvergenceError as exc:
             raise ConvergenceError(f"q={params.q:g}: {exc}") from exc
-    return SpectralCache(params=params, blocks=spectra)
+    return spectra
 
 
 def _block_amplitudes(
-    state: TwoModeState, cache: SpectralCache, n_total: int, times: np.ndarray
+    state: TwoModeState, cache: dict[int, BlockSpectrum], n_total: int, times: np.ndarray
 ) -> np.ndarray:
     """Amplitudes a_m(t) = psi(N - m, m; t) of block N, shape (len(times), N + 1)."""
-    spec = cache.blocks.get(n_total)
+    spec = cache.get(n_total)
     if spec is None:
         raise ValueError(
             f"spectral cache has no spectrum for block N={n_total}, "
@@ -172,7 +164,7 @@ def _block_amplitudes(
     return (spec.eigenvectors @ (phases * modes[:, None])).T
 
 
-def _propagate(state: TwoModeState, cache: SpectralCache, times: np.ndarray) -> np.ndarray:
+def _propagate(state: TwoModeState, cache: dict[int, BlockSpectrum], times: np.ndarray) -> np.ndarray:
     """Amplitude tables at each time, shape (len(times), dim, dim)."""
     dim = state.n_max + 1
     psi = np.zeros((times.size, dim, dim), dtype=complex)
@@ -182,7 +174,7 @@ def _propagate(state: TwoModeState, cache: SpectralCache, times: np.ndarray) -> 
     return psi
 
 
-def evolve(state: TwoModeState, cache: SpectralCache, t: float) -> TwoModeState:
+def evolve(state: TwoModeState, cache: dict[int, BlockSpectrum], t: float) -> TwoModeState:
     """Evolve a state for time t (t may be negative) via the block spectra."""
     t = float(t)
     if not math.isfinite(t):
@@ -224,7 +216,7 @@ def purity(rho: DensityMatrix) -> float:
 
 def entropy_series(
     state: TwoModeState,
-    cache: SpectralCache,
+    cache: dict[int, BlockSpectrum],
     times,
     log_base: float = 2.0,
     chunk_size: int = 2048,

@@ -28,8 +28,7 @@ from .dynamics import (
     prepare_coherent,
     prepare_fock,
 )
-from .exceptions import ConvergenceError
-from .qalgebra import CoherentSpec
+from .qalgebra import TAIL_TOL, CoherentSpec
 
 SERIES_COLUMNS = ("t", "gamma_t", "S_field", "S_atom", "purity_field")
 SWEEP_COLUMNS = ("q", "S_field")
@@ -72,7 +71,7 @@ class InitialState:
     fock_n: int = 5
     alpha_sq: float = 0.5
     alpha_phase: float = 0.0
-    tail_tol: float = 1e-10
+    tail_tol: float = TAIL_TOL
 
     def __post_init__(self) -> None:
         if self.kind not in ("fock", "coherent"):
@@ -299,10 +298,7 @@ def run_sweep_q(
     qs = np.asarray(qs, dtype=float)
     out = np.empty_like(qs)
     for i, q in enumerate(qs):
-        try:
-            out[i] = _entropy_at(initial, replace(params, q=float(q)), t, log_base)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"sweep failed at q={q:.6g}: {exc}") from exc
+        out[i] = _entropy_at(initial, replace(params, q=float(q)), t, log_base)
     return SweepResult(q=qs, s_field=out)
 
 
@@ -353,22 +349,21 @@ def _parabolic_peak(f, qa, qb, qc, sa, sb, sc, tol=REFINE_TOL, max_iter=60):
 def find_optimal_q(
     initial: InitialState,
     params: SystemParams,
+    qs: np.ndarray,
     t: float,
     log_base: float = 2.0,
-    q_min: float = 0.5,
-    q_max: float = 1.0,
-    q_steps: int = 200,
 ) -> OptimalQResult:
     """Locate the deformation that maximizes the fixed-time entropy.
 
-    Coarse scan over [q_min, q_max] followed by parabolic refinement when
-    the best coarse point is interior, down to a bracket of REFINE_TOL; a
-    boundary best is returned as-is.
-    Ties on the coarse grid resolve toward smaller q (first occurrence on
-    an ascending grid).  params.q is replaced at every point evaluated; its
-    own value is not used.
+    Coarse scan over the grid qs (non-empty, 1-d, strictly increasing; see
+    q_grid) followed by parabolic refinement when the best coarse point is
+    interior, down to a bracket of REFINE_TOL; a boundary best is returned
+    as-is.  Ties on the coarse grid resolve toward smaller q.  params.q is
+    replaced at every point evaluated; its own value is not used.
     """
-    qs = q_grid(q_min, q_max, q_steps)
+    qs = np.asarray(qs, dtype=float)
+    if qs.ndim != 1 or qs.size == 0 or not np.all(np.diff(qs) > 0):
+        raise ValueError("q grid must be a non-empty, strictly increasing 1-d array")
     scan = run_sweep_q(initial, params, qs, t, log_base=log_base)
     best = int(np.argmax(scan.s_field))
     if best == 0 or best == qs.shape[0] - 1:

@@ -23,6 +23,8 @@ from .exceptions import TruncationError
 
 # The largest coherent-state truncation the package will ever build.
 COHERENT_N_CAP = 512
+# Default bound on the omitted coherent weight, relative to the retained.
+TAIL_TOL = 1e-10
 
 
 def check_deformation(q: float) -> float:
@@ -74,7 +76,7 @@ class CoherentSpec:
     The amplitude profile is c_n proportional to alpha^n / sqrt([n]!), with
     alpha = sqrt(alpha_sq) * exp(i alpha_phase).  The intensity must stay
     below the series radius 1/(1 - q^2) of the deformation in use; that is
-    checked where q is known (coherent_amplitudes / select_truncation).
+    checked where q is known (coherent_amplitudes).
     """
 
     alpha_sq: float
@@ -127,64 +129,43 @@ def _tail_bound(weight_next: float, alpha_sq: float, q: float, n_next: int) -> f
     return weight_next / (1.0 - ratio)
 
 
-def select_truncation(spec: CoherentSpec, q: float, tail_tol: float = 1e-10) -> int:
-    """Smallest n_max whose omitted coherent weight is below tail_tol.
+def coherent_amplitudes(spec: CoherentSpec, q: float, *, tail_tol: float = TAIL_TOL) -> np.ndarray:
+    """Unit-norm amplitudes c_0..c_n_max of the deformed coherent state.
 
-    The unnormalized weights are w_n = alpha_sq^n / [n]!; the omitted tail
-    beyond n_max is bounded geometrically and compared against
-    tail_tol * (retained weight).  Raises TruncationError if no n_max up to
-    COHERENT_N_CAP is small enough.
+    Walks c_n = alpha^n / sqrt([n]!) and the unnormalized weights
+    w_n = alpha_sq^n / [n]! up from n = 0 and stops at the first n_max
+    whose omitted tail, bounded geometrically, is at most tail_tol times
+    the retained weight.  The truncated vector is normalized numerically
+    (the closed-form deformed-exponential prefactor does not normalize,
+    since e_q(x) e_q(-x) != 1 for q < 1).  Raises TruncationError if no
+    n_max up to COHERENT_N_CAP is large enough, or if the retained weight
+    overflows a float first.
     """
     q = check_deformation(q)
     if not (tail_tol > 0.0):
         raise ValueError(f"tail_tol must be positive, got {tail_tol!r}")
     _check_radius(spec, q)
-    if spec.alpha_sq == 0.0:
-        return 0
+    alpha = spec.alpha
+    # one spare slot: a failed test at n_max = COHERENT_N_CAP still writes c_{n_max + 1}
+    amps = np.zeros(COHERENT_N_CAP + 2, dtype=complex)
+    amps[0] = 1.0
     weight = 1.0
     retained = 1.0
     for n_max in range(COHERENT_N_CAP + 1):
-        weight_next = weight * spec.alpha_sq / box_n(n_max + 1, q)
+        bracket = box_n(n_max + 1, q)
+        weight_next = weight * spec.alpha_sq / bracket
         if _tail_bound(weight_next, spec.alpha_sq, q, n_max + 1) <= tail_tol * retained:
-            return n_max
+            kept = amps[: n_max + 1]
+            return kept / np.linalg.norm(kept)
+        amps[n_max + 1] = amps[n_max] * alpha / math.sqrt(bracket)
         weight = weight_next
         retained += weight
+        if retained == math.inf:
+            raise TruncationError(
+                f"coherent weights overflow at n={n_max + 1} before the tail falls to "
+                f"{tail_tol:g} for alpha_sq={spec.alpha_sq:g}, q={q:g}"
+            )
     raise TruncationError(
         f"no truncation up to n_max={COHERENT_N_CAP} reaches tail weight "
         f"{tail_tol:g} for alpha_sq={spec.alpha_sq:g}, q={q:g}"
     )
-
-
-def coherent_amplitudes(
-    spec: CoherentSpec, q: float, n_max: int, tail_tol: float = 1e-10
-) -> np.ndarray:
-    """Unit-norm amplitude vector of the deformed coherent state on 0..n_max.
-
-    Builds c_n = alpha^n / sqrt([n]!) iteratively and normalizes the
-    truncated vector numerically (the closed-form deformed-exponential
-    prefactor does not normalize, since e_q(x) e_q(-x) != 1 for q < 1).
-    Raises TruncationError when the unnormalized tail weight beyond n_max
-    exceeds tail_tol of the total.
-    """
-    q = check_deformation(q)
-    n_max = _check_count(n_max)
-    if not (tail_tol > 0.0):
-        raise ValueError(f"tail_tol must be positive, got {tail_tol!r}")
-    _check_radius(spec, q)
-
-    amps = np.zeros(n_max + 1, dtype=complex)
-    amps[0] = 1.0
-    weight = 1.0
-    retained = 1.0
-    for n in range(1, n_max + 1):
-        amps[n] = amps[n - 1] * spec.alpha / math.sqrt(box_n(n, q))
-        weight *= spec.alpha_sq / box_n(n, q)
-        retained += weight
-    weight_next = weight * spec.alpha_sq / box_n(n_max + 1, q)
-    tail = _tail_bound(weight_next, spec.alpha_sq, q, n_max + 1)
-    if tail > tail_tol * retained:
-        raise TruncationError(
-            f"n_max={n_max} is too small: omitted coherent weight is "
-            f"{tail / retained:.3e} of the total (limit {tail_tol:g})"
-        )
-    return amps / np.linalg.norm(amps)

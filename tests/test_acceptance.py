@@ -29,8 +29,8 @@ from qkerr.dynamics import (
     reduced_field,
     von_neumann_entropy,
 )
-from qkerr.harness import InitialState, detect_revivals, find_optimal_q, run_evolve
-from qkerr.qalgebra import CoherentSpec, box_n, select_truncation
+from qkerr.harness import InitialState, detect_revivals, find_optimal_q, q_grid, run_evolve
+from qkerr.qalgebra import CoherentSpec, box_n
 
 from conftest import random_triangle_state
 
@@ -161,8 +161,9 @@ def test_criterion_2_optimal_deformation(tmp_path, capsys):
 def test_criterion_3_optimum_drifts_toward_unity(capsys):
     """Larger initial excitation pushes the optimal deformation toward 1."""
     params = SystemParams(omega=OMEGA, chi=0.0, gamma=GAMMA_BS)
-    r5 = find_optimal_q(InitialState(kind="fock", fock_n=5), params, 1.0)
-    r10 = find_optimal_q(InitialState(kind="fock", fock_n=10), params, 1.0)
+    qs = q_grid(0.5, 1.0, 200)
+    r5 = find_optimal_q(InitialState(kind="fock", fock_n=5), params, qs, 1.0)
+    r10 = find_optimal_q(InitialState(kind="fock", fock_n=10), params, qs, 1.0)
     ok = r10.q_star > r5.q_star
     report(capsys, 3, ok, f"q*(N=10) = {r10.q_star:.6f} > q*(N=5) = {r5.q_star:.6f}")
     assert r10.q_star > r5.q_star
@@ -324,14 +325,14 @@ def test_criterion_9_invariant_suite(capsys):
         (SystemParams(omega=OMEGA, chi=CHI, gamma=GAMMA, q=q), n)
         for q, n in ((1.0, 5), (0.7, 5), (1.0, 10), (0.7, 10))
     ]
-    coh_n1 = select_truncation(CoherentSpec(alpha_sq=0.5), 1.0)
-    coh_n099 = select_truncation(CoherentSpec(alpha_sq=0.5), 0.99)
+    coh_n1 = prepare_coherent(CoherentSpec(alpha_sq=0.5), 1.0).n_max
+    coh_n099 = prepare_coherent(CoherentSpec(alpha_sq=0.5), 0.99).n_max
     configs.append((SystemParams(omega=OMEGA, chi=CHI, gamma=GAMMA, q=1.0), coh_n1))
     configs.append((SystemParams(omega=OMEGA, chi=CHI, gamma=GAMMA, q=0.99), coh_n099))
     configs.append((SystemParams(omega=OMEGA, chi=0.0, gamma=GAMMA_BS, q=0.937), 5))
     for params, n_max in configs:
         cache = build_spectral_cache(params, range(n_max + 1))
-        for n_total, spec in cache.blocks.items():
+        for n_total, spec in cache.items():
             h = block_matrix_dense(build_block(params, n_total))
             resid = np.abs(h @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues).max()
             bound = 1e-10 * max(1.0, float(np.linalg.norm(h)))

@@ -52,6 +52,28 @@ class TestSweepQ:
         code = run_cli(["sweep-q", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_truncation_failure_names_q_once(self, tmp_path, capsys):
+        # The first grid point, q = 0.9, hits the truncation cap (see
+        # TestEvolve.test_truncation_failure_exits_3); its error already
+        # names q, and the sweep passes it on unchanged.
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            [
+                "sweep-q",
+                "--gamma", "1",
+                "--initial", "coherent",
+                "--alpha-sq", "5.2",
+                "--q-min", "0.9",
+                "--q-max", "1",
+                "--q-steps", "3",
+                "--out", str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("q=0.9") == 1
+        assert not out.exists()
+
 
 class TestEvolve:
     def test_happy_path(self, tmp_path):

@@ -82,8 +82,8 @@ class TestPreparation:
 
     def test_cache_holds_requested_blocks_only(self):
         cache = build_spectral_cache(SystemParams(chi=0.01, q=0.8), [5, 2, 5])
-        assert sorted(cache.blocks) == [2, 5]
-        assert all(spec.n_total == n for n, spec in cache.blocks.items())
+        assert sorted(cache) == [2, 5]
+        assert all(spec.n_total == n for n, spec in cache.items())
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
@@ -481,13 +481,10 @@ class TestEigenvectorSigns:
         state, _ = drawn
         cache = build_spectral_cache(SystemParams(chi=chi, gamma=gamma, q=q), state.occupied_blocks())
         rng = np.random.default_rng(seed)
-        flipped = replace(
-            cache,
-            blocks={
-                n: replace(spec, eigenvectors=spec.eigenvectors * rng.choice([-1.0, 1.0], size=n + 1))
-                for n, spec in cache.blocks.items()
-            },
-        )
+        flipped = {
+            n: replace(spec, eigenvectors=spec.eigenvectors * rng.choice([-1.0, 1.0], size=n + 1))
+            for n, spec in cache.items()
+        }
         times = np.linspace(-5.0, 40.0, 23)
         for a, b in zip(entropy_series(state, cache, times), entropy_series(state, flipped, times)):
             assert np.array_equal(a, b)

@@ -117,8 +117,9 @@ class TestSweep:
         b = run_sweep_q(init, SystemParams(chi=0.01, gamma=-0.7, q=1.0), qs, 1.5)
         assert a.s_field.tobytes() == b.s_field.tobytes()
         assert a.q.tobytes() == qs.tobytes()
-        c = find_optimal_q(init, SystemParams(chi=0.01, gamma=-0.7, q=0.3), 1.5, q_steps=10)
-        d = find_optimal_q(init, SystemParams(chi=0.01, gamma=-0.7, q=1.0), 1.5, q_steps=10)
+        grid = q_grid(0.5, 1.0, 10)
+        c = find_optimal_q(init, SystemParams(chi=0.01, gamma=-0.7, q=0.3), grid, 1.5)
+        d = find_optimal_q(init, SystemParams(chi=0.01, gamma=-0.7, q=1.0), grid, 1.5)
         assert (c.q_star, c.s_star) == (d.q_star, d.s_star)
 
 
@@ -151,7 +152,8 @@ class TestParabolicPeak:
 class TestFindOptimalQ:
     def test_interior_peak_refined(self):
         init = InitialState(kind="fock", fock_n=5)
-        result = find_optimal_q(init, SystemParams(omega=1.0, chi=0.0, gamma=-math.pi / 4.0), 1.0, q_steps=60)
+        params = SystemParams(omega=1.0, chi=0.0, gamma=-math.pi / 4.0)
+        result = find_optimal_q(init, params, q_grid(0.5, 1.0, 60), 1.0)
         assert 0.93 < result.q_star < 0.95
         assert result.s_star > result.scan.s_field.max() - 1e-12
         assert result.scan.q.shape == (60,)
@@ -160,9 +162,17 @@ class TestFindOptimalQ:
         # N = 0: entropy identically zero, argmax lands on the first grid
         # point, which is the boundary.
         init = InitialState(kind="fock", fock_n=0)
-        result = find_optimal_q(init, SystemParams(omega=1.0, chi=0.0, gamma=1.0), 1.0, q_steps=10)
+        result = find_optimal_q(init, SystemParams(omega=1.0, chi=0.0, gamma=1.0), q_grid(0.5, 1.0, 10), 1.0)
         assert result.q_star == 0.5
         assert result.s_star == 0.0
+
+    @pytest.mark.parametrize(
+        "qs", [[], [0.6, 0.6, 0.7], [0.7, 0.6], [[0.5, 0.6], [0.7, 0.8]], [0.5, math.nan, 0.9]]
+    )
+    def test_rejects_grid_not_strictly_increasing(self, qs):
+        init = InitialState(kind="fock", fock_n=2)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            find_optimal_q(init, SystemParams(gamma=1.0), np.array(qs), 1.0)
 
 
 def make_series(gt, s, gamma=1.0):

@@ -1,6 +1,8 @@
 """Names that code outside the package reaches for.
 
-The benchmark's oracle self-check calls qkerr.dense_reference_evolve on
+README.md lists the exports in the bullets under "`qkerr.__all__` lists
+what the package exports"; the last test keeps that list equal to
+qkerr.__all__.  The benchmark's oracle self-check calls qkerr.dense_reference_evolve on
 qkerr.TwoModeState and qkerr.SystemParams, its worker records
 qkerr.__version__, and its tracer (bench/spans.py) wraps the names listed
 in BOUNDARIES.  The tracer skips a name that no longer resolves and
@@ -10,12 +12,15 @@ unnoticed there; these tests fail on it instead.
 
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import qkerr
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
+README = ROOT / "README.md"
 
 
 def load_spans(monkeypatch):
@@ -47,3 +52,25 @@ def test_traced_boundaries_resolve(monkeypatch):
 def test_all_names_import():
     for name in qkerr.__all__:
         assert hasattr(qkerr, name), name
+
+
+def readme_export_names():
+    """Backticked names in the bullets that follow the README's export
+    sentence, up to the first line that is neither a bullet nor its
+    continuation."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if "`qkerr.__all__` lists what the package exports" in line)
+    bullets = []
+    for line in lines[start + 1 :]:
+        if not line.strip():
+            if bullets:
+                break
+            continue
+        if not (line.startswith("* ") or line.startswith("  ")):
+            break
+        bullets.append(line)
+    return set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", " ".join(bullets)))
+
+
+def test_readme_lists_all_exports():
+    assert readme_export_names() == set(qkerr.__all__)

@@ -22,8 +22,12 @@ from qkerr.qalgebra import (
     bracket_radius,
     check_deformation,
     coherent_amplitudes,
-    select_truncation,
 )
+
+
+def truncation(spec, q, **kwargs):
+    """n_max that coherent_amplitudes selects."""
+    return coherent_amplitudes(spec, q, **kwargs).size - 1
 
 
 class TestBracket:
@@ -100,17 +104,17 @@ class TestCoherentSpec:
 
 class TestTruncation:
     def test_vacuum_needs_single_state(self):
-        assert select_truncation(CoherentSpec(alpha_sq=0.0), 0.9) == 0
+        assert truncation(CoherentSpec(alpha_sq=0.0), 0.9) == 0
 
     def test_weak_field_truncates_early(self):
-        n_max = select_truncation(CoherentSpec(alpha_sq=0.5), 1.0, tail_tol=1e-10)
+        n_max = truncation(CoherentSpec(alpha_sq=0.5), 1.0, tail_tol=1e-10)
         assert 5 <= n_max <= 20
 
     def test_deformation_shrinks_support(self):
         # For q < 1 the brackets exceed the integers up front only in the
         # denominator product, so the deformed weights die faster.
-        n_plain = select_truncation(CoherentSpec(alpha_sq=0.5), 1.0)
-        n_deformed = select_truncation(CoherentSpec(alpha_sq=0.5), 0.9)
+        n_plain = truncation(CoherentSpec(alpha_sq=0.5), 1.0)
+        n_deformed = truncation(CoherentSpec(alpha_sq=0.5), 0.9)
         assert n_deformed >= 5
         assert abs(n_deformed - n_plain) <= n_plain
 
@@ -118,7 +122,14 @@ class TestTruncation:
         # alpha_sq beyond the q=0.9 convergence radius but caught by the
         # radius check; inside the radius but slow -> cap error.
         with pytest.raises(TruncationError):
-            select_truncation(CoherentSpec(alpha_sq=5.2), 0.9)
+            coherent_amplitudes(CoherentSpec(alpha_sq=5.2), 0.9)
+
+    @pytest.mark.parametrize("alpha_sq", [800.0, 1e5])
+    def test_weight_overflow_raises(self, alpha_sq):
+        # At q = 1 the weights alpha_sq^n / n! pass the float range long
+        # before their tail shrinks; no truncation can be certified.
+        with pytest.raises(TruncationError, match="overflow"):
+            coherent_amplitudes(CoherentSpec(alpha_sq=alpha_sq), 1.0)
 
     def test_cap_constant_sane(self):
         assert COHERENT_N_CAP == 512
@@ -126,19 +137,21 @@ class TestTruncation:
 
 class TestCoherentAmplitudes:
     def test_vacuum(self):
-        amps = coherent_amplitudes(CoherentSpec(alpha_sq=0.0), 0.9, 0)
+        amps = coherent_amplitudes(CoherentSpec(alpha_sq=0.0), 0.9)
         assert amps.shape == (1,)
         assert amps[0] == pytest.approx(1.0)
 
-    def test_vacuum_with_padding(self):
-        amps = coherent_amplitudes(CoherentSpec(alpha_sq=0.0), 0.6, 4)
-        np.testing.assert_array_equal(amps, [1.0, 0.0, 0.0, 0.0, 0.0])
+    def test_positional_n_max_rejected(self):
+        # n_max is chosen, not passed: a positional third argument must
+        # fail, not be read as a tolerance.
+        with pytest.raises(TypeError):
+            coherent_amplitudes(CoherentSpec(alpha_sq=0.5), 1.0, 12)
 
     def test_poisson_weights_at_unity(self):
         # Non-deformed case: |c_n|^2 must be the Poisson distribution.
         spec = CoherentSpec(alpha_sq=0.5)
-        n_max = select_truncation(spec, 1.0)
-        amps = coherent_amplitudes(spec, 1.0, n_max)
+        amps = coherent_amplitudes(spec, 1.0)
+        n_max = amps.size - 1
         weights = np.abs(amps) ** 2
         poisson = np.array(
             [math.exp(-0.5) * 0.5**n / math.factorial(n) for n in range(n_max + 1)]
@@ -148,8 +161,8 @@ class TestCoherentAmplitudes:
     def test_deformed_weights_follow_brackets(self):
         spec = CoherentSpec(alpha_sq=0.5)
         q = 0.9
-        n_max = select_truncation(spec, q)
-        amps = coherent_amplitudes(spec, q, n_max)
+        amps = coherent_amplitudes(spec, q)
+        n_max = amps.size - 1
         # Unnormalized weights w_n = alpha_sq^n / [n]!; check the ratios.
         for n in range(1, n_max + 1):
             ratio = abs(amps[n]) ** 2 / abs(amps[n - 1]) ** 2
@@ -158,16 +171,14 @@ class TestCoherentAmplitudes:
     def test_unit_norm(self):
         for q in (1.0, 0.9, 0.6):
             spec = CoherentSpec(alpha_sq=1.3, alpha_phase=0.7)
-            n_max = select_truncation(spec, q)
-            amps = coherent_amplitudes(spec, q, n_max)
+            amps = coherent_amplitudes(spec, q)
             assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-14)
 
     def test_phase_enters_amplitudes(self):
         spec = CoherentSpec(alpha_sq=0.5, alpha_phase=math.pi / 3)
-        n_max = select_truncation(spec, 1.0)
-        amps = coherent_amplitudes(spec, 1.0, n_max)
+        amps = coherent_amplitudes(spec, 1.0)
         # c_n carries phase n * alpha_phase.
-        for n in range(n_max + 1):
+        for n in range(amps.size):
             if abs(amps[n]) < 1e-12:
                 continue
             phase = math.atan2(amps[n].imag, amps[n].real)
@@ -181,11 +192,98 @@ class TestCoherentAmplitudes:
         for alpha_sq in (radius, radius * 1.01):
             spec = CoherentSpec(alpha_sq=alpha_sq)
             with pytest.raises(ValueError, match="normalizable"):
-                select_truncation(spec, q)
-            with pytest.raises(ValueError, match="normalizable"):
-                coherent_amplitudes(spec, q, 40)
-        assert select_truncation(CoherentSpec(alpha_sq=0.9 * radius), q) > 0
+                coherent_amplitudes(spec, q)
+        assert truncation(CoherentSpec(alpha_sq=0.9 * radius), q) > 0
 
-    def test_undersized_cut_raises(self):
-        with pytest.raises(TruncationError):
-            coherent_amplitudes(CoherentSpec(alpha_sq=2.0), 1.0, 2)
+
+def _two_pass_tail_bound(weight_next, alpha_sq, q, n_next):
+    if weight_next == 0.0:
+        return 0.0
+    ratio = alpha_sq / box_n(n_next + 1, q)
+    if ratio >= 1.0:
+        return math.inf
+    return weight_next / (1.0 - ratio)
+
+
+def _two_pass_checks(spec, q, tail_tol):
+    q = check_deformation(q)
+    if not (tail_tol > 0.0):
+        raise ValueError("tail_tol")
+    if spec.alpha_sq >= bracket_radius(q):
+        raise ValueError("normalizable")
+    return q
+
+
+def two_pass_amplitudes(spec, q, tail_tol):
+    """Reference: choose n_max in one walk of the weights, then build the
+    amplitudes on 0..n_max in a second walk that repeats the checks and
+    the tail test (the algorithm the one-walk version replaced).
+
+    Where the first walk selects n_max only because its retained weight
+    overflowed (inf <= tol * inf), this raises OverflowError: the old
+    algorithm then returned whatever its second walk made of the infinite
+    weights, and the one walk raises TruncationError instead."""
+    q = _two_pass_checks(spec, q, tail_tol)
+    n_max = 0
+    if spec.alpha_sq != 0.0:
+        weight = retained = 1.0
+        for n_max in range(COHERENT_N_CAP + 1):
+            weight_next = weight * spec.alpha_sq / box_n(n_max + 1, q)
+            if _two_pass_tail_bound(weight_next, spec.alpha_sq, q, n_max + 1) <= tail_tol * retained:
+                if retained == math.inf:
+                    raise OverflowError("retained weight overflowed")
+                break
+            weight = weight_next
+            retained += weight
+        else:
+            raise TruncationError("cap")
+
+    q = _two_pass_checks(spec, q, tail_tol)
+    amps = np.zeros(n_max + 1, dtype=complex)
+    amps[0] = 1.0
+    weight = retained = 1.0
+    for n in range(1, n_max + 1):
+        amps[n] = amps[n - 1] * spec.alpha / math.sqrt(box_n(n, q))
+        weight *= spec.alpha_sq / box_n(n, q)
+        retained += weight
+    weight_next = weight * spec.alpha_sq / box_n(n_max + 1, q)
+    if _two_pass_tail_bound(weight_next, spec.alpha_sq, q, n_max + 1) > tail_tol * retained:
+        raise TruncationError("undersized")
+    return amps / np.linalg.norm(amps)
+
+
+@st.composite
+def coherent_cases(draw):
+    q = draw(st.one_of(st.just(1.0), st.just(1.0 - 1e-9), st.floats(0.06, 1.0)))
+    radius = bracket_radius(q)
+    intensities = [st.just(0.0), st.floats(0.0, min(radius, 40.0), exclude_max=True)]
+    if math.isfinite(radius):
+        intensities.append(st.floats(0.99, 1.0, exclude_max=True).map(lambda f: f * radius))
+        intensities.append(st.just(math.nextafter(radius, 0.0)))
+    spec = CoherentSpec(
+        alpha_sq=draw(st.one_of(intensities)),
+        alpha_phase=draw(st.floats(-math.pi, math.pi)),
+    )
+    return spec, q, draw(st.floats(1e-14, 1e-2))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(coherent_cases())
+def test_one_walk_matches_two_pass(case):
+    spec, q, tail_tol = case
+    one = _outcome(coherent_amplitudes, spec, q, tail_tol=tail_tol)
+    two = _outcome(two_pass_amplitudes, spec, q, tail_tol)
+    if two is OverflowError:
+        assert one is TruncationError
+    elif isinstance(one, type) or isinstance(two, type):
+        assert one is two
+    else:
+        assert one.shape == two.shape
+        assert np.array_equal(one, two)
