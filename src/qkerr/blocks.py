@@ -78,8 +78,6 @@ class BlockMatrix:
 
 def build_block(params: SystemParams, n_total: int) -> BlockMatrix:
     """Assemble the tridiagonal Hamiltonian block at total excitation n_total."""
-    if n_total < 0:
-        raise ValueError(f"n_total must be >= 0, got {n_total}")
     n_total = int(n_total)
     # brackets[k] = [k] for k = 0..n_total+1
     brackets = np.array([box_n(k, params.q) for k in range(n_total + 2)])

@@ -88,8 +88,8 @@ def _add_initial(parser: argparse.ArgumentParser) -> None:
 
 def _add_q_scan(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t", type=float, default=1.0, help="evolution time (default 1)")
-    parser.add_argument("--q-min", type=_q_value, default=0.5)
-    parser.add_argument("--q-max", type=_q_value, default=1.0)
+    parser.add_argument("--q-min", type=float, default=0.5)
+    parser.add_argument("--q-max", type=float, default=1.0)
     parser.add_argument("--q-steps", type=int, default=200)
     parser.add_argument("--out", required=True, help="CSV path for the q scan")
 

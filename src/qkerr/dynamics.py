@@ -29,9 +29,10 @@ _NORM_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
 _TRACE_TOL = 1e-10
 _HERM_TOL = 1e-12
-# Cap on the bytes of the largest array entropy_series forms per chunk: the
-# (chunk, dim, dim) complex tables on several blocks, the (chunk, N + 1)
-# amplitudes on one.
+# Most samples entropy_series evolves per chunk, and the cap on the bytes
+# of the largest array it forms per chunk: the (chunk, dim, dim) complex
+# tables on several blocks, the (chunk, N + 1) amplitudes on one.
+_CHUNK_SAMPLES = 2048
 _CHUNK_BYTES = 8 * 2**20
 # the dense reference evolver is meant for cross-checks at test scale
 DENSE_REFERENCE_N_CAP = 20
@@ -64,12 +65,6 @@ class TwoModeState:
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
-
-    def amplitude(self, n: int, m: int) -> complex:
-        return complex(self.amplitudes[n, m])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def occupied_blocks(self) -> tuple[int, ...]:
         """Ascending total excitations N = n + m that hold nonzero weight."""
@@ -110,8 +105,7 @@ def prepare_fock(fock_n: int) -> TwoModeState:
     In the deformed number basis this is a plain basis vector, so the
     amplitude table does not depend on the deformation parameter.
     """
-    if fock_n < 0:
-        raise ValueError(f"fock_n must be >= 0, got {fock_n}")
+    fock_n = qalgebra._check_count(fock_n, "fock_n")
     amps = np.zeros((fock_n + 1, fock_n + 1), dtype=complex)
     amps[fock_n, 0] = 1.0
     return TwoModeState(n_max=fock_n, amplitudes=amps)
@@ -158,6 +152,10 @@ def _block_amplitudes(
             f"spectral cache has no spectrum for block N={n_total}, "
             "where the state has weight"
         )
+    # Python floats overflow to inf quietly; exp of an infinite phase is NaN.
+    t_max = float(np.abs(times).max())
+    if not math.isfinite(float(np.abs(spec.eigenvalues).max()) * t_max):
+        raise ConvergenceError(f"phase lambda*t overflows on block N={n_total} at |t| = {t_max:g}")
     ms = np.arange(n_total + 1)
     modes = spec.eigenvectors.T @ state.amplitudes[n_total - ms, ms]
     phases = np.exp(-1j * spec.eigenvalues[:, None] * times[None, :])
@@ -219,12 +217,11 @@ def entropy_series(
     cache: dict[int, BlockSpectrum],
     times,
     log_base: float = 2.0,
-    chunk_size: int = 2048,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Field entropy, atom entropy, and field purity along a time grid.
 
     Evolves in chunks so long grids never hold every sample at once: a
-    chunk has at most chunk_size samples, and fewer where its largest
+    chunk has at most _CHUNK_SAMPLES samples, and fewer where its largest
     array would pass _CHUNK_BYTES.  A state on one excitation block N
     (every Fock state) stays on it, so with a_m(t) = psi(N - m, m; t) both
     reduced states are exactly diagonal: rho_atom has eigenvalues
@@ -243,12 +240,10 @@ def entropy_series(
         raise ValueError("times must be one-dimensional")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     blocks = state.occupied_blocks()
     single = len(blocks) == 1
     row_bytes = 16 * (blocks[0] + 1) if single else 16 * (state.n_max + 1) ** 2
-    step = max(1, min(chunk_size, _CHUNK_BYTES // row_bytes))
+    step = max(1, min(_CHUNK_SAMPLES, _CHUNK_BYTES // row_bytes))
     s_field = np.empty(times.size)
     s_atom = np.empty(times.size)
     purity_field = np.empty(times.size)
@@ -301,9 +296,9 @@ def dense_reference_evolve(state: TwoModeState, params: SystemParams, t: float) 
 def _entropy_of_spectra(vals: np.ndarray, log_base: float) -> np.ndarray:
     """Entropy of each row of eigenvalues, with the roundoff floor applied."""
     floor = float(vals.min())
-    if floor < _EIGENVALUE_FLOOR:
+    if not floor >= _EIGENVALUE_FLOOR:
         raise ValueError(
-            f"density matrix has eigenvalue {floor:.3e} below {_EIGENVALUE_FLOOR:g}; "
+            f"density matrix has eigenvalue {floor:.3e}, not >= {_EIGENVALUE_FLOOR:g}; "
             "upstream state is inconsistent"
         )
     vals = np.clip(vals, 0.0, None)

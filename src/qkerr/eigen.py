@@ -23,7 +23,6 @@ class BlockSpectrum:
     """Spectral data of one excitation block: ascending eigenvalues and the
     orthogonal matrix whose columns are the matching eigenvectors."""
 
-    n_total: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
@@ -50,5 +49,5 @@ def eigh_tridiagonal(diag, offdiag) -> BlockSpectrum:
         vals, vecs = np.linalg.eigh(dense)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolve failed on block N={n - 1}: {exc}") from exc
-    return BlockSpectrum(n_total=n - 1, eigenvalues=vals, eigenvectors=vecs)
+    return BlockSpectrum(eigenvalues=vals, eigenvectors=vecs)
 

@@ -65,6 +65,7 @@ class InitialState:
     kind is "fock" (deformed number state, quantum number fock_n) or
     "coherent" (deformed coherent state with mean photon number alpha_sq
     and phase alpha_phase, truncated to relative tail weight tail_tol).
+    Only kind is checked here; build checks the rest.
     """
 
     kind: str
@@ -76,16 +77,6 @@ class InitialState:
     def __post_init__(self) -> None:
         if self.kind not in ("fock", "coherent"):
             raise ValueError(f"unknown initial-state kind {self.kind!r}")
-        if self.kind == "fock":
-            if not isinstance(self.fock_n, int) or isinstance(self.fock_n, bool):
-                raise ValueError("fock_n must be an integer")
-            if self.fock_n < 0:
-                raise ValueError("fock_n must be nonnegative")
-        else:
-            if not self.alpha_sq >= 0.0:
-                raise ValueError("alpha_sq must be nonnegative")
-            if not 0.0 < self.tail_tol < 1.0:
-                raise ValueError("tail_tol must lie in (0, 1)")
 
     def build(self, q: float) -> TwoModeState:
         if self.kind == "fock":
@@ -290,12 +281,15 @@ def run_sweep_q(
 ) -> SweepResult:
     """Field-mode entropy at fixed time t across a deformation grid.
 
+    qs must be a non-empty, strictly increasing 1-d array (see q_grid).
     params.q is replaced by each grid point in turn; its own value is not
     used.  Each grid point rebuilds the state and the spectra of the blocks
     where it has weight: the truncation of a coherent state and every block
     matrix depend on q.
     """
     qs = np.asarray(qs, dtype=float)
+    if qs.ndim != 1 or qs.size == 0 or not np.all(np.diff(qs) > 0):
+        raise ValueError("q grid must be a non-empty, strictly increasing 1-d array")
     out = np.empty_like(qs)
     for i, q in enumerate(qs):
         out[i] = _entropy_at(initial, replace(params, q=float(q)), t, log_base)
@@ -355,16 +349,14 @@ def find_optimal_q(
 ) -> OptimalQResult:
     """Locate the deformation that maximizes the fixed-time entropy.
 
-    Coarse scan over the grid qs (non-empty, 1-d, strictly increasing; see
-    q_grid) followed by parabolic refinement when the best coarse point is
-    interior, down to a bracket of REFINE_TOL; a boundary best is returned
-    as-is.  Ties on the coarse grid resolve toward smaller q.  params.q is
-    replaced at every point evaluated; its own value is not used.
+    Coarse scan over the grid qs (checked by run_sweep_q) followed by
+    parabolic refinement when the best coarse point is interior, down to a
+    bracket of REFINE_TOL; a boundary best is returned as-is.  Ties on the
+    coarse grid resolve toward smaller q.  params.q is replaced at every
+    point evaluated; its own value is not used.
     """
-    qs = np.asarray(qs, dtype=float)
-    if qs.ndim != 1 or qs.size == 0 or not np.all(np.diff(qs) > 0):
-        raise ValueError("q grid must be a non-empty, strictly increasing 1-d array")
     scan = run_sweep_q(initial, params, qs, t, log_base=log_base)
+    qs = scan.q
     best = int(np.argmax(scan.s_field))
     if best == 0 or best == qs.shape[0] - 1:
         return OptimalQResult(q_star=float(qs[best]), s_star=float(scan.s_field[best]), scan=scan)

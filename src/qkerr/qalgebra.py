@@ -97,11 +97,12 @@ class CoherentSpec:
         )
 
 
-def _check_count(n) -> int:
+def _check_count(n, name: str = "occupation number") -> int:
+    """The rule for a count: a Python or numpy integer >= 0, not a bool."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"occupation number must be an integer, got {n!r}")
+        raise ValueError(f"{name} must be an integer, got {n!r}")
     if n < 0:
-        raise ValueError(f"occupation number must be >= 0, got {n}")
+        raise ValueError(f"{name} must be >= 0, got {n}")
     return int(n)
 
 
@@ -142,8 +143,8 @@ def coherent_amplitudes(spec: CoherentSpec, q: float, *, tail_tol: float = TAIL_
     overflows a float first.
     """
     q = check_deformation(q)
-    if not (tail_tol > 0.0):
-        raise ValueError(f"tail_tol must be positive, got {tail_tol!r}")
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     _check_radius(spec, q)
     alpha = spec.alpha
     # one spare slot: a failed test at n_max = COHERENT_N_CAP still writes c_{n_max + 1}

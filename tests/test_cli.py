@@ -47,6 +47,10 @@ class TestSweepQ:
             ["sweep-q", "--gamma", "1", "--q-min", "0.04", "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+        code = run_cli(
+            ["sweep-q", "--gamma", "1", "--q-max", "1.2", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
 
     def test_missing_gamma(self, tmp_path):
         code = run_cli(["sweep-q", "--out", str(tmp_path / "x.csv")])
@@ -129,6 +133,36 @@ class TestEvolve:
         assert run_cli(base) == 2  # --q missing
         assert run_cli(base + ["--q", "0.04"]) == 2
         assert run_cli(base + ["--q", "1.2"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--initial", "coherent", "--tail-tol", tol] for tol in ("0", "1", "2", "inf", "nan")]
+        + [["--fock-n", "-1"], ["--initial", "coherent", "--alpha-sq", "-1"]],
+    )
+    def test_bad_initial_state_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        code = run_cli(["evolve", "--gamma", "1", "--q", "0.9", "--t-max", "1", "--steps", "3",
+                        "--out", str(out)] + flags)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--gamma", "1", "--q", "1", "--steps", "5", "--t-max", "1e308"],
+            ["sweep-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"],
+            ["find-optimal-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"],
+        ],
+    )
+    def test_phase_overflow_exits_3(self, tmp_path, capsys, argv):
+        # lambda * t overflows: NaN phases used to be written as S = 0.
+        out = tmp_path / "x.csv"
+        code = run_cli(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_truncation_failure_exits_3(self, tmp_path):
         # |alpha|^2 = 5.2 is inside the q = 0.9 convergence radius (5.263)

@@ -39,6 +39,7 @@ from qkerr.dynamics import (
     reduced_field,
     von_neumann_entropy,
 )
+from qkerr.exceptions import ConvergenceError
 from qkerr.qalgebra import CoherentSpec
 
 from conftest import random_triangle_state
@@ -53,23 +54,29 @@ class TestPreparation:
     def test_fock_layout(self):
         state = prepare_fock(3)
         assert state.n_max == 3
-        assert state.amplitude(3, 0) == 1.0
-        assert state.norm() == pytest.approx(1.0)
+        assert state.amplitudes[3, 0] == 1.0
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0)
 
     def test_fock_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fock_n"):
             prepare_fock(-1)
+
+    @pytest.mark.parametrize("fock_n", [True, 2.5])
+    def test_fock_rejects_non_integer(self, fock_n):
+        # A bool would pass for the count 1; 2.5 would fail inside numpy.
+        with pytest.raises(ValueError, match="fock_n"):
+            prepare_fock(fock_n)
 
     def test_coherent_column(self):
         state = prepare_coherent(CoherentSpec(alpha_sq=0.5), 0.9)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
         # Atom starts in its ground state: only m = 0 is populated.
         assert np.all(state.amplitudes[:, 1:] == 0.0)
 
     def test_coherent_zero_intensity_is_vacuum(self):
         state = prepare_coherent(CoherentSpec(alpha_sq=0.0), 0.8)
         assert state.n_max == 0
-        assert state.amplitude(0, 0) == 1.0
+        assert state.amplitudes[0, 0] == 1.0
 
     def test_occupied_blocks(self, rng):
         assert prepare_fock(7).occupied_blocks() == (7,)
@@ -83,7 +90,7 @@ class TestPreparation:
     def test_cache_holds_requested_blocks_only(self):
         cache = build_spectral_cache(SystemParams(chi=0.01, q=0.8), [5, 2, 5])
         assert sorted(cache) == [2, 5]
-        assert all(spec.n_total == n for n, spec in cache.items())
+        assert all(spec.eigenvalues.shape == (n + 1,) for n, spec in cache.items())
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
@@ -115,7 +122,7 @@ class TestEvolution:
         state = prepare_fock(5)
         cache = build_spectral_cache(SystemParams(chi=0.01, q=0.7), range(6))
         out = evolve(state, cache, 800.0)
-        assert out.norm() == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
     def test_beam_splitter_binomial(self):
         # gamma*t = -pi/4 with gamma = -pi/4, t = 1.
@@ -173,7 +180,7 @@ class TestEvolution:
             omega_r = math.sqrt(g * g + 0.25 * delta * delta)
             for t in (0.3, 1.0, 2.4):
                 out = evolve(state, cache, t)
-                p_transfer = abs(out.amplitude(0, 1)) ** 2
+                p_transfer = abs(out.amplitudes[0, 1]) ** 2
                 expected = g * g * math.sin(omega_r * t) ** 2 / omega_r**2
                 assert p_transfer == pytest.approx(expected, abs=1e-12)
 
@@ -329,7 +336,20 @@ class TestEntropySeries:
         with pytest.raises(ValueError, match="block N=4"):
             entropy_series(state, cache, np.linspace(0.0, 1.0, 3))
 
-    def test_single_block_memory_bounded_by_block_amplitudes(self):
+    @pytest.mark.parametrize("multi_block", [False, True])
+    def test_phase_overflow_raises(self, rng, multi_block):
+        # lambda * t past the float range: exp would return NaN phases,
+        # which used to score as zero entropy.
+        state = random_triangle_state(rng, 3) if multi_block else prepare_fock(3)
+        cache = build_spectral_cache(SystemParams(gamma=1.0), range(4))
+        with pytest.raises(ConvergenceError, match="overflows"):
+            entropy_series(state, cache, np.array([0.0, 1e308]))
+
+    def test_nan_spectrum_rejected(self):
+        with pytest.raises(ValueError, match="eigenvalue nan"):
+            dynamics._entropy_of_spectra(np.array([[1.0, 0.0], [np.nan, 0.5]]), 2.0)
+
+    def test_single_block_memory_bounded_by_block_amplitudes(self, monkeypatch):
         # A Fock state at N = 200 needs only (chunk, N + 1) amplitude arrays.
         # A (chunk, dim, dim) amplitude table would be 2048 * 201**2 * 16
         # bytes, 1.3 GB; the bound allows eight (chunk, N + 1) complex arrays.
@@ -337,9 +357,10 @@ class TestEntropySeries:
         state = prepare_fock(n)
         cache = build_spectral_cache(SystemParams(chi=0.01, q=0.7), state.occupied_blocks())
         times = np.linspace(0.0, 700.0, 14_001)
+        monkeypatch.setattr(dynamics, "_CHUNK_SAMPLES", chunk)
         tracemalloc.start()
         try:
-            s_field, _, _ = entropy_series(state, cache, times, chunk_size=chunk)
+            s_field, _, _ = entropy_series(state, cache, times)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -363,27 +384,31 @@ class TestEntropySeries:
         assert np.array_equal(s_field, s_atom)
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(61) + 1e-12))
 
-    def test_chunking_invariant(self, rng):
+    def test_chunking_invariant(self, rng, monkeypatch):
         # Every chunk of two or more samples goes through the same BLAS
         # matrix products, so the series is exactly the same.
+        def series(chunk):
+            monkeypatch.setattr(dynamics, "_CHUNK_SAMPLES", chunk)
+            return entropy_series(state, cache, times)
+
         state = random_triangle_state(rng, 4)
         cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(5))
         times = np.linspace(0.0, 10.0, 57)
-        b = entropy_series(state, cache, times, chunk_size=2048)
+        b = series(2048)
         for chunk in (3, 5, 10, 19, 30):
-            for x, y in zip(entropy_series(state, cache, times, chunk_size=chunk), b):
+            for x, y in zip(series(chunk), b):
                 assert np.array_equal(x, y)
         # A one-sample chunk (57 = 7 * 8 + 1) makes numpy call BLAS's
         # matrix-vector product instead, which may round differently.
-        for x, y in zip(entropy_series(state, cache, times, chunk_size=8), b):
+        for x, y in zip(series(8), b):
             np.testing.assert_allclose(x, y, atol=1e-14)
         # n_max 60: the byte budget cuts 2048 to 140 samples a chunk.
         state = random_triangle_state(rng, 60)
         assert dynamics._CHUNK_BYTES // (16 * 61**2) == 140
         cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(61))
         times = np.linspace(0.0, 40.0, 300)
-        b = entropy_series(state, cache, times, chunk_size=2048)
-        for x, y in zip(entropy_series(state, cache, times, chunk_size=64), b):
+        b = series(2048)
+        for x, y in zip(series(64), b):
             assert np.array_equal(x, y)
 
     def test_one_eigvalsh_call_per_multi_block_chunk(self, rng, monkeypatch):
@@ -396,9 +421,10 @@ class TestEntropySeries:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(dynamics, "_CHUNK_SAMPLES", 8)
         state = random_triangle_state(rng, 4)
         cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(5))
-        s_field, s_atom, _ = entropy_series(state, cache, np.linspace(0.0, 10.0, 57), chunk_size=8)
+        s_field, s_atom, _ = entropy_series(state, cache, np.linspace(0.0, 10.0, 57))
         assert calls == [(8, 5, 5)] * 7 + [(1, 5, 5)]
         assert np.array_equal(s_field, s_atom)
 

@@ -67,6 +67,18 @@ class TestInitialState:
         with pytest.raises(ValueError):
             InitialState(kind="squeezed")
 
+    @pytest.mark.parametrize(
+        "recipe",
+        [dict(kind="fock", fock_n=True), dict(kind="coherent", alpha_sq=math.nan), dict(kind="coherent", tail_tol=math.inf)],
+    )
+    def test_build_checks_the_recipe(self, recipe):
+        # Construction checks only the kind; build hands each value to the
+        # engine call that owns its rule (prepare_fock, CoherentSpec,
+        # coherent_amplitudes).
+        init = InitialState(**recipe)
+        with pytest.raises(ValueError):
+            init.build(0.9)
+
     def test_fock_build_ignores_q(self):
         init = InitialState(kind="fock", fock_n=4)
         a = init.build(1.0)
@@ -90,7 +102,17 @@ class TestInitialState:
             fock.default_t_max(0.0)
 
 
+# Empty, repeated, decreasing, 2-d, NaN.
+BAD_Q_GRIDS = [[], [0.6, 0.6, 0.7], [0.7, 0.6], [[0.5, 0.6], [0.7, 0.8]], [0.5, math.nan, 0.9]]
+
+
 class TestSweep:
+    @pytest.mark.parametrize("qs", BAD_Q_GRIDS)
+    def test_rejects_grid_not_strictly_increasing(self, qs):
+        init = InitialState(kind="fock", fock_n=2)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            run_sweep_q(init, SystemParams(gamma=1.0), np.array(qs), 1.0)
+
     def test_sweep_matches_evolve(self):
         # Same (q, t) point through both code paths must agree to 1e-12.
         init = InitialState(kind="fock", fock_n=5)
@@ -166,9 +188,7 @@ class TestFindOptimalQ:
         assert result.q_star == 0.5
         assert result.s_star == 0.0
 
-    @pytest.mark.parametrize(
-        "qs", [[], [0.6, 0.6, 0.7], [0.7, 0.6], [[0.5, 0.6], [0.7, 0.8]], [0.5, math.nan, 0.9]]
-    )
+    @pytest.mark.parametrize("qs", BAD_Q_GRIDS)
     def test_rejects_grid_not_strictly_increasing(self, qs):
         init = InitialState(kind="fock", fock_n=2)
         with pytest.raises(ValueError, match="strictly increasing"):

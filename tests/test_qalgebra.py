@@ -101,6 +101,11 @@ class TestCoherentSpec:
         with pytest.raises(ValueError):
             CoherentSpec(alpha_sq=-0.1)
 
+    @pytest.mark.parametrize("alpha_sq", [-1.0, math.inf, math.nan])
+    def test_rejects_intensity_not_finite_nonnegative(self, alpha_sq):
+        with pytest.raises(ValueError, match="alpha_sq"):
+            CoherentSpec(alpha_sq=alpha_sq)
+
 
 class TestTruncation:
     def test_vacuum_needs_single_state(self):
@@ -117,6 +122,12 @@ class TestTruncation:
         n_deformed = truncation(CoherentSpec(alpha_sq=0.5), 0.9)
         assert n_deformed >= 5
         assert abs(n_deformed - n_plain) <= n_plain
+
+    @pytest.mark.parametrize("tail_tol", [0.0, 1.0, 2.0, math.inf, math.nan])
+    def test_rejects_tail_tol_outside_unit_interval(self, tail_tol):
+        # inf used to pass and return the one-level vacuum for intensity 5.
+        with pytest.raises(ValueError, match=r"tail_tol must lie in \(0, 1\)"):
+            coherent_amplitudes(CoherentSpec(alpha_sq=5.0), 1.0, tail_tol=tail_tol)
 
     def test_cap_raises(self):
         # alpha_sq beyond the q=0.9 convergence radius but caught by the
