@@ -83,13 +83,15 @@ def build_block(params: SystemParams, n_total: int) -> BlockMatrix:
     brackets = np.array([box_n(k, params.q) for k in range(n_total + 2)])
     m = np.arange(n_total + 1)
     field_n = n_total - m
-    diag = (
-        0.5 * (brackets[field_n] + brackets[field_n + 1])
-        + params.omega * (m + 0.5)
-        + params.chi * m * (m - 1)
-    )
     mm = np.arange(1, n_total + 1)
-    offdiag = params.gamma * np.sqrt(mm) * np.sqrt(brackets[n_total - mm + 1])
+    # Huge couplings overflow to inf silently: eigh_tridiagonal rejects it.
+    with np.errstate(over="ignore"):
+        diag = (
+            0.5 * (brackets[field_n] + brackets[field_n + 1])
+            + params.omega * (m + 0.5)
+            + params.chi * m * (m - 1)
+        )
+        offdiag = params.gamma * np.sqrt(mm) * np.sqrt(brackets[n_total - mm + 1])
     return BlockMatrix(n_total=n_total, diag=diag, offdiag=offdiag)
 
 

@@ -103,9 +103,12 @@ def prepare_fock(fock_n: int) -> TwoModeState:
     """Field Fock state |fock_n> with the atomic mode in vacuum.
 
     In the deformed number basis this is a plain basis vector, so the
-    amplitude table does not depend on the deformation parameter.
+    amplitude table does not depend on the deformation parameter.  fock_n
+    is bounded by the cap on coherent truncations, COHERENT_N_CAP.
     """
     fock_n = qalgebra._check_count(fock_n, "fock_n")
+    if fock_n > qalgebra.COHERENT_N_CAP:
+        raise ValueError(f"fock_n must be <= {qalgebra.COHERENT_N_CAP}, got {fock_n}")
     amps = np.zeros((fock_n + 1, fock_n + 1), dtype=complex)
     amps[fock_n, 0] = 1.0
     return TwoModeState(n_max=fock_n, amplitudes=amps)

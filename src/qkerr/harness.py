@@ -45,6 +45,9 @@ FOCK_STEPS = 14_001
 COHERENT_GT_MAX = 1400.0
 COHERENT_STEPS = 28_001
 
+# Number format of every CSV field and of the CLI's summary lines.
+NUMBER_FORMAT = "%.12g"
+
 # Rows formatted per % in the CSV writer: one % over a whole 28,001-row
 # series would hold all its text at once.
 _WRITE_ROWS = 2048
@@ -52,9 +55,9 @@ _WRITE_ROWS = 2048
 # Width of the bracket at which the parabolic refinement of q* stops.
 REFINE_TOL = 1e-7
 
-# Smallest deformation (exclusive) that q grids and the CLI accept: below it
-# [n] -> 1/(1-q^2) is tiny and every block is nearly degenerate.  The library
-# itself accepts any q in (0, 1].
+# Smallest deformation (exclusive) that q grids and the CLI accept (see
+# check_grid_q): below it [n] -> 1/(1-q^2) is tiny and every block is nearly
+# degenerate.  The library itself accepts any q in (0, 1].
 Q_FLOOR = 0.05
 
 
@@ -63,15 +66,14 @@ class InitialState:
     """Recipe for the field-mode preparation (atom always starts in |0>).
 
     kind is "fock" (deformed number state, quantum number fock_n) or
-    "coherent" (deformed coherent state with mean photon number alpha_sq
-    and phase alpha_phase, truncated to relative tail weight tail_tol).
-    Only kind is checked here; build checks the rest.
+    "coherent" (deformed coherent state with mean photon number alpha_sq,
+    truncated to relative tail weight tail_tol).  Only kind is checked
+    here; build checks the rest.
     """
 
     kind: str
     fock_n: int = 5
     alpha_sq: float = 0.5
-    alpha_phase: float = 0.0
     tail_tol: float = TAIL_TOL
 
     def __post_init__(self) -> None:
@@ -81,8 +83,7 @@ class InitialState:
     def build(self, q: float) -> TwoModeState:
         if self.kind == "fock":
             return prepare_fock(self.fock_n)
-        spec = CoherentSpec(alpha_sq=self.alpha_sq, alpha_phase=self.alpha_phase)
-        return prepare_coherent(spec, q, tail_tol=self.tail_tol)
+        return prepare_coherent(CoherentSpec(alpha_sq=self.alpha_sq), q, tail_tol=self.tail_tol)
 
     @property
     def default_steps(self) -> int:
@@ -104,24 +105,29 @@ def time_grid(t_min: float, t_max: float, steps: int) -> np.ndarray:
     if steps < 2:
         raise ValueError("time grid needs at least 2 samples")
     t_min, t_max = float(t_min), float(t_max)
-    if not (math.isfinite(t_min) and math.isfinite(t_max)):
-        raise ValueError("time grid endpoints must be finite")
+    # a finite span has finite ends, and np.linspace warns on any other
+    if not math.isfinite(t_max - t_min):
+        raise ValueError("time grid ends and span t_max - t_min must be finite")
     if not t_max > t_min:
         raise ValueError("t_max must exceed t_min")
     return np.linspace(t_min, t_max, steps)
 
 
+def check_grid_q(q: float) -> float:
+    """The rule for a q the drivers take from a user: Q_FLOOR < q <= 1."""
+    q = float(q)
+    if not Q_FLOOR < q <= 1.0:
+        raise ValueError(f"q must lie in ({Q_FLOOR}, 1], got {q!r}")
+    return q
+
+
 def q_grid(q_min: float, q_max: float, q_steps: int) -> np.ndarray:
-    """Uniform deformation grid, with q_min above Q_FLOOR."""
+    """Uniform deformation grid whose ends obey check_grid_q."""
     if not isinstance(q_steps, int) or isinstance(q_steps, bool):
         raise ValueError("q_steps must be an integer")
     if q_steps < 1:
         raise ValueError("q grid needs at least 1 sample")
-    q_min, q_max = float(q_min), float(q_max)
-    if not q_min > Q_FLOOR:
-        raise ValueError(f"q_min must exceed {Q_FLOOR}")
-    if not q_max <= 1.0:
-        raise ValueError("q_max must not exceed 1")
+    q_min, q_max = check_grid_q(q_min), check_grid_q(q_max)
     if q_steps == 1:
         if q_min != q_max:
             raise ValueError("a 1-point q grid needs q_min == q_max")
@@ -156,8 +162,8 @@ class EntropySeries:
     def read_csv(cls, path: str) -> "EntropySeries":
         """Parse a series CSV, raising ValueError on anything evolve would
         not have written: another header, no data rows, rows not 5 fields
-        wide, a field that is not a plain numeral, or non-increasing t.
-        Blank lines are skipped."""
+        wide, a field that is not a finite plain numeral, or non-increasing
+        t.  Blank lines are skipped."""
         with open(path) as fh:
             header = fh.readline()
             body = fh.read()
@@ -177,6 +183,8 @@ class EntropySeries:
             raise ValueError(f"malformed series CSV {path}: {exc}") from None
         if data.shape[1] != len(SERIES_COLUMNS):
             raise ValueError(f"malformed series CSV {path}: rows have {data.shape[1]} fields")
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"malformed series CSV {path}: a field is not finite")
         t = data[:, 0]
         if not np.all(np.diff(t) > 0):
             raise ValueError(f"malformed series CSV {path}: time column is not strictly increasing")
@@ -185,7 +193,7 @@ class EntropySeries:
 
 def _write_table(path: str, columns: tuple[str, ...], values: tuple[np.ndarray, ...]) -> None:
     with open(path, "w", newline="") as fh:
-        _save_table(fh, columns, np.column_stack(values), ",".join(["%.12g"] * len(columns)))
+        _save_table(fh, columns, np.column_stack(values), ",".join([NUMBER_FORMAT] * len(columns)))
 
 
 def _save_table(fh: IO[str], columns: tuple[str, ...], table: np.ndarray, fmt: str) -> None:
@@ -241,7 +249,7 @@ class RevivalReport:
         """Write the dip table as CSV to an open text stream."""
         rows = [(dip.t, dip.gamma_t, dip.entropy, dip.classification) for dip in self.dips]
         table = np.array(rows, dtype=object).reshape(-1, len(DIP_COLUMNS))
-        _save_table(fh, DIP_COLUMNS, table, "%.12g,%.12g,%.12g,%s")
+        _save_table(fh, DIP_COLUMNS, table, ",".join([NUMBER_FORMAT] * 3 + ["%s"]))
 
 
 def run_evolve(
@@ -253,11 +261,13 @@ def run_evolve(
     """Evolve the prepared state across a time grid and record entropies.
 
     The spectra of the blocks where the state has weight are diagonalized
-    once and reused for every sample.
+    once and reused for every sample.  gamma * t must be finite.
     """
+    times = np.asarray(times, dtype=float)
+    if not math.isfinite(params.gamma * float(np.abs(times).max(initial=0.0))):
+        raise ValueError("gamma * t must be finite at every sample")
     state = initial.build(params.q)
     cache = build_spectral_cache(params, state.occupied_blocks())
-    times = np.asarray(times, dtype=float)
     s_field, s_atom, purity_field = entropy_series(state, cache, times, log_base=log_base)
     return EntropySeries(
         t=times,
@@ -410,15 +420,13 @@ def detect_revivals(
     period = 2.0 * math.pi / chi
     half = math.pi / chi
 
+    # Strict local minima below the cutoff and inside the window.  A NaN
+    # sample is never a minimum; against a NaN cutoff every minimum counts.
+    mid = s[1:-1]
+    candidates = (mid < s[:-2]) & (mid < s[2:]) & ~(mid >= cutoff) & (lo <= gt[1:-1]) & (gt[1:-1] <= hi)
     dips: list[RevivalDip] = []
-    for i in range(1, s.shape[0] - 1):
-        if not (s[i] < s[i - 1] and s[i] < s[i + 1]):
-            continue
-        if s[i] >= cutoff:
-            continue
+    for i in np.flatnonzero(candidates) + 1:
         g = float(gt[i])
-        if not lo <= g <= hi:
-            continue
         label = "none"
         if math.isfinite(g / half):
             k = round(g / period)

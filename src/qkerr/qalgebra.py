@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import TruncationError
 
-# The largest coherent-state truncation the package will ever build.
+# The largest field truncation, Fock or coherent, the package will build.
 COHERENT_N_CAP = 512
 # Default bound on the omitted coherent weight, relative to the retained.
 TAIL_TOL = 1e-10
@@ -71,30 +71,23 @@ def box_n(n: int, q: float) -> float:
 
 @dataclass(frozen=True)
 class CoherentSpec:
-    """Deformed coherent-state parameters: intensity |alpha|^2 and phase.
+    """Deformed coherent-state intensity |alpha|^2, with alpha real.
 
-    The amplitude profile is c_n proportional to alpha^n / sqrt([n]!), with
-    alpha = sqrt(alpha_sq) * exp(i alpha_phase).  The intensity must stay
-    below the series radius 1/(1 - q^2) of the deformation in use; that is
-    checked where q is known (coherent_amplitudes).
+    The amplitude profile is c_n proportional to alpha^n / sqrt([n]!).  A
+    phase of alpha would multiply |n; m> by exp(i phi (n + m)), a product
+    of local unitaries that commutes with the excitation-conserving
+    Hamiltonian, so no entropy or purity could depend on it.  The
+    intensity must stay below the series radius 1/(1 - q^2) of the
+    deformation in use; that is checked where q is known
+    (coherent_amplitudes).
     """
 
     alpha_sq: float
-    alpha_phase: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha_sq", float(self.alpha_sq))
-        object.__setattr__(self, "alpha_phase", float(self.alpha_phase))
         if not math.isfinite(self.alpha_sq) or self.alpha_sq < 0.0:
             raise ValueError(f"alpha_sq must be finite and >= 0, got {self.alpha_sq!r}")
-        if not math.isfinite(self.alpha_phase):
-            raise ValueError(f"alpha_phase must be finite, got {self.alpha_phase!r}")
-
-    @property
-    def alpha(self) -> complex:
-        return math.sqrt(self.alpha_sq) * complex(
-            math.cos(self.alpha_phase), math.sin(self.alpha_phase)
-        )
 
 
 def _check_count(n, name: str = "occupation number") -> int:
@@ -146,7 +139,7 @@ def coherent_amplitudes(spec: CoherentSpec, q: float, *, tail_tol: float = TAIL_
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     _check_radius(spec, q)
-    alpha = spec.alpha
+    alpha = math.sqrt(spec.alpha_sq)
     # one spare slot: a failed test at n_max = COHERENT_N_CAP still writes c_{n_max + 1}
     amps = np.zeros(COHERENT_N_CAP + 2, dtype=complex)
     amps[0] = 1.0

@@ -1,9 +1,15 @@
 """End-to-end CLI tests: happy paths on small grids, exit-code contract."""
 
+import contextlib
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkerr.cli import main
 from qkerr.harness import EntropySeries
@@ -137,7 +143,7 @@ class TestEvolve:
     @pytest.mark.parametrize(
         "flags",
         [["--initial", "coherent", "--tail-tol", tol] for tol in ("0", "1", "2", "inf", "nan")]
-        + [["--fock-n", "-1"], ["--initial", "coherent", "--alpha-sq", "-1"]],
+        + [["--fock-n", "-1"], ["--fock-n", "513"], ["--initial", "coherent", "--alpha-sq", "-1"]],
     )
     def test_bad_initial_state_exits_2(self, tmp_path, capsys, flags):
         out = tmp_path / "x.csv"
@@ -161,6 +167,29 @@ class TestEvolve:
         code = run_cli(argv + ["--out", str(out)])
         err = capsys.readouterr().err
         assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--gamma", "1", "--q", "1", "--steps", "3", "--t-min=-1.7e308", "--t-max", "1.7e308"],
+            ["evolve", "--gamma", "1e308", "--q", "1", "--steps", "3", "--t-max", "1"],
+            ["sweep-q", "--gamma", "1", "--omega", "1e308", "--q-steps", "3"],
+            ["find-optimal-q", "--gamma", "1", "--chi", "1e308", "--q-steps", "3"],
+            ["evolve", "--gamma", "1", "--q", "1", "--t-max", "1", "--steps", "1000000000000"],
+            ["sweep-q", "--gamma", "1", "--q-steps", "1000000000000"],
+            # the phases lambda * t stay finite, gamma * t does not
+            ["evolve", "--gamma", "1.9", "--omega", "0.1", "--fock-n", "0", "--q", "1", "--steps", "3",
+             "--t-max", "1e308"],
+        ],
+    )
+    def test_overflowing_or_oversized_input_exits_2(self, tmp_path, capsys, argv):
+        # Rejected before numpy warns of an overflow or fails to allocate.
+        out = tmp_path / "x.csv"
+        code = run_cli(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
@@ -315,6 +344,8 @@ class TestRevivals:
             header + "1,2,3,4,5\n1,2,3\n",
             header + "1,2,,4,5\n",
             header + "2,2,3,4,5\n1,2,3,4,5\n",
+            header + "1,2,3,4,5\n2,2,nan,4,5\n",
+            header + "1,2,3,4,5\n2,inf,3,4,5\n",
         ):
             bad.write_text(text)
             assert run_cli(["revivals", str(bad), "--chi", "0.01"]) == 2
@@ -371,3 +402,77 @@ class TestParser:
             ]
         )
         assert bad == 2
+
+
+# Values at the edges of the float range, drawn for every float flag
+# alongside ordinary ones.
+EXTREMES = (math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-320, 0.0, -1.0)
+# A valid series with two dips, for revivals.
+SERIES_TEXT = "t,gamma_t,S_field,S_atom,purity_field\n" + "".join(
+    f"{t},{t},{s},{s},0.5\n" for t, s in enumerate((1.0, 0.1, 0.9, 1.2, 0.05, 0.8, 1.0))
+)
+
+
+def float_flag(name, lo, hi):
+    """--name=value with value extreme or in [lo, hi]."""
+    value = st.one_of(st.sampled_from(EXTREMES), st.floats(min_value=lo, max_value=hi))
+    return value.map(lambda v: [f"--{name}={v!r}"])
+
+
+def optional(flag):
+    return st.one_of(st.just([]), flag)
+
+
+@st.composite
+def physics_flags(draw):
+    """Shared and initial-state flags, on tiny truncations."""
+    argv = draw(float_flag("gamma", -2.0, 2.0))
+    argv += draw(optional(float_flag("omega", 0.1, 3.0))) + draw(optional(float_flag("chi", 0.0, 0.1)))
+    if draw(st.booleans()):
+        argv += ["--initial", "coherent"] + draw(optional(float_flag("alpha-sq", 0.0, 0.5)))
+        argv += draw(optional(float_flag("tail-tol", 1e-12, 1e-3)))
+    else:
+        argv += draw(optional(st.sampled_from([-1, 0, 1, 5, 513]).map(lambda n: [f"--fock-n={n}"])))
+    return argv
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv without --out, whether --out is given) for one subcommand."""
+    command = draw(st.sampled_from(["evolve", "sweep-q", "find-optimal-q", "revivals"]))
+    if command == "revivals":
+        argv = ["revivals", "SERIES"] + draw(float_flag("chi", 0.001, 1.0))
+        for name, lo, hi in (("threshold", 0.0, 1.0), ("window-lo", -10.0, 10.0), ("window-hi", -10.0, 10.0)):
+            argv += draw(optional(float_flag(name, lo, hi)))
+        return argv, draw(st.booleans())
+    argv = [command] + draw(physics_flags())
+    if command == "evolve":
+        argv += draw(float_flag("q", 0.06, 1.0)) + draw(float_flag("t-min", -5.0, 5.0))
+        argv += draw(float_flag("t-max", -5.0, 5.0)) + [f"--steps={draw(st.integers(-1, 3))}"]
+    else:
+        argv += draw(optional(float_flag("t", -5.0, 5.0)))
+        argv += draw(optional(float_flag("q-min", 0.06, 1.0))) + draw(optional(float_flag("q-max", 0.06, 1.0)))
+        argv += [f"--q-steps={draw(st.integers(-1, 3))}"]
+    return argv, True
+
+
+class TestExitContract:
+    @given(cli_calls())
+    @settings(max_examples=150, deadline=None)
+    def test_any_float_input_exits_cleanly(self, call):
+        # Exit 0, 2 or 3, never a traceback or a numpy warning (warnings
+        # are errors here), and no output file from a failed run.
+        argv, with_out = call
+        with tempfile.TemporaryDirectory() as tmp:
+            series, out = Path(tmp) / "series.csv", Path(tmp) / "out.csv"
+            series.write_text(SERIES_TEXT)
+            argv = [str(series) if arg == "SERIES" else arg for arg in argv]
+            if with_out:
+                argv += ["--out", str(out)]
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = run_cli(argv)
+            assert code in (0, 2, 3), argv
+            assert "Traceback" not in stderr.getvalue()
+            if code != 0:
+                assert not out.exists(), argv

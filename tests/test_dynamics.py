@@ -516,3 +516,25 @@ class TestEigenvectorSigns:
             assert np.array_equal(a, b)
         for t in (-3.0, 0.7, 25.0):
             assert np.array_equal(evolve(state, cache, t).amplitudes, evolve(state, flipped, t).amplitudes)
+
+
+class TestExcitationPhase:
+    @given(
+        drawn=block_supported_states(min_blocks=2),
+        phi=st.floats(min_value=-math.pi, max_value=math.pi),
+        q=st.floats(min_value=0.3, max_value=1.0),
+        chi=st.floats(min_value=0.0, max_value=0.1),
+        gamma=st.floats(min_value=-1.5, max_value=1.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_phase_per_excitation_changes_no_entropy(self, drawn, phi, q, chi, gamma):
+        # exp(i phi (n + m)) is a product of local unitaries that commutes
+        # with H, which conserves n + m: the phase of a coherent amplitude
+        # alpha enters a state only this way, so no result depends on it.
+        state, _ = drawn
+        n_idx, m_idx = np.indices(state.amplitudes.shape)
+        phased = TwoModeState(n_max=state.n_max, amplitudes=state.amplitudes * np.exp(1j * phi * (n_idx + m_idx)))
+        cache = build_spectral_cache(SystemParams(chi=chi, gamma=gamma, q=q), state.occupied_blocks())
+        times = np.linspace(-5.0, 40.0, 23)
+        for a, b in zip(entropy_series(state, cache, times), entropy_series(phased, cache, times)):
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)

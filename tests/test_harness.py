@@ -7,9 +7,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkerr.blocks import SystemParams
 from qkerr.harness import (
+    CLASSIFY_REL_TOL,
     DIP_COLUMNS,
     SERIES_COLUMNS,
     SWEEP_COLUMNS,
@@ -256,6 +259,59 @@ class TestDetectRevivals:
             detect_revivals(series, 0.01, 0.0)
         with pytest.raises(ValueError):
             detect_revivals(series, 0.01, 1.0)
+
+
+def loop_dips(series, chi, threshold, lo, hi):
+    """The dips of detect_revivals, found by a walk over every sample (the
+    algorithm the candidate mask replaced)."""
+    s, gt = series.s_field, series.gamma_t
+    cutoff = threshold * float(s.max())
+    period, half = 2.0 * math.pi / chi, math.pi / chi
+    dips = []
+    for i in range(1, s.shape[0] - 1):
+        if not (s[i] < s[i - 1] and s[i] < s[i + 1]):
+            continue
+        if s[i] >= cutoff:
+            continue
+        g = float(gt[i])
+        if not lo <= g <= hi:
+            continue
+        label = "none"
+        if math.isfinite(g / half):
+            k = round(g / period)
+            j = round(g / half)
+            if k >= 1 and abs(g - k * period) <= CLASSIFY_REL_TOL * k * period:
+                label = "near-revival"
+            elif j >= 1 and j % 2 == 1 and abs(g - j * half) <= CLASSIFY_REL_TOL * j * half:
+                label = "fractional-revival-candidate"
+        dips.append(RevivalDip(t=float(series.t[i]), gamma_t=g, entropy=float(s[i]), classification=label))
+    return dips
+
+
+@st.composite
+def dip_cases(draw):
+    """A series with ties and NaN samples, and a window whose edges may
+    sit on samples."""
+    steps = draw(st.lists(st.sampled_from([0.5, 1.0, 157.08]), min_size=1, max_size=40))
+    gt = np.cumsum(steps) - steps[0] + draw(st.sampled_from([0.0, 300.0, 620.0]))
+    levels = st.sampled_from([0.0, 0.05, 0.1, 0.5, 1.0, 2.0, math.nan])
+    s = draw(st.lists(st.one_of(levels, st.floats(0.0, 2.0)), min_size=len(gt), max_size=len(gt)))
+    edge = st.one_of(st.none(), st.sampled_from(gt.tolist()), st.floats(-10.0, 1000.0))
+    window = draw(st.tuples(edge, edge))
+    chi = draw(st.sampled_from([0.01, 0.02, 1.0, 1e308]))
+    return make_series(gt, s), chi, draw(st.floats(0.01, 0.99)), window
+
+
+@given(dip_cases())
+@settings(max_examples=300, deadline=None)
+def test_dip_mask_matches_loop(case):
+    series, chi, threshold, window = case
+    try:
+        report = detect_revivals(series, chi, threshold, window=window)
+    except ValueError:
+        # an upper edge, given or defaulted, below the lower one
+        return
+    assert report.dips == loop_dips(series, chi, threshold, *report.window)
 
 
 def reference_csv(header, columns):

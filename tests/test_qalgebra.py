@@ -91,12 +91,6 @@ class TestBracket:
 
 
 class TestCoherentSpec:
-    def test_alpha_reconstruction(self):
-        spec = CoherentSpec(alpha_sq=2.25, alpha_phase=0.5)
-        alpha = spec.alpha
-        assert abs(alpha) == pytest.approx(1.5, rel=1e-15)
-        assert math.atan2(alpha.imag, alpha.real) == pytest.approx(0.5, rel=1e-15)
-
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValueError):
             CoherentSpec(alpha_sq=-0.1)
@@ -181,20 +175,9 @@ class TestCoherentAmplitudes:
 
     def test_unit_norm(self):
         for q in (1.0, 0.9, 0.6):
-            spec = CoherentSpec(alpha_sq=1.3, alpha_phase=0.7)
+            spec = CoherentSpec(alpha_sq=1.3)
             amps = coherent_amplitudes(spec, q)
             assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-14)
-
-    def test_phase_enters_amplitudes(self):
-        spec = CoherentSpec(alpha_sq=0.5, alpha_phase=math.pi / 3)
-        amps = coherent_amplitudes(spec, 1.0)
-        # c_n carries phase n * alpha_phase.
-        for n in range(amps.size):
-            if abs(amps[n]) < 1e-12:
-                continue
-            phase = math.atan2(amps[n].imag, amps[n].real)
-            expected = math.remainder(n * math.pi / 3, 2 * math.pi)
-            assert math.remainder(phase - expected, 2 * math.pi) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_intensity_outside_radius(self):
         # The weights alpha_sq^n / [n]! are summable only below 1/(1 - q^2).
@@ -254,7 +237,7 @@ def two_pass_amplitudes(spec, q, tail_tol):
     amps[0] = 1.0
     weight = retained = 1.0
     for n in range(1, n_max + 1):
-        amps[n] = amps[n - 1] * spec.alpha / math.sqrt(box_n(n, q))
+        amps[n] = amps[n - 1] * math.sqrt(spec.alpha_sq) / math.sqrt(box_n(n, q))
         weight *= spec.alpha_sq / box_n(n, q)
         retained += weight
     weight_next = weight * spec.alpha_sq / box_n(n_max + 1, q)
@@ -271,10 +254,7 @@ def coherent_cases(draw):
     if math.isfinite(radius):
         intensities.append(st.floats(0.99, 1.0, exclude_max=True).map(lambda f: f * radius))
         intensities.append(st.just(math.nextafter(radius, 0.0)))
-    spec = CoherentSpec(
-        alpha_sq=draw(st.one_of(intensities)),
-        alpha_phase=draw(st.floats(-math.pi, math.pi)),
-    )
+    spec = CoherentSpec(alpha_sq=draw(st.one_of(intensities)))
     return spec, q, draw(st.floats(1e-14, 1e-2))
 
 
