@@ -5,12 +5,12 @@ The deformed ladder algebra satisfies A A+ - q^2 A+ A = 1, so every
 combinatorial factor n is replaced by the bracket [n] = (1 - q^(2n)) /
 (1 - q^2).  Total excitation number is conserved, which splits the
 Hamiltonian into real symmetric tridiagonal blocks; each block where the
-state has weight is diagonalized once and the state is propagated
-spectrally.  Entanglement is measured by the von Neumann entropy of either
-reduced mode.
+state has weight is diagonalized once (blocks.eigh_tridiagonal gives the
+(eigenvalues, eigenvectors) pair) and the state is propagated spectrally.
+Entanglement is measured by the von Neumann entropy of either reduced mode.
 """
 
-from .blocks import BlockMatrix, SystemParams, build_block, total_hamiltonian_dense
+from .blocks import BlockMatrix, SystemParams, build_block, eigh_tridiagonal, total_hamiltonian_dense
 from .dynamics import (
     DensityMatrix,
     TwoModeState,
@@ -25,7 +25,6 @@ from .dynamics import (
     reduced_field,
     von_neumann_entropy,
 )
-from .eigen import BlockSpectrum, eigh_tridiagonal
 from .exceptions import ConvergenceError, TruncationError
 from .harness import (
     EntropySeries,
@@ -41,14 +40,12 @@ from .harness import (
     run_sweep_q,
     time_grid,
 )
-from .qalgebra import CoherentSpec, box_n, bracket_radius, coherent_amplitudes
+from .qalgebra import box_n, bracket_radius, coherent_amplitudes
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlockMatrix",
-    "BlockSpectrum",
-    "CoherentSpec",
     "ConvergenceError",
     "DensityMatrix",
     "EntropySeries",

@@ -13,6 +13,9 @@ symmetric tridiagonal there:
 
     diag[m]    = ([N-m] + [N-m+1])/2 + omega (m + 1/2) + chi m (m - 1)
     offdiag[m-1] = gamma sqrt(m) sqrt([N-m+1])          (m = 1..N)
+
+eigh_tridiagonal diagonalizes a block densely (tridiagonal_dense) with
+LAPACK: blocks are at most a few hundred rows.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import ConvergenceError
 from .qalgebra import box_n, check_deformation
 
 
@@ -95,12 +99,35 @@ def build_block(params: SystemParams, n_total: int) -> BlockMatrix:
     return BlockMatrix(n_total=n_total, diag=diag, offdiag=offdiag)
 
 
-def block_matrix_dense(block: BlockMatrix) -> np.ndarray:
-    """Dense (n_total+1) x (n_total+1) array of a tridiagonal block."""
-    out = np.diag(block.diag)
-    if block.n_total > 0:
-        out += np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
-    return out
+def tridiagonal_dense(diag, offdiag) -> np.ndarray:
+    """Dense symmetric matrix with diagonal diag and couplings offdiag."""
+    return np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+
+
+def eigh_tridiagonal(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize a real symmetric tridiagonal matrix.
+
+    diag has the n diagonal entries, offdiag the n - 1 couplings.  Returns
+    the pair (eigenvalues, eigenvectors) of numpy.linalg.eigh: eigenvalues
+    ascending, eigenvectors as the columns of an orthogonal matrix, with the
+    signs LAPACK gives them (the propagator V diag(e^{-i lambda t}) V^T does
+    not depend on them).  A LAPACK failure is raised as ConvergenceError
+    naming the block.
+    """
+    d = np.asarray(diag, dtype=float)
+    if d.ndim != 1 or d.size == 0:
+        raise ValueError("diag must be a nonempty 1-d array")
+    n = d.size
+    e = np.asarray(offdiag, dtype=float)
+    if e.shape != (n - 1,):
+        raise ValueError(f"offdiag must have length {n - 1}, got shape {e.shape}")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ValueError("tridiagonal entries must be finite")
+    try:
+        vals, vecs = np.linalg.eigh(tridiagonal_dense(d, e))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolve failed on block N={n - 1}: {exc}") from exc
+    return vals, vecs
 
 
 def lattice_index(n: int, m: int) -> int:

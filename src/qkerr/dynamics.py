@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qalgebra
-from .blocks import SystemParams, build_block, lattice_index, total_hamiltonian_dense
-from .eigen import BlockSpectrum, eigh_tridiagonal
+from .blocks import SystemParams, build_block, eigh_tridiagonal, lattice_index, total_hamiltonian_dense
 from .exceptions import ConvergenceError
 
 _NORM_TOL = 1e-10
@@ -31,11 +30,16 @@ _TRACE_TOL = 1e-10
 _HERM_TOL = 1e-12
 # Most samples entropy_series evolves per chunk, and the cap on the bytes
 # of the largest array it forms per chunk: the (chunk, dim, dim) complex
-# tables on several blocks, the (chunk, N + 1) amplitudes on one.
+# tables on several blocks, the (chunk, N + 1) amplitudes on one.  On
+# several blocks about four arrays of that size are alive at once (psi, its
+# conjugate, rho_field and |rho_field|^2), so a chunk peaks near 4 times it.
 _CHUNK_SAMPLES = 2048
 _CHUNK_BYTES = 8 * 2**20
 # the dense reference evolver is meant for cross-checks at test scale
 DENSE_REFERENCE_N_CAP = 20
+
+# One block's (eigenvalues, eigenvectors), as eigh_tridiagonal returns them.
+Spectrum = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -114,25 +118,24 @@ def prepare_fock(fock_n: int) -> TwoModeState:
     return TwoModeState(n_max=fock_n, amplitudes=amps)
 
 
-def prepare_coherent(
-    spec: qalgebra.CoherentSpec, q: float, tail_tol: float = qalgebra.TAIL_TOL
-) -> TwoModeState:
-    """Deformed coherent field state with the atomic mode in vacuum.
+def prepare_coherent(alpha_sq: float, q: float, tail_tol: float = qalgebra.TAIL_TOL) -> TwoModeState:
+    """Deformed coherent field state of intensity alpha_sq, with the atomic
+    mode in vacuum.
 
     The field truncation n_max is the one coherent_amplitudes selects: the
     omitted (unnormalized) weight stays below tail_tol of the total.
     """
-    field = qalgebra.coherent_amplitudes(spec, q, tail_tol=tail_tol)
+    field = qalgebra.coherent_amplitudes(alpha_sq, q, tail_tol=tail_tol)
     amps = np.zeros((field.size, field.size), dtype=complex)
     amps[:, 0] = field
     return TwoModeState(n_max=field.size - 1, amplitudes=amps)
 
 
-def build_spectral_cache(params: SystemParams, blocks: Iterable[int]) -> dict[int, BlockSpectrum]:
+def build_spectral_cache(params: SystemParams, blocks: Iterable[int]) -> dict[int, Spectrum]:
     """Diagonalize the requested blocks once for reuse across times.
 
-    Returns the spectra keyed by total excitation N.  Pass
-    state.occupied_blocks() for the blocks one state needs, or
+    Returns the (eigenvalues, eigenvectors) pairs keyed by total excitation
+    N.  Pass state.occupied_blocks() for the blocks one state needs, or
     range(n_max + 1) for every block up to n_max.
     """
     spectra = {}
@@ -146,26 +149,26 @@ def build_spectral_cache(params: SystemParams, blocks: Iterable[int]) -> dict[in
 
 
 def _block_amplitudes(
-    state: TwoModeState, cache: dict[int, BlockSpectrum], n_total: int, times: np.ndarray
+    state: TwoModeState, cache: dict[int, Spectrum], n_total: int, times: np.ndarray
 ) -> np.ndarray:
     """Amplitudes a_m(t) = psi(N - m, m; t) of block N, shape (len(times), N + 1)."""
-    spec = cache.get(n_total)
-    if spec is None:
+    if n_total not in cache:
         raise ValueError(
             f"spectral cache has no spectrum for block N={n_total}, "
             "where the state has weight"
         )
+    vals, vecs = cache[n_total]
     # Python floats overflow to inf quietly; exp of an infinite phase is NaN.
     t_max = float(np.abs(times).max())
-    if not math.isfinite(float(np.abs(spec.eigenvalues).max()) * t_max):
+    if not math.isfinite(float(np.abs(vals).max()) * t_max):
         raise ConvergenceError(f"phase lambda*t overflows on block N={n_total} at |t| = {t_max:g}")
     ms = np.arange(n_total + 1)
-    modes = spec.eigenvectors.T @ state.amplitudes[n_total - ms, ms]
-    phases = np.exp(-1j * spec.eigenvalues[:, None] * times[None, :])
-    return (spec.eigenvectors @ (phases * modes[:, None])).T
+    modes = vecs.T @ state.amplitudes[n_total - ms, ms]
+    phases = np.exp(-1j * vals[:, None] * times[None, :])
+    return (vecs @ (phases * modes[:, None])).T
 
 
-def _propagate(state: TwoModeState, cache: dict[int, BlockSpectrum], times: np.ndarray) -> np.ndarray:
+def _propagate(state: TwoModeState, cache: dict[int, Spectrum], times: np.ndarray) -> np.ndarray:
     """Amplitude tables at each time, shape (len(times), dim, dim)."""
     dim = state.n_max + 1
     psi = np.zeros((times.size, dim, dim), dtype=complex)
@@ -175,7 +178,7 @@ def _propagate(state: TwoModeState, cache: dict[int, BlockSpectrum], times: np.n
     return psi
 
 
-def evolve(state: TwoModeState, cache: dict[int, BlockSpectrum], t: float) -> TwoModeState:
+def evolve(state: TwoModeState, cache: dict[int, Spectrum], t: float) -> TwoModeState:
     """Evolve a state for time t (t may be negative) via the block spectra."""
     t = float(t)
     if not math.isfinite(t):
@@ -217,7 +220,7 @@ def purity(rho: DensityMatrix) -> float:
 
 def entropy_series(
     state: TwoModeState,
-    cache: dict[int, BlockSpectrum],
+    cache: dict[int, Spectrum],
     times,
     log_base: float = 2.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

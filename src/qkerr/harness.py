@@ -28,7 +28,7 @@ from .dynamics import (
     prepare_coherent,
     prepare_fock,
 )
-from .qalgebra import TAIL_TOL, CoherentSpec
+from .qalgebra import TAIL_TOL
 
 SERIES_COLUMNS = ("t", "gamma_t", "S_field", "S_atom", "purity_field")
 SWEEP_COLUMNS = ("q", "S_field")
@@ -83,7 +83,7 @@ class InitialState:
     def build(self, q: float) -> TwoModeState:
         if self.kind == "fock":
             return prepare_fock(self.fock_n)
-        return prepare_coherent(CoherentSpec(alpha_sq=self.alpha_sq), q, tail_tol=self.tail_tol)
+        return prepare_coherent(self.alpha_sq, q, tail_tol=self.tail_tol)
 
     @property
     def default_steps(self) -> int:

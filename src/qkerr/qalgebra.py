@@ -9,13 +9,13 @@ integer (bracket) is
 which reduces to n at q = 1 and saturates at 1/(1 - q^2) for q < 1.
 The block Hamiltonian takes its couplings from the bracket, and the
 deformed coherent state its amplitudes c_n = alpha^n / sqrt([n]!), with
-the truncation chosen from the same weights.
+the truncation chosen from the same weights (coherent_amplitudes, which
+takes the intensity alpha_sq = |alpha|^2 and checks its whole rule).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,27 +69,6 @@ def box_n(n: int, q: float) -> float:
     return math.expm1(n * log_q2) / math.expm1(log_q2)
 
 
-@dataclass(frozen=True)
-class CoherentSpec:
-    """Deformed coherent-state intensity |alpha|^2, with alpha real.
-
-    The amplitude profile is c_n proportional to alpha^n / sqrt([n]!).  A
-    phase of alpha would multiply |n; m> by exp(i phi (n + m)), a product
-    of local unitaries that commutes with the excitation-conserving
-    Hamiltonian, so no entropy or purity could depend on it.  The
-    intensity must stay below the series radius 1/(1 - q^2) of the
-    deformation in use; that is checked where q is known
-    (coherent_amplitudes).
-    """
-
-    alpha_sq: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha_sq", float(self.alpha_sq))
-        if not math.isfinite(self.alpha_sq) or self.alpha_sq < 0.0:
-            raise ValueError(f"alpha_sq must be finite and >= 0, got {self.alpha_sq!r}")
-
-
 def _check_count(n, name: str = "occupation number") -> int:
     """The rule for a count: a Python or numpy integer >= 0, not a bool."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
@@ -97,15 +76,6 @@ def _check_count(n, name: str = "occupation number") -> int:
     if n < 0:
         raise ValueError(f"{name} must be >= 0, got {n}")
     return int(n)
-
-
-def _check_radius(spec: CoherentSpec, q: float) -> None:
-    radius = bracket_radius(q)
-    if spec.alpha_sq >= radius:
-        raise ValueError(
-            f"coherent intensity {spec.alpha_sq:g} is outside the normalizable "
-            f"range [0, {radius:g}) for q={q:g}"
-        )
 
 
 def _tail_bound(weight_next: float, alpha_sq: float, q: float, n_next: int) -> float:
@@ -123,8 +93,16 @@ def _tail_bound(weight_next: float, alpha_sq: float, q: float, n_next: int) -> f
     return weight_next / (1.0 - ratio)
 
 
-def coherent_amplitudes(spec: CoherentSpec, q: float, *, tail_tol: float = TAIL_TOL) -> np.ndarray:
-    """Unit-norm amplitudes c_0..c_n_max of the deformed coherent state.
+def coherent_amplitudes(alpha_sq: float, q: float, *, tail_tol: float = TAIL_TOL) -> np.ndarray:
+    """Unit-norm amplitudes c_0..c_n_max of the deformed coherent state of
+    intensity alpha_sq = |alpha|^2.
+
+    alpha is taken real: a phase of alpha would multiply |n; m> by
+    exp(i phi (n + m)), a product of local unitaries that commutes with the
+    excitation-conserving Hamiltonian, so no entropy or purity could depend
+    on it.  alpha_sq must be finite, >= 0 and below the series radius
+    bracket_radius(q) = 1/(1 - q^2), beyond which the state is not
+    normalizable.
 
     Walks c_n = alpha^n / sqrt([n]!) and the unnormalized weights
     w_n = alpha_sq^n / [n]! up from n = 0 and stops at the first n_max
@@ -135,11 +113,19 @@ def coherent_amplitudes(spec: CoherentSpec, q: float, *, tail_tol: float = TAIL_
     n_max up to COHERENT_N_CAP is large enough, or if the retained weight
     overflows a float first.
     """
+    alpha_sq = float(alpha_sq)
+    if not math.isfinite(alpha_sq) or alpha_sq < 0.0:
+        raise ValueError(f"alpha_sq must be finite and >= 0, got {alpha_sq!r}")
     q = check_deformation(q)
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
-    _check_radius(spec, q)
-    alpha = math.sqrt(spec.alpha_sq)
+    radius = bracket_radius(q)
+    if alpha_sq >= radius:
+        raise ValueError(
+            f"coherent intensity {alpha_sq:g} is outside the normalizable "
+            f"range [0, {radius:g}) for q={q:g}"
+        )
+    alpha = math.sqrt(alpha_sq)
     # one spare slot: a failed test at n_max = COHERENT_N_CAP still writes c_{n_max + 1}
     amps = np.zeros(COHERENT_N_CAP + 2, dtype=complex)
     amps[0] = 1.0
@@ -147,8 +133,8 @@ def coherent_amplitudes(spec: CoherentSpec, q: float, *, tail_tol: float = TAIL_
     retained = 1.0
     for n_max in range(COHERENT_N_CAP + 1):
         bracket = box_n(n_max + 1, q)
-        weight_next = weight * spec.alpha_sq / bracket
-        if _tail_bound(weight_next, spec.alpha_sq, q, n_max + 1) <= tail_tol * retained:
+        weight_next = weight * alpha_sq / bracket
+        if _tail_bound(weight_next, alpha_sq, q, n_max + 1) <= tail_tol * retained:
             kept = amps[: n_max + 1]
             return kept / np.linalg.norm(kept)
         amps[n_max + 1] = amps[n_max] * alpha / math.sqrt(bracket)
@@ -157,9 +143,9 @@ def coherent_amplitudes(spec: CoherentSpec, q: float, *, tail_tol: float = TAIL_
         if retained == math.inf:
             raise TruncationError(
                 f"coherent weights overflow at n={n_max + 1} before the tail falls to "
-                f"{tail_tol:g} for alpha_sq={spec.alpha_sq:g}, q={q:g}"
+                f"{tail_tol:g} for alpha_sq={alpha_sq:g}, q={q:g}"
             )
     raise TruncationError(
         f"no truncation up to n_max={COHERENT_N_CAP} reaches tail weight "
-        f"{tail_tol:g} for alpha_sq={spec.alpha_sq:g}, q={q:g}"
+        f"{tail_tol:g} for alpha_sq={alpha_sq:g}, q={q:g}"
     )

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from qkerr.blocks import SystemParams, block_matrix_dense, build_block
+from qkerr.blocks import SystemParams, build_block, tridiagonal_dense
 from qkerr.cli import main as cli_main
 from qkerr.dynamics import (
     build_spectral_cache,
@@ -30,7 +30,7 @@ from qkerr.dynamics import (
     von_neumann_entropy,
 )
 from qkerr.harness import InitialState, detect_revivals, find_optimal_q, q_grid, run_evolve
-from qkerr.qalgebra import CoherentSpec, box_n
+from qkerr.qalgebra import box_n
 
 from conftest import random_triangle_state
 
@@ -325,16 +325,17 @@ def test_criterion_9_invariant_suite(capsys):
         (SystemParams(omega=OMEGA, chi=CHI, gamma=GAMMA, q=q), n)
         for q, n in ((1.0, 5), (0.7, 5), (1.0, 10), (0.7, 10))
     ]
-    coh_n1 = prepare_coherent(CoherentSpec(alpha_sq=0.5), 1.0).n_max
-    coh_n099 = prepare_coherent(CoherentSpec(alpha_sq=0.5), 0.99).n_max
+    coh_n1 = prepare_coherent(0.5, 1.0).n_max
+    coh_n099 = prepare_coherent(0.5, 0.99).n_max
     configs.append((SystemParams(omega=OMEGA, chi=CHI, gamma=GAMMA, q=1.0), coh_n1))
     configs.append((SystemParams(omega=OMEGA, chi=CHI, gamma=GAMMA, q=0.99), coh_n099))
     configs.append((SystemParams(omega=OMEGA, chi=0.0, gamma=GAMMA_BS, q=0.937), 5))
     for params, n_max in configs:
         cache = build_spectral_cache(params, range(n_max + 1))
-        for n_total, spec in cache.items():
-            h = block_matrix_dense(build_block(params, n_total))
-            resid = np.abs(h @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues).max()
+        for n_total, (vals, vecs) in cache.items():
+            block = build_block(params, n_total)
+            h = tridiagonal_dense(block.diag, block.offdiag)
+            resid = np.abs(h @ vecs - vecs * vals).max()
             bound = 1e-10 * max(1.0, float(np.linalg.norm(h)))
             worst_resid = max(worst_resid, resid / bound)
     if worst_resid > 1.0:
@@ -349,7 +350,7 @@ def test_criterion_9_invariant_suite(capsys):
         (prepare_fock(5), SystemParams(omega=OMEGA, chi=CHI, gamma=GAMMA, q=1.0)),
         (prepare_fock(5), SystemParams(omega=OMEGA, chi=CHI, gamma=GAMMA, q=0.7)),
         (prepare_fock(10), SystemParams(omega=OMEGA, chi=CHI, gamma=GAMMA, q=0.7)),
-        (prepare_coherent(CoherentSpec(alpha_sq=0.5), 0.99), SystemParams(omega=OMEGA, chi=CHI, gamma=GAMMA, q=0.99)),
+        (prepare_coherent(0.5, 0.99), SystemParams(omega=OMEGA, chi=CHI, gamma=GAMMA, q=0.99)),
         (prepare_fock(5), SystemParams(omega=OMEGA, chi=0.0, gamma=GAMMA_BS, q=0.937)),
     ]
     for state, params in states:

@@ -20,11 +20,11 @@ import pytest
 from qkerr.blocks import (
     BlockMatrix,
     SystemParams,
-    block_matrix_dense,
     build_block,
     lattice_index,
     lattice_states,
     total_hamiltonian_dense,
+    tridiagonal_dense,
 )
 from qkerr.qalgebra import box_n
 
@@ -74,7 +74,7 @@ class TestBuildBlock:
         block = build_block(SystemParams(gamma=g), 1)
         np.testing.assert_allclose(block.diag, [2.0, 2.0])
         np.testing.assert_allclose(block.offdiag, [g])
-        evals = np.linalg.eigvalsh(block_matrix_dense(block))
+        evals = np.linalg.eigvalsh(tridiagonal_dense(block.diag, block.offdiag))
         np.testing.assert_allclose(evals, [2.0 - abs(g), 2.0 + abs(g)], rtol=1e-14)
 
     def test_n1_deformed_diagonal(self):
@@ -150,4 +150,5 @@ class TestDenseHamiltonian:
         for n_total in range(n_max + 1):
             idx = [i for i, (n, m) in enumerate(states) if n + m == n_total]
             sub = h[np.ix_(idx, idx)]
-            np.testing.assert_array_equal(sub, block_matrix_dense(build_block(params, n_total)))
+            block = build_block(params, n_total)
+            np.testing.assert_array_equal(sub, tridiagonal_dense(block.diag, block.offdiag))

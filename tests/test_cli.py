@@ -105,6 +105,15 @@ class TestEvolve:
         assert series.s_field[0] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(series.gamma_t, series.t)
 
+    def test_negative_exponent_in_equals_form(self, tmp_path):
+        # argparse takes "-1e-3" after a space for an option (its
+        # negative-number pattern has no exponent); README gives this form.
+        out = tmp_path / "series.csv"
+        code = run_cli(["evolve", "--gamma=-1e-3", "--q", "1", "--t-max", "1", "--steps", "3", "--out", str(out)])
+        assert code == 0
+        series = EntropySeries.read_csv(str(out))
+        np.testing.assert_allclose(series.gamma_t, -1e-3 * series.t)
+
     def test_default_steps_with_explicit_t_max(self, tmp_path):
         # gamma = 0 has no default span, but the sample count still defaults
         # by the initial kind.
@@ -413,66 +422,126 @@ SERIES_TEXT = "t,gamma_t,S_field,S_atom,purity_field\n" + "".join(
 )
 
 
-def float_flag(name, lo, hi):
-    """--name=value with value extreme or in [lo, hi]."""
-    value = st.one_of(st.sampled_from(EXTREMES), st.floats(min_value=lo, max_value=hi))
-    return value.map(lambda v: [f"--{name}={v!r}"])
+# Spellings of a flag value that float() or int() may or may not accept,
+# beyond what st.text draws by chance: exponents, padding, signs,
+# underscores, non-ASCII digits, hex, fractions and blanks.
+ODD_NUMERALS = ("1e-3", "-1e-3", " 0.5", "0.5 ", "+1", "-0", "1_0", "\u0660.\u0665", "\u0663", "0x1", "1/2", "",
+                " ", "Infinity", "-nan", "1e999", "3.0")
 
 
-def optional(flag):
-    return st.one_of(st.just([]), flag)
+def _not_numeral(text):
+    # int() accepts no spelling float() rejects, so this bounds every
+    # drawn count: a long digit string could ask for a huge grid
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+STRINGS = st.one_of(st.sampled_from(ODD_NUMERALS), st.text(max_size=8).filter(_not_numeral))
+
+
+def flag(name, values, strings=False):
+    """--name=value with value drawn from the strategy values, or with
+    strings also a string from STRINGS."""
+    value = values.map(repr)
+    if strings:
+        value = st.one_of(value, STRINGS)
+    return value.map(lambda v: [f"--{name}={v}"])
+
+
+def float_flag(name, lo, hi, strings=False):
+    """A flag whose value is extreme or in [lo, hi]."""
+    return flag(name, st.one_of(st.sampled_from(EXTREMES), st.floats(min_value=lo, max_value=hi)), strings)
+
+
+def optional(argv):
+    return st.one_of(st.just([]), argv)
 
 
 @st.composite
-def physics_flags(draw):
+def physics_flags(draw, strings):
     """Shared and initial-state flags, on tiny truncations."""
-    argv = draw(float_flag("gamma", -2.0, 2.0))
-    argv += draw(optional(float_flag("omega", 0.1, 3.0))) + draw(optional(float_flag("chi", 0.0, 0.1)))
+    argv = draw(float_flag("gamma", -2.0, 2.0, strings))
+    argv += draw(optional(float_flag("omega", 0.1, 3.0, strings)))
+    argv += draw(optional(float_flag("chi", 0.0, 0.1, strings)))
     if draw(st.booleans()):
-        argv += ["--initial", "coherent"] + draw(optional(float_flag("alpha-sq", 0.0, 0.5)))
-        argv += draw(optional(float_flag("tail-tol", 1e-12, 1e-3)))
+        argv += ["--initial", "coherent"] + draw(optional(float_flag("alpha-sq", 0.0, 0.5, strings)))
+        argv += draw(optional(float_flag("tail-tol", 1e-12, 1e-3, strings)))
     else:
-        argv += draw(optional(st.sampled_from([-1, 0, 1, 5, 513]).map(lambda n: [f"--fock-n={n}"])))
+        argv += draw(optional(flag("fock-n", st.sampled_from([-1, 0, 1, 5, 513]), strings)))
     return argv
 
 
 @st.composite
-def cli_calls(draw):
-    """(argv without --out, whether --out is given) for one subcommand."""
+def cli_calls(draw, strings=False):
+    """(argv without --out, whether --out is given) for one subcommand;
+    with strings, any numeric flag may also be an arbitrary string."""
     command = draw(st.sampled_from(["evolve", "sweep-q", "find-optimal-q", "revivals"]))
     if command == "revivals":
-        argv = ["revivals", "SERIES"] + draw(float_flag("chi", 0.001, 1.0))
+        argv = ["revivals", "SERIES"] + draw(float_flag("chi", 0.001, 1.0, strings))
         for name, lo, hi in (("threshold", 0.0, 1.0), ("window-lo", -10.0, 10.0), ("window-hi", -10.0, 10.0)):
-            argv += draw(optional(float_flag(name, lo, hi)))
+            argv += draw(optional(float_flag(name, lo, hi, strings)))
         return argv, draw(st.booleans())
-    argv = [command] + draw(physics_flags())
+    argv = [command] + draw(physics_flags(strings))
     if command == "evolve":
-        argv += draw(float_flag("q", 0.06, 1.0)) + draw(float_flag("t-min", -5.0, 5.0))
-        argv += draw(float_flag("t-max", -5.0, 5.0)) + [f"--steps={draw(st.integers(-1, 3))}"]
+        argv += draw(float_flag("q", 0.06, 1.0, strings)) + draw(float_flag("t-min", -5.0, 5.0, strings))
+        argv += draw(float_flag("t-max", -5.0, 5.0, strings)) + draw(flag("steps", st.integers(-1, 3), strings))
     else:
-        argv += draw(optional(float_flag("t", -5.0, 5.0)))
-        argv += draw(optional(float_flag("q-min", 0.06, 1.0))) + draw(optional(float_flag("q-max", 0.06, 1.0)))
-        argv += [f"--q-steps={draw(st.integers(-1, 3))}"]
+        argv += draw(optional(float_flag("t", -5.0, 5.0, strings)))
+        argv += draw(optional(float_flag("q-min", 0.06, 1.0, strings)))
+        argv += draw(optional(float_flag("q-max", 0.06, 1.0, strings)))
+        argv += draw(flag("q-steps", st.integers(-1, 3), strings))
     return argv, True
+
+
+SERIES_HEADER = SERIES_TEXT.splitlines(keepends=True)[0].encode()
+
+
+def run_cleanly(argv, with_out, series_bytes):
+    """Run argv, with SERIES replaced by a file holding series_bytes, and
+    check the exit contract: exit 0, 2 or 3, never a traceback or a numpy
+    warning (warnings are errors here), and no output file from a failed
+    run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        series, out = Path(tmp) / "series.csv", Path(tmp) / "out.csv"
+        series.write_bytes(series_bytes)
+        argv = [str(series) if arg == "SERIES" else arg for arg in argv]
+        if with_out:
+            argv += ["--out", str(out)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = run_cli(argv)
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in stderr.getvalue()
+        if code != 0:
+            assert not out.exists(), argv
 
 
 class TestExitContract:
     @given(cli_calls())
     @settings(max_examples=150, deadline=None)
     def test_any_float_input_exits_cleanly(self, call):
-        # Exit 0, 2 or 3, never a traceback or a numpy warning (warnings
-        # are errors here), and no output file from a failed run.
         argv, with_out = call
-        with tempfile.TemporaryDirectory() as tmp:
-            series, out = Path(tmp) / "series.csv", Path(tmp) / "out.csv"
-            series.write_text(SERIES_TEXT)
-            argv = [str(series) if arg == "SERIES" else arg for arg in argv]
-            if with_out:
-                argv += ["--out", str(out)]
-            stderr = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-                code = run_cli(argv)
-            assert code in (0, 2, 3), argv
-            assert "Traceback" not in stderr.getvalue()
-            if code != 0:
-                assert not out.exists(), argv
+        run_cleanly(argv, with_out, SERIES_TEXT.encode())
+
+    @given(cli_calls(strings=True))
+    @settings(max_examples=150, deadline=None)
+    def test_any_string_input_exits_cleanly(self, call):
+        argv, with_out = call
+        run_cleanly(argv, with_out, SERIES_TEXT.encode())
+
+    @given(
+        series=st.one_of(
+            st.sampled_from([b"", SERIES_HEADER, SERIES_HEADER + b"\n", SERIES_HEADER.rstrip(b"\n")]),
+            st.binary(max_size=64),
+            st.text(max_size=64).map(lambda text: text.encode("utf-8", "surrogatepass")),
+            st.text(max_size=64).map(lambda text: SERIES_HEADER + text.encode("utf-8", "surrogatepass")),
+        ),
+        with_out=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_series_exits_cleanly(self, series, with_out):
+        # empty, header-only and random files for revivals
+        run_cleanly(["revivals", "SERIES", "--chi=0.01"], with_out, series)

@@ -15,7 +15,6 @@ Key closed-form oracles:
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +39,6 @@ from qkerr.dynamics import (
     von_neumann_entropy,
 )
 from qkerr.exceptions import ConvergenceError
-from qkerr.qalgebra import CoherentSpec
 
 from conftest import random_triangle_state
 
@@ -68,19 +66,19 @@ class TestPreparation:
             prepare_fock(fock_n)
 
     def test_coherent_column(self):
-        state = prepare_coherent(CoherentSpec(alpha_sq=0.5), 0.9)
+        state = prepare_coherent(0.5, 0.9)
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
         # Atom starts in its ground state: only m = 0 is populated.
         assert np.all(state.amplitudes[:, 1:] == 0.0)
 
     def test_coherent_zero_intensity_is_vacuum(self):
-        state = prepare_coherent(CoherentSpec(alpha_sq=0.0), 0.8)
+        state = prepare_coherent(0.0, 0.8)
         assert state.n_max == 0
         assert state.amplitudes[0, 0] == 1.0
 
     def test_occupied_blocks(self, rng):
         assert prepare_fock(7).occupied_blocks() == (7,)
-        coherent = prepare_coherent(CoherentSpec(alpha_sq=0.5), 0.9)
+        coherent = prepare_coherent(0.5, 0.9)
         assert coherent.occupied_blocks() == tuple(range(coherent.n_max + 1))
         amps = np.zeros((5, 5), dtype=complex)
         amps[0, 2] = 0.6
@@ -90,7 +88,7 @@ class TestPreparation:
     def test_cache_holds_requested_blocks_only(self):
         cache = build_spectral_cache(SystemParams(chi=0.01, q=0.8), [5, 2, 5])
         assert sorted(cache) == [2, 5]
-        assert all(spec.eigenvalues.shape == (n + 1,) for n, spec in cache.items())
+        assert all(vals.shape == (n + 1,) for n, (vals, _) in cache.items())
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
@@ -508,8 +506,8 @@ class TestEigenvectorSigns:
         cache = build_spectral_cache(SystemParams(chi=chi, gamma=gamma, q=q), state.occupied_blocks())
         rng = np.random.default_rng(seed)
         flipped = {
-            n: replace(spec, eigenvectors=spec.eigenvectors * rng.choice([-1.0, 1.0], size=n + 1))
-            for n, spec in cache.items()
+            n: (vals, vecs * rng.choice([-1.0, 1.0], size=n + 1))
+            for n, (vals, vecs) in cache.items()
         }
         times = np.linspace(-5.0, 40.0, 23)
         for a, b in zip(entropy_series(state, cache, times), entropy_series(state, flipped, times)):

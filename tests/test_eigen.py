@@ -1,17 +1,20 @@
 """Eigensolver tests.
 
-The tridiagonal block solver is checked against a from-scratch
-Sturm-sequence bisection oracle (eigenvalues only), plus orthonormality and
-residual bounds that do not presuppose any reference solver.  That results
-do not depend on the eigenvector signs is a property test in
-test_dynamics.py.
+The tridiagonal block solver (qkerr.blocks.eigh_tridiagonal) is checked
+against a from-scratch Sturm-sequence bisection oracle (eigenvalues only),
+plus orthonormality and residual bounds that do not presuppose any
+reference solver, on hand-picked matrices and, through the engine's own
+build_spectral_cache, on random physical blocks.  That results do not
+depend on the eigenvector signs is a property test in test_dynamics.py.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qkerr.blocks import SystemParams, build_block, block_matrix_dense
-from qkerr.eigen import eigh_tridiagonal
+from qkerr.blocks import SystemParams, build_block, eigh_tridiagonal, tridiagonal_dense
+from qkerr.dynamics import build_spectral_cache
 from qkerr.exceptions import ConvergenceError
 
 
@@ -52,70 +55,72 @@ def sturm_eigenvalues(d, e, tol=1e-12):
     return np.array(out)
 
 
+def assert_orthonormal_eigenpairs(h, vals, vecs, orth_tol):
+    """Ascending eigenvalues, orthonormal columns, and the residual
+    |H V - V diag(vals)| within 1e-10 of the norm of H."""
+    n = h.shape[0]
+    assert np.all(np.diff(vals) >= 0)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(n), atol=orth_tol)
+    resid = h @ vecs - vecs * vals
+    assert np.abs(resid).max() <= 1e-10 * max(1.0, np.linalg.norm(h))
+
+
 class TestTridiagonal:
     def test_two_by_two(self):
         # [[2, 0.5], [0.5, 2]]: eigenvalues 1.5 and 2.5, vectors (1, -/+1)/sqrt(2).
-        spec = eigh_tridiagonal(np.array([2.0, 2.0]), np.array([0.5]))
-        np.testing.assert_allclose(spec.eigenvalues, [1.5, 2.5], rtol=1e-14)
+        vals, vecs = eigh_tridiagonal(np.array([2.0, 2.0]), np.array([0.5]))
+        np.testing.assert_allclose(vals, [1.5, 2.5], rtol=1e-14)
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        np.testing.assert_allclose(np.abs(spec.eigenvectors), inv_sqrt2, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(vecs), inv_sqrt2, rtol=1e-12)
 
     def test_diagonal_input(self):
         d = np.array([3.0, -1.0, 2.0])
-        spec = eigh_tridiagonal(d, np.zeros(2))
-        np.testing.assert_allclose(spec.eigenvalues, np.sort(d), rtol=1e-15)
-        np.testing.assert_allclose(np.abs(spec.eigenvectors), np.eye(3)[:, np.argsort(d)], atol=1e-15)
+        vals, vecs = eigh_tridiagonal(d, np.zeros(2))
+        np.testing.assert_allclose(vals, np.sort(d), rtol=1e-15)
+        np.testing.assert_allclose(np.abs(vecs), np.eye(3)[:, np.argsort(d)], atol=1e-15)
 
     def test_single_entry(self):
-        spec = eigh_tridiagonal(np.array([4.2]), np.zeros(0))
-        assert spec.eigenvalues[0] == 4.2
-        assert spec.eigenvectors[0, 0] == 1.0
+        vals, vecs = eigh_tridiagonal(np.array([4.2]), np.zeros(0))
+        assert vals[0] == 4.2
+        assert vecs[0, 0] == 1.0
 
     def test_fully_degenerate(self):
-        spec = eigh_tridiagonal(np.ones(3), np.zeros(2))
-        np.testing.assert_allclose(spec.eigenvalues, np.ones(3))
-        np.testing.assert_allclose(spec.eigenvectors, np.eye(3), atol=1e-15)
+        vals, vecs = eigh_tridiagonal(np.ones(3), np.zeros(2))
+        np.testing.assert_allclose(vals, np.ones(3))
+        np.testing.assert_allclose(vecs, np.eye(3), atol=1e-15)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 21])
     def test_orthonormal_and_residual(self, rng, n):
         d = rng.standard_normal(n) * 3.0
         e = rng.standard_normal(n - 1)
-        spec = eigh_tridiagonal(d, e)
-        v = spec.eigenvectors
-        np.testing.assert_allclose(v.T @ v, np.eye(n), atol=1e-11)
-        h = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        resid = h @ v - v * spec.eigenvalues
-        bound = 1e-10 * max(1.0, np.linalg.norm(h))
-        assert np.abs(resid).max() <= bound
-        # Eigenvalues ascending.
-        assert np.all(np.diff(spec.eigenvalues) >= 0)
+        vals, vecs = eigh_tridiagonal(d, e)
+        assert_orthonormal_eigenpairs(tridiagonal_dense(d, e), vals, vecs, orth_tol=1e-11)
         # Trace preserved.
-        assert spec.eigenvalues.sum() == pytest.approx(d.sum(), rel=1e-11, abs=1e-11)
+        assert vals.sum() == pytest.approx(d.sum(), rel=1e-11, abs=1e-11)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_against_sturm_oracle(self, rng, n):
         d = rng.standard_normal(n) * 2.0
         e = rng.standard_normal(n - 1) * 1.5
-        spec = eigh_tridiagonal(d, e)
+        vals, _ = eigh_tridiagonal(d, e)
         oracle = sturm_eigenvalues(d, e, tol=1e-13)
-        np.testing.assert_allclose(spec.eigenvalues, oracle, atol=1e-9)
+        np.testing.assert_allclose(vals, oracle, atol=1e-9)
 
     def test_physical_blocks_against_oracle(self):
         for q in (1.0, 0.9, 0.7):
             block = build_block(SystemParams(chi=0.01, gamma=1.0, q=q), 7)
-            spec = eigh_tridiagonal(block.diag, block.offdiag)
+            vals, _ = eigh_tridiagonal(block.diag, block.offdiag)
             oracle = sturm_eigenvalues(block.diag, block.offdiag, tol=1e-13)
-            np.testing.assert_allclose(spec.eigenvalues, oracle, atol=1e-9)
+            np.testing.assert_allclose(vals, oracle, atol=1e-9)
 
     def test_physical_n200_block_against_oracle(self):
         block = build_block(SystemParams(chi=0.01, gamma=1.0, q=0.9), 200)
-        spec = eigh_tridiagonal(block.diag, block.offdiag)
+        vals, vecs = eigh_tridiagonal(block.diag, block.offdiag)
         # bisection cannot resolve below the float spacing of the spectrum
         # (largest eigenvalue about 600), so the oracle stops at 1e-10
         oracle = sturm_eigenvalues(block.diag, block.offdiag, tol=1e-10)
-        np.testing.assert_allclose(spec.eigenvalues, oracle, atol=1e-9)
-        v = spec.eigenvectors
-        np.testing.assert_allclose(v.T @ v, np.eye(201), atol=1e-12)
+        np.testing.assert_allclose(vals, oracle, atol=1e-9)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(201), atol=1e-12)
 
     def test_lapack_failure_is_convergence_error(self, monkeypatch):
         def failing(matrix):
@@ -128,10 +133,10 @@ class TestTridiagonal:
     def test_byte_determinism(self, rng):
         d = rng.standard_normal(10)
         e = rng.standard_normal(9)
-        a = eigh_tridiagonal(d, e)
-        b = eigh_tridiagonal(d.copy(), e.copy())
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        vals_a, vecs_a = eigh_tridiagonal(d, e)
+        vals_b, vecs_b = eigh_tridiagonal(d.copy(), e.copy())
+        assert np.array_equal(vals_a, vals_b)
+        assert np.array_equal(vecs_a, vecs_b)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -147,17 +152,35 @@ class TestHermitian:
 
     def test_agrees_with_tridiagonal_on_real_blocks(self):
         block = build_block(SystemParams(chi=0.01, gamma=-0.8, q=0.8), 6)
-        spec = eigh_tridiagonal(block.diag, block.offdiag)
-        vals = np.linalg.eigvalsh(block_matrix_dense(block).astype(complex))
-        np.testing.assert_allclose(spec.eigenvalues, vals, atol=1e-11)
+        vals, _ = eigh_tridiagonal(block.diag, block.offdiag)
+        dense_vals = np.linalg.eigvalsh(tridiagonal_dense(block.diag, block.offdiag).astype(complex))
+        np.testing.assert_allclose(vals, dense_vals, atol=1e-11)
 
     def test_trace_preserved_by_both_solvers(self, rng):
         block = build_block(SystemParams(chi=0.02, gamma=0.6, q=0.85), 9)
-        spec = eigh_tridiagonal(block.diag, block.offdiag)
-        np.testing.assert_allclose(
-            spec.eigenvalues.sum(), block.diag.sum(), rtol=1e-11
-        )
+        vals, _ = eigh_tridiagonal(block.diag, block.offdiag)
+        np.testing.assert_allclose(vals.sum(), block.diag.sum(), rtol=1e-11)
         a = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
         h = (a + a.conj().T) / 2.0
         vals = np.linalg.eigvalsh(h)
         np.testing.assert_allclose(vals.sum(), np.trace(h).real, rtol=1e-11)
+
+
+class TestEngineBlocks:
+    @given(
+        q=st.one_of(st.just(1.0), st.floats(min_value=0.06, max_value=1.0)),
+        chi=st.floats(min_value=0.0, max_value=0.1),
+        gamma=st.floats(min_value=-1.5, max_value=1.5),
+        n_total=st.integers(min_value=0, max_value=16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_spectral_cache_against_sturm_oracle(self, q, chi, gamma, n_total):
+        # The spectrum the propagator uses, from the engine's own path, on a
+        # random physical block; its eigenvalues stay below about 100, where
+        # floats are 1.4e-14 apart, so the bisection resolves 1e-13.
+        params = SystemParams(chi=chi, gamma=gamma, q=q)
+        vals, vecs = build_spectral_cache(params, [n_total])[n_total]
+        block = build_block(params, n_total)
+        oracle = sturm_eigenvalues(block.diag, block.offdiag, tol=1e-13)
+        np.testing.assert_allclose(vals, oracle, atol=1e-9)
+        assert_orthonormal_eigenpairs(tridiagonal_dense(block.diag, block.offdiag), vals, vecs, orth_tol=1e-12)

@@ -76,7 +76,7 @@ class TestInitialState:
     )
     def test_build_checks_the_recipe(self, recipe):
         # Construction checks only the kind; build hands each value to the
-        # engine call that owns its rule (prepare_fock, CoherentSpec,
+        # engine call that owns its rule (prepare_fock,
         # coherent_amplitudes).
         init = InitialState(**recipe)
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ qkerr.TwoModeState and qkerr.SystemParams, its worker records
 qkerr.__version__, and its tracer (bench/spans.py) wraps the names listed
 in BOUNDARIES.  The tracer skips a name that no longer resolves and
 reports its metrics as absent, so a rename or a deletion would pass
-unnoticed there; these tests fail on it instead.
+unnoticed there; these tests fail on it instead.  A smoke test runs a few
+small CLI calls under the tracer, so a changed return value that a
+recorder reads fails here too.
 """
 
 import importlib
@@ -17,6 +19,7 @@ import sys
 from pathlib import Path
 
 import qkerr
+from qkerr.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
@@ -47,6 +50,26 @@ def test_traced_boundaries_resolve(monkeypatch):
         else:
             # the tracer patches the class's own attribute, not an inherited one
             assert attr in vars(getattr(owner, cls)), f"{span}: {module}.{cls}.{attr}"
+
+
+def test_tracer_records_small_runs(monkeypatch, tmp_path, capsys):
+    # The recorders read the return values of the traced calls (say
+    # BlockMatrix.dim), and a failing recorder raises out of main.
+    tracer = load_spans(monkeypatch).Tracer()
+    tracer.start_round()
+    tracer.install()
+    try:
+        calls = [
+            ["evolve", "--gamma", "1", "--q", "0.9", "--fock-n", "3", "--t-max", "5", "--steps", "11"],
+            ["evolve", "--gamma", "1", "--q", "0.9", "--initial", "coherent", "--t-max", "5", "--steps", "11"],
+            ["sweep-q", "--gamma", "1", "--q-steps", "5"],
+        ]
+        for i, argv in enumerate(calls):
+            assert main(argv + ["--out", str(tmp_path / f"{i}.csv")]) == 0, argv
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(0.0)
+    assert [name for name, metric in metrics.items() if metric.get("absent")] == []
 
 
 def test_all_names_import():

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from qkerr.exceptions import TruncationError
 from qkerr.qalgebra import (
     COHERENT_N_CAP,
-    CoherentSpec,
     box_n,
     bracket_radius,
     check_deformation,
@@ -25,9 +24,9 @@ from qkerr.qalgebra import (
 )
 
 
-def truncation(spec, q, **kwargs):
+def truncation(alpha_sq, q, **kwargs):
     """n_max that coherent_amplitudes selects."""
-    return coherent_amplitudes(spec, q, **kwargs).size - 1
+    return coherent_amplitudes(alpha_sq, q, **kwargs).size - 1
 
 
 class TestBracket:
@@ -91,29 +90,33 @@ class TestBracket:
 
 
 class TestCoherentSpec:
+    """The intensity rule that coherent_amplitudes owns: alpha_sq finite and
+    >= 0 (the radius half is in TestCoherentAmplitudes)."""
+
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValueError):
-            CoherentSpec(alpha_sq=-0.1)
+            coherent_amplitudes(-0.1, 0.9)
 
     @pytest.mark.parametrize("alpha_sq", [-1.0, math.inf, math.nan])
     def test_rejects_intensity_not_finite_nonnegative(self, alpha_sq):
-        with pytest.raises(ValueError, match="alpha_sq"):
-            CoherentSpec(alpha_sq=alpha_sq)
+        # at q = 1 the radius is infinite, so only the finiteness rule can reject inf
+        with pytest.raises(ValueError, match="alpha_sq must be finite"):
+            coherent_amplitudes(alpha_sq, 1.0)
 
 
 class TestTruncation:
     def test_vacuum_needs_single_state(self):
-        assert truncation(CoherentSpec(alpha_sq=0.0), 0.9) == 0
+        assert truncation(0.0, 0.9) == 0
 
     def test_weak_field_truncates_early(self):
-        n_max = truncation(CoherentSpec(alpha_sq=0.5), 1.0, tail_tol=1e-10)
+        n_max = truncation(0.5, 1.0, tail_tol=1e-10)
         assert 5 <= n_max <= 20
 
     def test_deformation_shrinks_support(self):
         # For q < 1 the brackets exceed the integers up front only in the
         # denominator product, so the deformed weights die faster.
-        n_plain = truncation(CoherentSpec(alpha_sq=0.5), 1.0)
-        n_deformed = truncation(CoherentSpec(alpha_sq=0.5), 0.9)
+        n_plain = truncation(0.5, 1.0)
+        n_deformed = truncation(0.5, 0.9)
         assert n_deformed >= 5
         assert abs(n_deformed - n_plain) <= n_plain
 
@@ -121,20 +124,20 @@ class TestTruncation:
     def test_rejects_tail_tol_outside_unit_interval(self, tail_tol):
         # inf used to pass and return the one-level vacuum for intensity 5.
         with pytest.raises(ValueError, match=r"tail_tol must lie in \(0, 1\)"):
-            coherent_amplitudes(CoherentSpec(alpha_sq=5.0), 1.0, tail_tol=tail_tol)
+            coherent_amplitudes(5.0, 1.0, tail_tol=tail_tol)
 
     def test_cap_raises(self):
         # alpha_sq beyond the q=0.9 convergence radius but caught by the
         # radius check; inside the radius but slow -> cap error.
         with pytest.raises(TruncationError):
-            coherent_amplitudes(CoherentSpec(alpha_sq=5.2), 0.9)
+            coherent_amplitudes(5.2, 0.9)
 
     @pytest.mark.parametrize("alpha_sq", [800.0, 1e5])
     def test_weight_overflow_raises(self, alpha_sq):
         # At q = 1 the weights alpha_sq^n / n! pass the float range long
         # before their tail shrinks; no truncation can be certified.
         with pytest.raises(TruncationError, match="overflow"):
-            coherent_amplitudes(CoherentSpec(alpha_sq=alpha_sq), 1.0)
+            coherent_amplitudes(alpha_sq, 1.0)
 
     def test_cap_constant_sane(self):
         assert COHERENT_N_CAP == 512
@@ -142,7 +145,7 @@ class TestTruncation:
 
 class TestCoherentAmplitudes:
     def test_vacuum(self):
-        amps = coherent_amplitudes(CoherentSpec(alpha_sq=0.0), 0.9)
+        amps = coherent_amplitudes(0.0, 0.9)
         assert amps.shape == (1,)
         assert amps[0] == pytest.approx(1.0)
 
@@ -150,12 +153,11 @@ class TestCoherentAmplitudes:
         # n_max is chosen, not passed: a positional third argument must
         # fail, not be read as a tolerance.
         with pytest.raises(TypeError):
-            coherent_amplitudes(CoherentSpec(alpha_sq=0.5), 1.0, 12)
+            coherent_amplitudes(0.5, 1.0, 12)
 
     def test_poisson_weights_at_unity(self):
         # Non-deformed case: |c_n|^2 must be the Poisson distribution.
-        spec = CoherentSpec(alpha_sq=0.5)
-        amps = coherent_amplitudes(spec, 1.0)
+        amps = coherent_amplitudes(0.5, 1.0)
         n_max = amps.size - 1
         weights = np.abs(amps) ** 2
         poisson = np.array(
@@ -164,9 +166,8 @@ class TestCoherentAmplitudes:
         np.testing.assert_allclose(weights, poisson, rtol=1e-9, atol=1e-16)
 
     def test_deformed_weights_follow_brackets(self):
-        spec = CoherentSpec(alpha_sq=0.5)
         q = 0.9
-        amps = coherent_amplitudes(spec, q)
+        amps = coherent_amplitudes(0.5, q)
         n_max = amps.size - 1
         # Unnormalized weights w_n = alpha_sq^n / [n]!; check the ratios.
         for n in range(1, n_max + 1):
@@ -175,8 +176,7 @@ class TestCoherentAmplitudes:
 
     def test_unit_norm(self):
         for q in (1.0, 0.9, 0.6):
-            spec = CoherentSpec(alpha_sq=1.3)
-            amps = coherent_amplitudes(spec, q)
+            amps = coherent_amplitudes(1.3, q)
             assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_intensity_outside_radius(self):
@@ -184,10 +184,9 @@ class TestCoherentAmplitudes:
         q = 0.8
         radius = bracket_radius(q)
         for alpha_sq in (radius, radius * 1.01):
-            spec = CoherentSpec(alpha_sq=alpha_sq)
             with pytest.raises(ValueError, match="normalizable"):
-                coherent_amplitudes(spec, q)
-        assert truncation(CoherentSpec(alpha_sq=0.9 * radius), q) > 0
+                coherent_amplitudes(alpha_sq, q)
+        assert truncation(0.9 * radius, q) > 0
 
 
 def _two_pass_tail_bound(weight_next, alpha_sq, q, n_next):
@@ -199,16 +198,16 @@ def _two_pass_tail_bound(weight_next, alpha_sq, q, n_next):
     return weight_next / (1.0 - ratio)
 
 
-def _two_pass_checks(spec, q, tail_tol):
+def _two_pass_checks(alpha_sq, q, tail_tol):
     q = check_deformation(q)
     if not (tail_tol > 0.0):
         raise ValueError("tail_tol")
-    if spec.alpha_sq >= bracket_radius(q):
+    if alpha_sq >= bracket_radius(q):
         raise ValueError("normalizable")
     return q
 
 
-def two_pass_amplitudes(spec, q, tail_tol):
+def two_pass_amplitudes(alpha_sq, q, tail_tol):
     """Reference: choose n_max in one walk of the weights, then build the
     amplitudes on 0..n_max in a second walk that repeats the checks and
     the tail test (the algorithm the one-walk version replaced).
@@ -217,13 +216,13 @@ def two_pass_amplitudes(spec, q, tail_tol):
     overflowed (inf <= tol * inf), this raises OverflowError: the old
     algorithm then returned whatever its second walk made of the infinite
     weights, and the one walk raises TruncationError instead."""
-    q = _two_pass_checks(spec, q, tail_tol)
+    q = _two_pass_checks(alpha_sq, q, tail_tol)
     n_max = 0
-    if spec.alpha_sq != 0.0:
+    if alpha_sq != 0.0:
         weight = retained = 1.0
         for n_max in range(COHERENT_N_CAP + 1):
-            weight_next = weight * spec.alpha_sq / box_n(n_max + 1, q)
-            if _two_pass_tail_bound(weight_next, spec.alpha_sq, q, n_max + 1) <= tail_tol * retained:
+            weight_next = weight * alpha_sq / box_n(n_max + 1, q)
+            if _two_pass_tail_bound(weight_next, alpha_sq, q, n_max + 1) <= tail_tol * retained:
                 if retained == math.inf:
                     raise OverflowError("retained weight overflowed")
                 break
@@ -232,16 +231,16 @@ def two_pass_amplitudes(spec, q, tail_tol):
         else:
             raise TruncationError("cap")
 
-    q = _two_pass_checks(spec, q, tail_tol)
+    q = _two_pass_checks(alpha_sq, q, tail_tol)
     amps = np.zeros(n_max + 1, dtype=complex)
     amps[0] = 1.0
     weight = retained = 1.0
     for n in range(1, n_max + 1):
-        amps[n] = amps[n - 1] * math.sqrt(spec.alpha_sq) / math.sqrt(box_n(n, q))
-        weight *= spec.alpha_sq / box_n(n, q)
+        amps[n] = amps[n - 1] * math.sqrt(alpha_sq) / math.sqrt(box_n(n, q))
+        weight *= alpha_sq / box_n(n, q)
         retained += weight
-    weight_next = weight * spec.alpha_sq / box_n(n_max + 1, q)
-    if _two_pass_tail_bound(weight_next, spec.alpha_sq, q, n_max + 1) > tail_tol * retained:
+    weight_next = weight * alpha_sq / box_n(n_max + 1, q)
+    if _two_pass_tail_bound(weight_next, alpha_sq, q, n_max + 1) > tail_tol * retained:
         raise TruncationError("undersized")
     return amps / np.linalg.norm(amps)
 
@@ -254,8 +253,7 @@ def coherent_cases(draw):
     if math.isfinite(radius):
         intensities.append(st.floats(0.99, 1.0, exclude_max=True).map(lambda f: f * radius))
         intensities.append(st.just(math.nextafter(radius, 0.0)))
-    spec = CoherentSpec(alpha_sq=draw(st.one_of(intensities)))
-    return spec, q, draw(st.floats(1e-14, 1e-2))
+    return draw(st.one_of(intensities)), q, draw(st.floats(1e-14, 1e-2))
 
 
 def _outcome(fn, *args, **kwargs):
@@ -268,9 +266,9 @@ def _outcome(fn, *args, **kwargs):
 @settings(max_examples=400, deadline=None)
 @given(coherent_cases())
 def test_one_walk_matches_two_pass(case):
-    spec, q, tail_tol = case
-    one = _outcome(coherent_amplitudes, spec, q, tail_tol=tail_tol)
-    two = _outcome(two_pass_amplitudes, spec, q, tail_tol)
+    alpha_sq, q, tail_tol = case
+    one = _outcome(coherent_amplitudes, alpha_sq, q, tail_tol=tail_tol)
+    two = _outcome(two_pass_amplitudes, alpha_sq, q, tail_tol)
     if two is OverflowError:
         assert one is TruncationError
     elif isinstance(one, type) or isinstance(two, type):
