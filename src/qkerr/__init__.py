@@ -12,18 +12,12 @@ Entanglement is measured by the von Neumann entropy of either reduced mode.
 
 from .blocks import BlockMatrix, SystemParams, build_block, eigh_tridiagonal, total_hamiltonian_dense
 from .dynamics import (
-    DensityMatrix,
     TwoModeState,
     build_spectral_cache,
     dense_reference_evolve,
     entropy_series,
-    evolve,
     prepare_coherent,
     prepare_fock,
-    purity,
-    reduced_atom,
-    reduced_field,
-    von_neumann_entropy,
 )
 from .exceptions import ConvergenceError, TruncationError
 from .harness import (
@@ -47,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockMatrix",
     "ConvergenceError",
-    "DensityMatrix",
     "EntropySeries",
     "InitialState",
     "OptimalQResult",
@@ -66,18 +59,13 @@ __all__ = [
     "detect_revivals",
     "eigh_tridiagonal",
     "entropy_series",
-    "evolve",
     "find_optimal_q",
     "prepare_coherent",
     "prepare_fock",
-    "purity",
     "q_grid",
-    "reduced_atom",
-    "reduced_field",
     "run_evolve",
     "run_sweep_q",
     "time_grid",
     "total_hamiltonian_dense",
-    "von_neumann_entropy",
     "__version__",
 ]

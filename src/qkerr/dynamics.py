@@ -9,7 +9,9 @@ n + m = N: with a_m = psi(N - m, m) and the block spectrum (V, lambda),
     a(t) = V diag(exp(-i lambda t)) V^T a(0),
 
 so one diagonalization per block serves every requested time, and only
-the blocks where the state has weight need one.
+the blocks where the state has weight need one.  entropy_series is the one
+path from a state to entropies and purities; dense_reference_evolve is a
+brute-force propagator over the whole lattice for cross-checks.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .exceptions import ConvergenceError
 
 _NORM_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
-_TRACE_TOL = 1e-10
-_HERM_TOL = 1e-12
 # Most samples entropy_series evolves per chunk, and the cap on the bytes
 # of the largest array it forms per chunk: the (chunk, dim, dim) complex
 # tables on several blocks, the (chunk, N + 1) amplitudes on one.  On
@@ -75,32 +75,6 @@ class TwoModeState:
         n_idx, m_idx = np.indices(self.amplitudes.shape)
         totals = (n_idx + m_idx)[self.amplitudes != 0]
         return tuple(int(n) for n in np.unique(totals))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Reduced density matrix: finite, Hermitian, unit trace.
-
-    Positivity is not verified here (it costs a diagonalization); the
-    entropy routine rejects eigenvalues below -1e-10.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        rho = np.asarray(self.matrix, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError(f"density matrix must be square, got {rho.shape}")
-        if not np.all(np.isfinite(rho)):
-            raise ValueError("density matrix entries must be finite")
-        scale = max(1.0, float(np.abs(rho).max()))
-        defect = float(np.abs(rho - rho.conj().T).max())
-        if defect > _HERM_TOL * scale:
-            raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
-        trace = complex(np.trace(rho))
-        if abs(trace - 1.0) > _TRACE_TOL:
-            raise ValueError(f"density matrix trace deviates from 1 by {abs(trace - 1.0):.3e}")
-        object.__setattr__(self, "matrix", rho)
 
 
 def prepare_fock(fock_n: int) -> TwoModeState:
@@ -176,46 +150,6 @@ def _propagate(state: TwoModeState, cache: dict[int, Spectrum], times: np.ndarra
         ms = np.arange(n_total + 1)
         psi[:, n_total - ms, ms] = _block_amplitudes(state, cache, n_total, times)
     return psi
-
-
-def evolve(state: TwoModeState, cache: dict[int, Spectrum], t: float) -> TwoModeState:
-    """Evolve a state for time t (t may be negative) via the block spectra."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    psi = _propagate(state, cache, np.array([t]))
-    return TwoModeState(n_max=state.n_max, amplitudes=psi[0])
-
-
-def reduced_field(state: TwoModeState) -> DensityMatrix:
-    """Field-mode density matrix: rho[n, n'] = sum_m psi(n, m) psi*(n', m)."""
-    table = state.amplitudes
-    rho = table @ table.conj().T
-    return DensityMatrix(matrix=0.5 * (rho + rho.conj().T))
-
-
-def reduced_atom(state: TwoModeState) -> DensityMatrix:
-    """Atomic-mode density matrix: rho[m, m'] = sum_n psi(n, m) psi*(n, m')."""
-    table = state.amplitudes
-    rho = table.T @ table.conj()
-    return DensityMatrix(matrix=0.5 * (rho + rho.conj().T))
-
-
-def von_neumann_entropy(rho: DensityMatrix, log_base: float = 2.0) -> float:
-    """S = -sum_k lambda_k log(lambda_k) over the eigenvalues of rho.
-
-    Eigenvalues in [-1e-10, 0) are clipped to zero (roundoff from the
-    reduction); anything below that floor signals an upstream bug and
-    raises.  log_base must be 2 or e.
-    """
-    _check_log_base(log_base)
-    vals = np.linalg.eigvalsh(rho.matrix)
-    return float(_entropy_of_spectra(vals[None, :], log_base)[0])
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr rho^2, evaluated as the squared Frobenius norm (rho is Hermitian)."""
-    return float((np.abs(rho.matrix) ** 2).sum())
 
 
 def entropy_series(

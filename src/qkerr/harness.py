@@ -5,16 +5,19 @@ Everything here is a thin orchestration layer over dynamics: build the
 initial state, build the per-block spectra once, evaluate the entropy on a
 grid, and serialize.  All CSV is written with 12 significant digits and
 ``\\n`` newlines so repeated runs are byte-identical: the series, sweep
-and revival-dip tables all go through one block-formatted writer, and a
-series is read back with ``np.loadtxt`` behind the header, width,
-emptiness and time-order checks.  The drivers take the physics as one
-``SystemParams``; the q drivers replace its ``q`` at each grid point.
+and revival-dip tables all go through one block-formatted writer, which
+replaces the target only once the whole table is written, and a series is
+read back with ``np.loadtxt`` behind the header, width, emptiness and
+time-order checks.  The drivers take the physics as one ``SystemParams``;
+the q drivers replace its ``q`` at each grid point.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import IO
 
@@ -28,7 +31,7 @@ from .dynamics import (
     prepare_coherent,
     prepare_fock,
 )
-from .qalgebra import TAIL_TOL
+from .qalgebra import TAIL_TOL, _check_count
 
 SERIES_COLUMNS = ("t", "gamma_t", "S_field", "S_atom", "purity_field")
 SWEEP_COLUMNS = ("q", "S_field")
@@ -100,9 +103,7 @@ class InitialState:
 
 def time_grid(t_min: float, t_max: float, steps: int) -> np.ndarray:
     """Uniform, strictly increasing time grid.  Negative times are allowed."""
-    if not isinstance(steps, int) or isinstance(steps, bool):
-        raise ValueError("steps must be an integer")
-    if steps < 2:
+    if _check_count(steps, "steps") < 2:
         raise ValueError("time grid needs at least 2 samples")
     t_min, t_max = float(t_min), float(t_max)
     # a finite span has finite ends, and np.linspace warns on any other
@@ -123,9 +124,7 @@ def check_grid_q(q: float) -> float:
 
 def q_grid(q_min: float, q_max: float, q_steps: int) -> np.ndarray:
     """Uniform deformation grid whose ends obey check_grid_q."""
-    if not isinstance(q_steps, int) or isinstance(q_steps, bool):
-        raise ValueError("q_steps must be an integer")
-    if q_steps < 1:
+    if _check_count(q_steps, "q_steps") < 1:
         raise ValueError("q grid needs at least 1 sample")
     q_min, q_max = check_grid_q(q_min), check_grid_q(q_max)
     if q_steps == 1:
@@ -192,8 +191,26 @@ class EntropySeries:
 
 
 def _write_table(path: str, columns: tuple[str, ...], values: tuple[np.ndarray, ...]) -> None:
-    with open(path, "w", newline="") as fh:
-        _save_table(fh, columns, np.column_stack(values), ",".join([NUMBER_FORMAT] * len(columns)))
+    table = np.column_stack(values)
+    _replace_file(path, lambda fh: _save_table(fh, columns, table, ",".join([NUMBER_FORMAT] * len(columns))))
+
+
+def _replace_file(path: str, write: Callable[[IO[str]], None]) -> None:
+    """Write a text file through write(fh) into a temporary file beside
+    path, then move it over path, so a failed write leaves any earlier file
+    at path intact and no temporary file behind."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            # name the file the caller asked for, not the temporary one
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _save_table(fh: IO[str], columns: tuple[str, ...], table: np.ndarray, fmt: str) -> None:
@@ -242,8 +259,7 @@ class RevivalReport:
     dips: list[RevivalDip] = field(default_factory=list)
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            self.write(fh)
+        _replace_file(path, self.write)
 
     def write(self, fh: IO[str]) -> None:
         """Write the dip table as CSV to an open text stream."""

@@ -1,7 +1,29 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qkerr.dynamics import TwoModeState
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name: str):
+    """Import bench/<name>.py by its path, read only: no bytecode cache is
+    written next to the benchmark, and bench/ need not be on sys.path."""
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up in sys.modules
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
 
 
 @pytest.fixture

@@ -20,19 +20,18 @@ import pytest
 from qkerr.blocks import SystemParams, build_block, tridiagonal_dense
 from qkerr.cli import main as cli_main
 from qkerr.dynamics import (
+    _propagate,
     build_spectral_cache,
     dense_reference_evolve,
-    evolve,
     prepare_coherent,
     prepare_fock,
-    reduced_atom,
-    reduced_field,
-    von_neumann_entropy,
 )
 from qkerr.harness import InitialState, detect_revivals, find_optimal_q, q_grid, run_evolve
 from qkerr.qalgebra import box_n
 
-from conftest import random_triangle_state
+from conftest import load_bench, random_triangle_state
+
+oracle = load_bench("oracle")
 
 OMEGA = 1.0
 CHI = 0.01
@@ -296,9 +295,9 @@ def test_criterion_8_oracle_equivalence(capsys):
         state = random_triangle_state(rng, n_max)
         t = float(rng.uniform(-3.0, 3.0))
         cache = build_spectral_cache(params, range(n_max + 1))
-        fast = evolve(state, cache, t)
+        fast = _propagate(state, cache, np.array([t]))[0]
         slow = dense_reference_evolve(state, params, t)
-        worst = max(worst, float(np.abs(fast.amplitudes - slow.amplitudes).max()))
+        worst = max(worst, float(np.abs(fast - slow.amplitudes).max()))
     ok = worst <= 1e-9
     report(capsys, 8, ok, f"50 random states, n_max <= 8: worst componentwise gap {worst:.2e} (bound 1e-9)")
     assert worst <= 1e-9
@@ -341,7 +340,10 @@ def test_criterion_9_invariant_suite(capsys):
     if worst_resid > 1.0:
         failures.append(f"eigen residual {worst_resid:.2f}x bound")
 
-    # State-level invariants at scattered times of the headline runs.
+    # State-level invariants at scattered times of the headline runs.  The
+    # oracle reduces each mode of the engine's amplitude tables on its own;
+    # a multi-block series copies S_atom from the field spectrum, so the
+    # series itself cannot show a Schmidt gap.
     sample_times = np.array([0.3, 1.0, 157.0, 314.16, 628.32])
     worst_norm = 0.0
     worst_schmidt = 0.0
@@ -355,19 +357,15 @@ def test_criterion_9_invariant_suite(capsys):
     ]
     for state, params in states:
         cache = build_spectral_cache(params, range(state.n_max + 1))
-        for t in sample_times:
-            out = evolve(state, cache, float(t))
-            worst_norm = max(worst_norm, abs(float(np.linalg.norm(out.amplitudes)) - 1.0))
-            rho_f = reduced_field(out)
-            rho_a = reduced_atom(out)
-            worst_trace = max(
-                worst_trace,
-                abs(float(np.trace(rho_f.matrix).real) - 1.0),
-                abs(float(np.trace(rho_a.matrix).real) - 1.0),
-            )
-            s_f = von_neumann_entropy(rho_f)
-            s_a = von_neumann_entropy(rho_a)
-            worst_schmidt = max(worst_schmidt, abs(s_f - s_a))
+        psi = _propagate(state, cache, sample_times)
+        psi_atom = psi.transpose(0, 2, 1)
+        worst_norm = max(worst_norm, float(np.abs(np.linalg.norm(psi, axis=(1, 2)) - 1.0).max()))
+        for tables in (psi, psi_atom):
+            rho = tables @ tables.conj().transpose(0, 2, 1)
+            worst_trace = max(worst_trace, float(np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0).max()))
+        s_f = oracle.field_entropy(psi)
+        s_a = oracle.field_entropy(psi_atom)
+        worst_schmidt = max(worst_schmidt, float(np.abs(s_f - s_a).max()))
     if worst_norm > 1e-10:
         failures.append(f"norm drift {worst_norm:.2e}")
     if worst_trace > 1e-10:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: happy paths on small grids, exit-code contract."""
 
 import contextlib
+import errno
 import io
 import math
 import tempfile
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkerr import harness
 from qkerr.cli import main
 from qkerr.harness import EntropySeries
 
@@ -25,6 +27,18 @@ def run_cli(argv):
 
 
 GAMMA_BS = str(-math.pi / 4.0)
+
+
+def fail_after_header(monkeypatch):
+    """Make every CSV table write fail, as a full disk would, once its
+    header line is written."""
+    save = harness._save_table
+
+    def failing(fh, columns, table, fmt):
+        save(fh, columns, table[:0], fmt)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(harness, "_save_table", failing)
 
 
 class TestSweepQ:
@@ -254,6 +268,25 @@ class TestEvolve:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_failed_write_keeps_old_output(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"t,gamma_t,S_field,S_atom,purity_field\n0,0,0,0,1\n")
+        fail_after_header(monkeypatch)
+        code = run_cli(["evolve", "--gamma", "1", "--q", "0.9", "--t-max", "1", "--steps", "3", "--out", str(out)])
+        assert code == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_bytes() == b"t,gamma_t,S_field,S_atom,purity_field\n0,0,0,0,1\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_exits_2_naming_it(self, tmp_path, capsys, target):
+        # a missing directory, and a directory in place of the file
+        out = tmp_path / target
+        code = run_cli(["evolve", "--gamma", "1", "--q", "0.9", "--t-max", "1", "--steps", "3", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.rstrip().endswith(f": {str(out)!r}")
+        assert list(tmp_path.iterdir()) == []
+
     def test_degenerate_grid_exits_2(self, tmp_path):
         code = run_cli(
             [
@@ -335,6 +368,14 @@ class TestRevivals:
         assert lo_only.read_bytes() == both.read_bytes()
         rows = lo_only.read_text().splitlines()[1:]
         assert rows and all(float(row.split(",")[1]) >= 300.0 for row in rows)
+
+    def test_failed_write_keeps_old_output(self, fock_series, tmp_path, monkeypatch):
+        out = tmp_path / "dips.csv"
+        out.write_bytes(b"old dips\n")
+        fail_after_header(monkeypatch)
+        assert run_cli(["revivals", str(fock_series), "--chi", "0.01", "--out", str(out)]) == 2
+        assert out.read_bytes() == b"old dips\n"
+        assert sorted(tmp_path.iterdir()) == sorted([out, fock_series])
 
     def test_stdout_when_no_out(self, fock_series, capsys):
         code = run_cli(["revivals", str(fock_series), "--chi", "0.01"])
@@ -516,7 +557,8 @@ def run_cleanly(argv, with_out, series_bytes):
         assert code in (0, 2, 3), argv
         assert "Traceback" not in stderr.getvalue()
         if code != 0:
-            assert not out.exists(), argv
+            # no output file, finished or temporary
+            assert [p.name for p in Path(tmp).iterdir()] == ["series.csv"], argv
 
 
 class TestExitContract:

@@ -36,6 +36,8 @@ class TestGrids:
     def test_time_grid_spacing(self):
         g = time_grid(0.0, 1.0, 5)
         np.testing.assert_allclose(g, [0.0, 0.25, 0.5, 0.75, 1.0])
+        # a numpy integer counts as a count, as it does for fock_n
+        assert np.array_equal(time_grid(0.0, 1.0, np.int64(5)), g)
 
     def test_time_grid_negative_start_ok(self):
         g = time_grid(-2.0, 2.0, 3)
@@ -48,10 +50,17 @@ class TestGrids:
             time_grid(0.0, 1.0, 1)
         with pytest.raises(ValueError):
             time_grid(0.0, math.inf, 5)
+        for steps in (True, 5.0):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                time_grid(0.0, 1.0, steps)
 
     def test_q_grid_bounds(self):
         g = q_grid(0.5, 1.0, 6)
         assert g[0] == 0.5 and g[-1] == 1.0
+        assert np.array_equal(q_grid(0.5, 1.0, np.int64(6)), g)
+        for q_steps in (True, 6.0):
+            with pytest.raises(ValueError, match="q_steps must be an integer"):
+                q_grid(0.5, 1.0, q_steps)
         with pytest.raises(ValueError):
             q_grid(0.05, 1.0, 10)  # floor is exclusive
         with pytest.raises(ValueError):

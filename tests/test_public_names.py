@@ -13,26 +13,15 @@ recorder reads fails here too.
 """
 
 import importlib
-import importlib.util
 import re
-import sys
 from pathlib import Path
 
 import qkerr
 from qkerr.cli import main
 
-ROOT = Path(__file__).resolve().parents[1]
-SPANS = ROOT / "bench" / "spans.py"
-README = ROOT / "README.md"
+from conftest import load_bench
 
-
-def load_spans(monkeypatch):
-    # read only: no bytecode cache is written next to the benchmark
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_benchmark_oracle_names():
@@ -40,8 +29,8 @@ def test_benchmark_oracle_names():
         assert hasattr(qkerr, name), name
 
 
-def test_traced_boundaries_resolve(monkeypatch):
-    boundaries = load_spans(monkeypatch).BOUNDARIES
+def test_traced_boundaries_resolve():
+    boundaries = load_bench("spans").BOUNDARIES
     assert boundaries
     for span, module, cls, attr, _, _ in boundaries:
         owner = importlib.import_module(module)
@@ -52,10 +41,10 @@ def test_traced_boundaries_resolve(monkeypatch):
             assert attr in vars(getattr(owner, cls)), f"{span}: {module}.{cls}.{attr}"
 
 
-def test_tracer_records_small_runs(monkeypatch, tmp_path, capsys):
+def test_tracer_records_small_runs(tmp_path, capsys):
     # The recorders read the return values of the traced calls (say
     # BlockMatrix.dim), and a failing recorder raises out of main.
-    tracer = load_spans(monkeypatch).Tracer()
+    tracer = load_bench("spans").Tracer()
     tracer.start_round()
     tracer.install()
     try:
