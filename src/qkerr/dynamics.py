@@ -10,13 +10,17 @@ n + m = N: with a_m = psi(N - m, m) and the block spectrum (V, lambda),
 
 so one diagonalization per block serves every requested time, and only
 the blocks where the state has weight need one.  entropy_series is the one
-path from a state to entropies and purities; dense_reference_evolve is a
-brute-force propagator over the whole lattice for cross-checks.
+path from a state to entropies and purities.  The state is pure, so both
+reduced modes share one Schmidt spectrum: S_field, S_atom and the purity
+all come from it, and a chunk on several blocks peaks near three of its
+largest arrays (about 24 MiB).  dense_reference_evolve is a brute-force
+propagator over the whole lattice for cross-checks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -28,11 +32,13 @@ from .exceptions import ConvergenceError
 
 _NORM_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
+# Largest phase error, in radians, that rounding max|lambda| |t| may leave.
+_PHASE_TOL = 1e-3
 # Most samples entropy_series evolves per chunk, and the cap on the bytes
 # of the largest array it forms per chunk: the (chunk, dim, dim) complex
 # tables on several blocks, the (chunk, N + 1) amplitudes on one.  On
-# several blocks about four arrays of that size are alive at once (psi, its
-# conjugate, rho_field and |rho_field|^2), so a chunk peaks near 4 times it.
+# several blocks three arrays of that size are alive at once (psi, its
+# conjugate and rho_field), so a chunk peaks near 3 times it, about 24 MiB.
 _CHUNK_SAMPLES = 2048
 _CHUNK_BYTES = 8 * 2**20
 # the dense reference evolver is meant for cross-checks at test scale
@@ -132,10 +138,14 @@ def _block_amplitudes(
             "where the state has weight"
         )
     vals, vecs = cache[n_total]
-    # Python floats overflow to inf quietly; exp of an infinite phase is NaN.
+    # A phase lambda*t is rounded by about |lambda t| eps rad: past _PHASE_TOL,
+    # and at inf or NaN, it has lost its digits.
     t_max = float(np.abs(times).max())
-    if not math.isfinite(float(np.abs(vals).max()) * t_max):
-        raise ConvergenceError(f"phase lambda*t overflows on block N={n_total} at |t| = {t_max:g}")
+    phase_err = float(np.abs(vals).max()) * t_max * sys.float_info.epsilon
+    if not phase_err <= _PHASE_TOL:
+        raise ConvergenceError(
+            f"phase lambda*t overflows on block N={n_total} at |t| = {t_max:g} ({phase_err:.1e} rad of rounding)"
+        )
     ms = np.arange(n_total + 1)
     modes = vecs.T @ state.amplitudes[n_total - ms, ms]
     phases = np.exp(-1j * vals[:, None] * times[None, :])
@@ -160,19 +170,14 @@ def entropy_series(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Field entropy, atom entropy, and field purity along a time grid.
 
-    Evolves in chunks so long grids never hold every sample at once: a
-    chunk has at most _CHUNK_SAMPLES samples, and fewer where its largest
-    array would pass _CHUNK_BYTES.  A state on one excitation block N
-    (every Fock state) stays on it, so with a_m(t) = psi(N - m, m; t) both
-    reduced states are exactly diagonal: rho_atom has eigenvalues
-    p_m = |a_m(t)|^2 and rho_field the same values indexed by n = N - m.
-    There the entropies are the Shannon entropies of p, the purity is
-    sum p^2, and only the (chunk, N + 1) block amplitudes are formed.  A
-    state on several blocks has coherences between them; each chunk then
-    builds the amplitude tables, reduces the field mode only and
-    diagonalizes the rho_field stack in one batched call.  The state is
-    pure, so rho_atom has the same nonzero spectrum (the Schmidt
-    coefficients) and S_atom is taken from that one spectrum.
+    Evolves in chunks of at most _CHUNK_SAMPLES samples, fewer where the
+    largest array would pass _CHUNK_BYTES; on several blocks a chunk peaks
+    near three such arrays (about 24 MiB).  Each chunk yields only its
+    Schmidt spectrum: on one block N (every Fock state) the reductions are
+    diagonal, with p_n = |psi(n, N - n; t)|^2; on several blocks it is
+    eigvalsh of the rho_field stack.  The state is pure, so S_field, S_atom
+    (equal to it bit for bit) and the purity sum p^2 all come from that
+    one spectrum.
     """
     _check_log_base(log_base)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -185,23 +190,18 @@ def entropy_series(
     row_bytes = 16 * (blocks[0] + 1) if single else 16 * (state.n_max + 1) ** 2
     step = max(1, min(_CHUNK_SAMPLES, _CHUNK_BYTES // row_bytes))
     s_field = np.empty(times.size)
-    s_atom = np.empty(times.size)
     purity_field = np.empty(times.size)
     for start in range(0, times.size, step):
         sl = slice(start, min(start + step, times.size))
         if single:
             a = _block_amplitudes(state, cache, blocks[0], times[sl])
-            p = a.real**2 + a.imag**2
-            s_field[sl] = _entropy_of_spectra(p[:, ::-1], log_base)
-            s_atom[sl] = _entropy_of_spectra(p, log_base)
-            purity_field[sl] = (p**2).sum(axis=1)
-            continue
-        psi = _propagate(state, cache, times[sl])
-        rho_field = psi @ psi.conj().transpose(0, 2, 1)
-        s_field[sl] = _entropy_of_spectra(np.linalg.eigvalsh(rho_field), log_base)
-        s_atom[sl] = s_field[sl]
-        purity_field[sl] = (np.abs(rho_field) ** 2).sum(axis=(1, 2))
-    return s_field, s_atom, purity_field
+            spec = (a.real**2 + a.imag**2)[:, ::-1]
+        else:
+            psi = _propagate(state, cache, times[sl])
+            spec = np.linalg.eigvalsh(psi @ psi.conj().transpose(0, 2, 1))
+        s_field[sl] = _entropy_of_spectra(spec, log_base)
+        purity_field[sl] = (spec**2).sum(axis=1)
+    return s_field, s_field.copy(), purity_field
 
 
 def dense_reference_evolve(state: TwoModeState, params: SystemParams, t: float) -> TwoModeState:
@@ -242,9 +242,7 @@ def _entropy_of_spectra(vals: np.ndarray, log_base: float) -> np.ndarray:
             "upstream state is inconsistent"
         )
     vals = np.clip(vals, 0.0, None)
-    terms = np.zeros_like(vals)
-    mask = vals > 0.0
-    terms[mask] = vals[mask] * np.log(vals[mask])
+    terms = vals * np.log(np.where(vals > 0.0, vals, 1.0))
     return np.maximum(-terms.sum(axis=-1) / math.log(log_base), 0.0)
 
 

@@ -55,6 +55,10 @@ NUMBER_FORMAT = "%.12g"
 # series would hold all its text at once.
 _WRITE_ROWS = 2048
 
+# Most samples a time or q grid may have: a 10**7-sample series already
+# holds five 80 MB columns.
+MAX_SAMPLES = 10**7
+
 # Width of the bracket at which the parabolic refinement of q* stops.
 REFINE_TOL = 1e-7
 
@@ -101,10 +105,17 @@ class InitialState:
         return gt_max / abs(gamma)
 
 
+def _check_samples(count, name: str, least: int) -> int:
+    """The rule for a grid's sample count: an integer in [least, MAX_SAMPLES]."""
+    count = _check_count(count, name)
+    if not least <= count <= MAX_SAMPLES:
+        raise ValueError(f"{name} must lie in [{least}, {MAX_SAMPLES}], got {count}")
+    return count
+
+
 def time_grid(t_min: float, t_max: float, steps: int) -> np.ndarray:
     """Uniform, strictly increasing time grid.  Negative times are allowed."""
-    if _check_count(steps, "steps") < 2:
-        raise ValueError("time grid needs at least 2 samples")
+    steps = _check_samples(steps, "steps", 2)
     t_min, t_max = float(t_min), float(t_max)
     # a finite span has finite ends, and np.linspace warns on any other
     if not math.isfinite(t_max - t_min):
@@ -124,8 +135,7 @@ def check_grid_q(q: float) -> float:
 
 def q_grid(q_min: float, q_max: float, q_steps: int) -> np.ndarray:
     """Uniform deformation grid whose ends obey check_grid_q."""
-    if _check_count(q_steps, "q_steps") < 1:
-        raise ValueError("q grid needs at least 1 sample")
+    q_steps = _check_samples(q_steps, "q_steps", 1)
     q_min, q_max = check_grid_q(q_min), check_grid_q(q_max)
     if q_steps == 1:
         if q_min != q_max:

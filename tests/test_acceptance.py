@@ -342,8 +342,8 @@ def test_criterion_9_invariant_suite(capsys):
 
     # State-level invariants at scattered times of the headline runs.  The
     # oracle reduces each mode of the engine's amplitude tables on its own;
-    # a multi-block series copies S_atom from the field spectrum, so the
-    # series itself cannot show a Schmidt gap.
+    # a series copies S_atom from S_field, so the series itself cannot show
+    # a Schmidt gap.
     sample_times = np.array([0.3, 1.0, 157.0, 314.16, 628.32])
     worst_norm = 0.0
     worst_schmidt = 0.0

@@ -182,10 +182,14 @@ class TestEvolve:
             ["evolve", "--gamma", "1", "--q", "1", "--steps", "5", "--t-max", "1e308"],
             ["sweep-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"],
             ["find-optimal-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"],
+            # gamma t stays finite, but the phases lambda * t (t = 7e302)
+            # keep none of their digits
+            ["evolve", "--gamma", "1e-300", "--q", "1", "--steps", "5"],
         ],
     )
     def test_phase_overflow_exits_3(self, tmp_path, capsys, argv):
-        # lambda * t overflows: NaN phases used to be written as S = 0.
+        # lambda * t overflows: NaN phases used to be written as S = 0, and
+        # phases without digits as S = 0 on every row.
         out = tmp_path / "x.csv"
         code = run_cli(argv + ["--out", str(out)])
         err = capsys.readouterr().err
@@ -202,6 +206,8 @@ class TestEvolve:
             ["find-optimal-q", "--gamma", "1", "--chi", "1e308", "--q-steps", "3"],
             ["evolve", "--gamma", "1", "--q", "1", "--t-max", "1", "--steps", "1000000000000"],
             ["sweep-q", "--gamma", "1", "--q-steps", "1000000000000"],
+            # past the sample cap, though the grid itself would fit in memory
+            ["evolve", "--gamma", "1", "--q", "1", "--t-max", "1", "--steps", "100000000"],
             # the phases lambda * t stay finite, gamma * t does not
             ["evolve", "--gamma", "1.9", "--omega", "0.1", "--fock-n", "0", "--q", "1", "--steps", "3",
              "--t-max", "1e308"],

@@ -14,6 +14,7 @@ from qkerr.blocks import SystemParams
 from qkerr.harness import (
     CLASSIFY_REL_TOL,
     DIP_COLUMNS,
+    MAX_SAMPLES,
     SERIES_COLUMNS,
     SWEEP_COLUMNS,
     EntropySeries,
@@ -50,6 +51,9 @@ class TestGrids:
             time_grid(0.0, 1.0, 1)
         with pytest.raises(ValueError):
             time_grid(0.0, math.inf, 5)
+        # the cap is checked before np.linspace allocates the grid
+        with pytest.raises(ValueError, match="10000000"):
+            time_grid(0.0, 1.0, MAX_SAMPLES + 1)
         for steps in (True, 5.0):
             with pytest.raises(ValueError, match="steps must be an integer"):
                 time_grid(0.0, 1.0, steps)
@@ -67,6 +71,8 @@ class TestGrids:
             q_grid(0.5, 1.01, 10)
         with pytest.raises(ValueError):
             q_grid(0.9, 0.8, 10)
+        with pytest.raises(ValueError, match="10000000"):
+            q_grid(0.5, 1.0, MAX_SAMPLES + 1)
 
     def test_q_grid_single_point(self):
         np.testing.assert_allclose(q_grid(0.7, 0.7, 1), [0.7])
