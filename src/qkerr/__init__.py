@@ -10,7 +10,7 @@ state has weight is diagonalized once (blocks.eigh_tridiagonal gives the
 Entanglement is measured by the von Neumann entropy of either reduced mode.
 """
 
-from .blocks import BlockMatrix, SystemParams, build_block, eigh_tridiagonal, total_hamiltonian_dense
+from .blocks import BlockMatrix, SystemParams, build_block, eigh_tridiagonal
 from .dynamics import (
     TwoModeState,
     build_spectral_cache,
@@ -66,6 +66,5 @@ __all__ = [
     "run_evolve",
     "run_sweep_q",
     "time_grid",
-    "total_hamiltonian_dense",
     "__version__",
 ]

@@ -129,44 +129,3 @@ def eigh_tridiagonal(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"eigensolve failed on block N={n - 1}: {exc}") from exc
     return vals, vecs
 
-
-def lattice_index(n: int, m: int) -> int:
-    """Position of |n; m> in the block-ordered triangular lattice."""
-    total = n + m
-    return total * (total + 1) // 2 + m
-
-
-def lattice_states(n_max: int) -> list[tuple[int, int]]:
-    """All (n, m) with n + m <= n_max, grouped by total excitation."""
-    return [(total - m, m) for total in range(n_max + 1) for m in range(total + 1)]
-
-
-def total_hamiltonian_dense(params: SystemParams, n_max: int) -> np.ndarray:
-    """Full two-mode Hamiltonian on the lattice {(n, m): n + m <= n_max}.
-
-    Assembled directly from the operator actions (not from build_block):
-    A+ b maps |n; m> to sqrt(m) sqrt([n+1]) |n+1; m-1> and A b+ maps it to
-    sqrt([n]) sqrt(m+1) |n-1; m+1>, both preserving n + m, so the matrix
-    is block diagonal with one block per total excitation.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    states = lattice_states(n_max)
-    dim = len(states)
-    ham = np.zeros((dim, dim))
-    for n, m in states:
-        idx = lattice_index(n, m)
-        ham[idx, idx] = (
-            0.5 * (box_n(n, params.q) + box_n(n + 1, params.q))
-            + params.omega * (m + 0.5)
-            + params.chi * m * (m - 1)
-        )
-        if m >= 1:
-            jdx = lattice_index(n + 1, m - 1)
-            ham[jdx, idx] += params.gamma * math.sqrt(m) * math.sqrt(box_n(n + 1, params.q))
-        if n >= 1:
-            # same factor order as the A+ b branch so the two transpose
-            # entries of each coupling come out bit-identical
-            jdx = lattice_index(n - 1, m + 1)
-            ham[jdx, idx] += params.gamma * math.sqrt(m + 1) * math.sqrt(box_n(n, params.q))
-    return ham

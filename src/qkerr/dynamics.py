@@ -14,7 +14,8 @@ path from a state to entropies and purities.  The state is pure, so both
 reduced modes share one Schmidt spectrum: S_field, S_atom and the purity
 all come from it, and a chunk on several blocks peaks near three of its
 largest arrays (about 24 MiB).  dense_reference_evolve is a brute-force
-propagator over the whole lattice for cross-checks.
+propagator for cross-checks: it diagonalizes _lattice_hamiltonian, the
+Hamiltonian of the whole lattice as one matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qalgebra
-from .blocks import SystemParams, build_block, eigh_tridiagonal, lattice_index, total_hamiltonian_dense
+from .blocks import SystemParams, build_block, eigh_tridiagonal
 from .exceptions import ConvergenceError
 
 _NORM_TOL = 1e-10
@@ -204,11 +205,33 @@ def entropy_series(
     return s_field, s_field.copy(), purity_field
 
 
+def _lattice_hamiltonian(params: SystemParams, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full two-mode Hamiltonian on the lattice {(n, m): n + m <= n_max},
+    with the arrays n, m of its states in row-major order.
+
+    Assembled from the operator actions, not from build_block: the diagonal
+    is ([n] + [n+1])/2 + omega (m + 1/2) + chi m (m - 1), and A+ b maps
+    |n; m> to gamma sqrt(m) sqrt([n+1]) |n+1; m-1>, A b+ being its
+    transpose.  The elements keep build_block's expressions and factor
+    order, so each block of this matrix equals build_block's bit for bit.
+    """
+    k = np.arange(n_max + 1)
+    n, m = np.nonzero(np.add.outer(k, k) <= n_max)
+    brackets = np.array([qalgebra.box_n(j, params.q) for j in range(n_max + 2)])
+    index = np.empty((n_max + 1, n_max + 1), dtype=int)
+    index[n, m] = np.arange(n.size)
+    ham = np.diag(0.5 * (brackets[n] + brackets[n + 1]) + params.omega * (m + 0.5) + params.chi * m * (m - 1))
+    src = np.flatnonzero(m)
+    dst = index[n[src] + 1, m[src] - 1]
+    ham[dst, src] = ham[src, dst] = params.gamma * np.sqrt(m[src]) * np.sqrt(brackets[n[src] + 1])
+    return ham, n, m
+
+
 def dense_reference_evolve(state: TwoModeState, params: SystemParams, t: float) -> TwoModeState:
     """Independent evolution oracle ignoring the block structure.
 
-    Builds the full two-mode Hamiltonian on the truncated lattice,
-    diagonalizes it as one Hermitian matrix, and applies the propagator.
+    Diagonalizes _lattice_hamiltonian as one Hermitian matrix and applies
+    the propagator to the amplitudes gathered in its lattice order.
     Intended for cross-checks; capped at n_max = 20.
     """
     t = float(t)
@@ -219,17 +242,10 @@ def dense_reference_evolve(state: TwoModeState, params: SystemParams, t: float) 
             f"dense reference evolver is capped at n_max={DENSE_REFERENCE_N_CAP}, "
             f"got {state.n_max}"
         )
-    ham = total_hamiltonian_dense(params, state.n_max)
+    ham, n, m = _lattice_hamiltonian(params, state.n_max)
     vals, vecs = np.linalg.eigh(ham)
-    vec0 = np.zeros(ham.shape[0], dtype=complex)
-    for n in range(state.n_max + 1):
-        for m in range(state.n_max + 1 - n):
-            vec0[lattice_index(n, m)] = state.amplitudes[n, m]
-    vec_t = vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ vec0))
     amps = np.zeros_like(state.amplitudes)
-    for n in range(state.n_max + 1):
-        for m in range(state.n_max + 1 - n):
-            amps[n, m] = vec_t[lattice_index(n, m)]
+    amps[n, m] = vecs @ (np.exp(-1j * vals * t) * (vecs.T @ state.amplitudes[n, m]))
     return TwoModeState(n_max=state.n_max, amplitudes=amps)
 
 

@@ -61,6 +61,7 @@ MAX_SAMPLES = 10**7
 
 # Width of the bracket at which the parabolic refinement of q* stops.
 REFINE_TOL = 1e-7
+_PARABOLIC_MAX_ITER = 60
 
 # Smallest deformation (exclusive) that q grids and the CLI accept (see
 # check_grid_q): below it [n] -> 1/(1-q^2) is tiny and every block is nearly
@@ -332,19 +333,20 @@ def run_sweep_q(
     return SweepResult(q=qs, s_field=out)
 
 
-def _parabolic_peak(f, qa, qb, qc, sa, sb, sc, tol=REFINE_TOL, max_iter=60):
+def _parabolic_peak(f, qa, qb, qc, sa, sb, sc, tol=REFINE_TOL):
     """Maximize f on the bracket qa < qb < qc with f(qb) >= f(qa), f(qc).
 
     Successive parabolic interpolation through the three bracket points,
     falling back to the midpoint of the wider half whenever the parabola
     degenerates or the vertex leaves the bracket.  Returns the best sampled
-    (q, f(q)) once the bracket is narrower than tol.
+    (q, f(q)) once the bracket is narrower than tol, or after
+    _PARABOLIC_MAX_ITER steps.
     """
     if not (qa < qb < qc):
         raise ValueError("bracket must satisfy qa < qb < qc")
     if sb < sa or sb < sc:
         raise ValueError("bracket middle must not be below the ends")
-    for _ in range(max_iter):
+    for _ in range(_PARABOLIC_MAX_ITER):
         if qc - qa < tol:
             break
         num = (qb - qa) ** 2 * (sb - sc) - (qb - qc) ** 2 * (sb - sa)

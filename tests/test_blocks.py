@@ -16,16 +16,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qkerr.blocks import (
-    BlockMatrix,
-    SystemParams,
-    build_block,
-    lattice_index,
-    lattice_states,
-    total_hamiltonian_dense,
-    tridiagonal_dense,
-)
+from qkerr.blocks import BlockMatrix, SystemParams, build_block, tridiagonal_dense
+from qkerr.dynamics import _lattice_hamiltonian
 from qkerr.qalgebra import box_n
 
 
@@ -114,41 +109,28 @@ class TestBuildBlock:
             BlockMatrix(n_total=2, diag=np.zeros(3), offdiag=np.zeros(3))
 
 
-class TestLattice:
-    def test_index_roundtrip(self):
-        states = lattice_states(6)
-        for i, (n, m) in enumerate(states):
-            assert lattice_index(n, m) == i
-
-    def test_block_grouping(self):
-        # States are grouped by total quanta, atom index ascending.
-        assert lattice_states(2) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-
-
-class TestDenseHamiltonian:
-    def test_exact_symmetry(self):
-        h = total_hamiltonian_dense(SystemParams(chi=0.02, gamma=0.9, q=0.85), 6)
-        # Both coupling branches compute the product in the same factor
-        # order, so this must hold bit-for-bit.
-        assert np.array_equal(h, h.T)
-
-    def test_cross_block_elements_vanish(self):
-        params = SystemParams(chi=0.01, gamma=1.1, q=0.9)
-        n_max = 5
-        h = total_hamiltonian_dense(params, n_max)
-        states = lattice_states(n_max)
-        for i, (n1, m1) in enumerate(states):
-            for j, (n2, m2) in enumerate(states):
-                if n1 + m1 != n2 + m2:
-                    assert h[i, j] == 0.0
-
-    def test_matches_block_matrices(self):
-        params = SystemParams(chi=0.015, gamma=-0.6, q=0.75)
-        n_max = 5
-        h = total_hamiltonian_dense(params, n_max)
-        states = lattice_states(n_max)
-        for n_total in range(n_max + 1):
-            idx = [i for i, (n, m) in enumerate(states) if n + m == n_total]
-            sub = h[np.ix_(idx, idx)]
-            block = build_block(params, n_total)
-            np.testing.assert_array_equal(sub, tridiagonal_dense(block.diag, block.offdiag))
+@given(
+    n_max=st.integers(min_value=0, max_value=10),
+    q=st.floats(min_value=0.05, max_value=1.0, exclude_min=True),
+    omega=st.floats(min_value=0.2, max_value=3.0),
+    chi=st.floats(min_value=0.0, max_value=0.2),
+    gamma=st.floats(min_value=-2.0, max_value=2.0),
+)
+@example(n_max=6, q=0.85, omega=1.0, chi=0.02, gamma=0.9)
+@example(n_max=5, q=0.9, omega=1.0, chi=0.01, gamma=1.1)
+@example(n_max=5, q=0.75, omega=1.0, chi=0.015, gamma=-0.6)
+@settings(max_examples=60, deadline=None)
+def test_lattice_hamiltonian_is_the_block_matrices(n_max, q, omega, chi, gamma):
+    # The dense reference assembles the lattice from the operator actions;
+    # both coupling directions share one product, and each element keeps
+    # build_block's factor order, so every comparison here is exact.
+    params = SystemParams(omega=omega, chi=chi, gamma=gamma, q=q)
+    h, n, m = _lattice_hamiltonian(params, n_max)
+    assert np.array_equal(h, h.T)
+    totals = n + m
+    assert not np.any(h[totals[:, None] != totals[None, :]])
+    for n_total in range(n_max + 1):
+        idx = np.flatnonzero(totals == n_total)
+        idx = idx[np.argsort(m[idx])]
+        block = build_block(params, n_total)
+        np.testing.assert_array_equal(h[np.ix_(idx, idx)], tridiagonal_dense(block.diag, block.offdiag))

@@ -3,7 +3,7 @@
 README.md lists the exports in the bullets under "`qkerr.__all__` lists
 what the package exports"; the last test keeps that list equal to
 qkerr.__all__.  The benchmark's oracle self-check calls qkerr.dense_reference_evolve on
-qkerr.TwoModeState and qkerr.SystemParams, its worker records
+qkerr.TwoModeState and qkerr.SystemParams (a test runs it), its worker records
 qkerr.__version__, and its tracer (bench/spans.py) wraps the names listed
 in BOUNDARIES.  The tracer skips a name that no longer resolves and
 reports its metrics as absent, so a rename or a deletion would pass
@@ -27,6 +27,13 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_benchmark_oracle_names():
     for name in ("dense_reference_evolve", "TwoModeState", "SystemParams", "__version__"):
         assert hasattr(qkerr, name), name
+
+
+def test_benchmark_oracle_self_check():
+    # The benchmark's worker reports each problem in this list as a failed
+    # self-check.  Its dense-reference part calls
+    # qkerr.dense_reference_evolve(TwoModeState, SystemParams, t).amplitudes.
+    assert load_bench("oracle").self_check() == []
 
 
 def test_traced_boundaries_resolve():
