@@ -109,28 +109,43 @@ class TestBuildBlock:
             BlockMatrix(n_total=2, diag=np.zeros(3), offdiag=np.zeros(3))
 
 
-@given(
-    n_max=st.integers(min_value=0, max_value=10),
-    q=st.floats(min_value=0.05, max_value=1.0, exclude_min=True),
-    omega=st.floats(min_value=0.2, max_value=3.0),
-    chi=st.floats(min_value=0.0, max_value=0.2),
-    gamma=st.floats(min_value=-2.0, max_value=2.0),
-)
-@example(n_max=6, q=0.85, omega=1.0, chi=0.02, gamma=0.9)
-@example(n_max=5, q=0.9, omega=1.0, chi=0.01, gamma=1.1)
-@example(n_max=5, q=0.75, omega=1.0, chi=0.015, gamma=-0.6)
-@settings(max_examples=60, deadline=None)
-def test_lattice_hamiltonian_is_the_block_matrices(n_max, q, omega, chi, gamma):
+def _over_lattice_params(test):
+    """Run test over drawn lattice parameters, the hand-picked sets first."""
+    test = settings(max_examples=60, deadline=None)(test)
+    test = example(n_max=6, q=0.85, omega=1.0, chi=0.02, gamma=0.9)(test)
+    test = example(n_max=5, q=0.9, omega=1.0, chi=0.01, gamma=1.1)(test)
+    test = example(n_max=5, q=0.75, omega=1.0, chi=0.015, gamma=-0.6)(test)
+    return given(
+        n_max=st.integers(min_value=0, max_value=10),
+        q=st.floats(min_value=0.05, max_value=1.0, exclude_min=True),
+        omega=st.floats(min_value=0.2, max_value=3.0),
+        chi=st.floats(min_value=0.0, max_value=0.2),
+        gamma=st.floats(min_value=-2.0, max_value=2.0),
+    )(test)
+
+
+class TestDenseHamiltonian:
     # The dense reference assembles the lattice from the operator actions;
     # both coupling directions share one product, and each element keeps
     # build_block's factor order, so every comparison here is exact.
-    params = SystemParams(omega=omega, chi=chi, gamma=gamma, q=q)
-    h, n, m = _lattice_hamiltonian(params, n_max)
-    assert np.array_equal(h, h.T)
-    totals = n + m
-    assert not np.any(h[totals[:, None] != totals[None, :]])
-    for n_total in range(n_max + 1):
-        idx = np.flatnonzero(totals == n_total)
-        idx = idx[np.argsort(m[idx])]
-        block = build_block(params, n_total)
-        np.testing.assert_array_equal(h[np.ix_(idx, idx)], tridiagonal_dense(block.diag, block.offdiag))
+
+    @_over_lattice_params
+    def test_exact_symmetry(self, n_max, q, omega, chi, gamma):
+        h, _, _ = _lattice_hamiltonian(SystemParams(omega=omega, chi=chi, gamma=gamma, q=q), n_max)
+        assert np.array_equal(h, h.T)
+
+    @_over_lattice_params
+    def test_cross_block_elements_vanish(self, n_max, q, omega, chi, gamma):
+        h, n, m = _lattice_hamiltonian(SystemParams(omega=omega, chi=chi, gamma=gamma, q=q), n_max)
+        totals = n + m
+        assert not np.any(h[totals[:, None] != totals[None, :]])
+
+    @_over_lattice_params
+    def test_matches_block_matrices(self, n_max, q, omega, chi, gamma):
+        params = SystemParams(omega=omega, chi=chi, gamma=gamma, q=q)
+        h, n, m = _lattice_hamiltonian(params, n_max)
+        for n_total in range(n_max + 1):
+            idx = np.flatnonzero(n + m == n_total)
+            idx = idx[np.argsort(m[idx])]
+            block = build_block(params, n_total)
+            np.testing.assert_array_equal(h[np.ix_(idx, idx)], tridiagonal_dense(block.diag, block.offdiag))
