@@ -305,8 +305,9 @@ def run_evolve(
     )
 
 
-def _entropy_at(initial: InitialState, params: SystemParams, t: float, log_base: float) -> float:
-    return float(run_evolve(initial, params, np.array([t]), log_base).s_field[0])
+def _entropy_at(initial: InitialState, params: SystemParams, q: float, t: float, log_base: float) -> float:
+    """Field-mode entropy at time t with params.q replaced by q."""
+    return float(run_evolve(initial, replace(params, q=float(q)), np.array([t]), log_base).s_field[0])
 
 
 def run_sweep_q(
@@ -327,27 +328,23 @@ def run_sweep_q(
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 1 or qs.size == 0 or not np.all(np.diff(qs) > 0):
         raise ValueError("q grid must be a non-empty, strictly increasing 1-d array")
-    out = np.empty_like(qs)
-    for i, q in enumerate(qs):
-        out[i] = _entropy_at(initial, replace(params, q=float(q)), t, log_base)
-    return SweepResult(q=qs, s_field=out)
+    s_field = np.array([_entropy_at(initial, params, q, t, log_base) for q in qs])
+    return SweepResult(q=qs, s_field=s_field)
 
 
-def _parabolic_peak(f, qa, qb, qc, sa, sb, sc, tol=REFINE_TOL):
-    """Maximize f on the bracket qa < qb < qc with f(qb) >= f(qa), f(qc).
+def _parabolic_peak(f, qs, ss):
+    """Maximize f on the bracket qs = (qa, qb, qc), qa < qb < qc, whose
+    values ss = (sa, sb, sc) = f(qs) have sb >= sa, sc.
 
     Successive parabolic interpolation through the three bracket points,
     falling back to the midpoint of the wider half whenever the parabola
     degenerates or the vertex leaves the bracket.  Returns the best sampled
-    (q, f(q)) once the bracket is narrower than tol, or after
+    (q, f(q)) once the bracket is narrower than REFINE_TOL, or after
     _PARABOLIC_MAX_ITER steps.
     """
-    if not (qa < qb < qc):
-        raise ValueError("bracket must satisfy qa < qb < qc")
-    if sb < sa or sb < sc:
-        raise ValueError("bracket middle must not be below the ends")
+    (qa, qb, qc), (sa, sb, sc) = qs, ss
     for _ in range(_PARABOLIC_MAX_ITER):
-        if qc - qa < tol:
+        if qc - qa < REFINE_TOL:
             break
         num = (qb - qa) ** 2 * (sb - sc) - (qb - qc) ** 2 * (sb - sa)
         den = (qb - qa) * (sb - sc) - (qb - qc) * (sb - sa)
@@ -357,7 +354,7 @@ def _parabolic_peak(f, qa, qb, qc, sa, sb, sc, tol=REFINE_TOL):
             q_new = math.nan
         # Reject a vertex outside the open bracket or indistinguishable
         # from the current middle; bisect the wider half instead.
-        if not (qa < q_new < qc) or abs(q_new - qb) < 1e-3 * tol:
+        if not (qa < q_new < qc) or abs(q_new - qb) < 1e-3 * REFINE_TOL:
             if qc - qb > qb - qa:
                 q_new = 0.5 * (qb + qc)
             else:
@@ -394,24 +391,16 @@ def find_optimal_q(
     point evaluated; its own value is not used.
     """
     scan = run_sweep_q(initial, params, qs, t, log_base=log_base)
-    qs = scan.q
     best = int(np.argmax(scan.s_field))
-    if best == 0 or best == qs.shape[0] - 1:
-        return OptimalQResult(q_star=float(qs[best]), s_star=float(scan.s_field[best]), scan=scan)
-
-    def f(q: float) -> float:
-        return _entropy_at(initial, replace(params, q=q), t, log_base)
-
-    q_star, s_star = _parabolic_peak(
-        f,
-        float(qs[best - 1]),
-        float(qs[best]),
-        float(qs[best + 1]),
-        float(scan.s_field[best - 1]),
-        float(scan.s_field[best]),
-        float(scan.s_field[best + 1]),
-    )
-    return OptimalQResult(q_star=float(q_star), s_star=float(s_star), scan=scan)
+    q_star, s_star = float(scan.q[best]), float(scan.s_field[best])
+    if 0 < best < scan.q.size - 1:
+        around = slice(best - 1, best + 2)
+        q_star, s_star = _parabolic_peak(
+            lambda q: _entropy_at(initial, params, q, t, log_base),
+            scan.q[around].tolist(),
+            scan.s_field[around].tolist(),
+        )
+    return OptimalQResult(q_star=q_star, s_star=s_star, scan=scan)
 
 
 def detect_revivals(

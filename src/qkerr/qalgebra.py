@@ -78,21 +78,6 @@ def _check_count(n, name: str = "occupation number") -> int:
     return int(n)
 
 
-def _tail_bound(weight_next: float, alpha_sq: float, q: float, n_next: int) -> float:
-    """Geometric upper bound on sum_{k >= n_next} alpha_sq^k / [k]!.
-
-    weight_next is the first omitted weight.  The term ratio
-    alpha_sq / [k+1] is decreasing in k, so once it is below one the tail
-    is dominated by a geometric series; before that the bound is infinite.
-    """
-    if weight_next == 0.0:
-        return 0.0
-    ratio = alpha_sq / box_n(n_next + 1, q)
-    if ratio >= 1.0:
-        return math.inf
-    return weight_next / (1.0 - ratio)
-
-
 def coherent_amplitudes(alpha_sq: float, q: float, *, tail_tol: float = TAIL_TOL) -> np.ndarray:
     """Unit-norm amplitudes c_0..c_n_max of the deformed coherent state of
     intensity alpha_sq = |alpha|^2.
@@ -131,15 +116,26 @@ def coherent_amplitudes(alpha_sq: float, q: float, *, tail_tol: float = TAIL_TOL
     amps[0] = 1.0
     weight = 1.0
     retained = 1.0
+    bracket = box_n(1, q)
     for n_max in range(COHERENT_N_CAP + 1):
-        bracket = box_n(n_max + 1, q)
         weight_next = weight * alpha_sq / bracket
-        if _tail_bound(weight_next, alpha_sq, q, n_max + 1) <= tail_tol * retained:
+        # The term ratio alpha_sq / [k + 1] falls with k, so below one it
+        # bounds the omitted tail sum_{k > n_max} w_k by a geometric series.
+        bracket_next = box_n(n_max + 2, q)
+        ratio = alpha_sq / bracket_next
+        if weight_next == 0.0:
+            tail = 0.0
+        elif ratio >= 1.0:
+            tail = math.inf
+        else:
+            tail = weight_next / (1.0 - ratio)
+        if tail <= tail_tol * retained:
             kept = amps[: n_max + 1]
             return kept / np.linalg.norm(kept)
         amps[n_max + 1] = amps[n_max] * alpha / math.sqrt(bracket)
         weight = weight_next
         retained += weight
+        bracket = bracket_next
         if retained == math.inf:
             raise TruncationError(
                 f"coherent weights overflow at n={n_max + 1} before the tail falls to "

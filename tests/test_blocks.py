@@ -8,8 +8,8 @@ Hand-worked reference entries, using [n] = (1 - q^(2n)) / (1 - q^2):
         off = g * sqrt(1) * sqrt([1]) = g
         eigenvalues 2 -/+ g.
 
-    N = 1, q < 1: d_0 = (1 + (1 + q^2))/2 + 1/2 = (3 + q^2)/2 + ... wait,
-    [2] = 1 + q^2, so d_0 = (1 + 1 + q^2)/2 + 1/2 = (3 + q^2)/2.
+    N = 1, q < 1: [1] = 1 and [2] = 1 + q^2, so
+        d_0 = ([1] + [2])/2 + 1/2 = (3 + q^2)/2.
 """
 
 import math

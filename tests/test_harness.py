@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkerr.blocks import SystemParams
@@ -163,30 +163,52 @@ class TestSweep:
         assert (c.q_star, c.s_star) == (d.q_star, d.s_star)
 
 
+@st.composite
+def concave_brackets(draw):
+    """(a, c, q0, (qa, qb, qc)) for f(q) = c - a (q - q0)^2 with
+    qa < qb < qc and q0 no further from qb than half a bracket step."""
+    a = draw(st.floats(0.1, 10.0))
+    c = draw(st.floats(-5.0, 5.0))
+    qb = draw(st.floats(0.1, 1.0))
+    qa = qb - draw(st.floats(1e-3, 0.5))
+    qc = qb + draw(st.floats(1e-3, 0.5))
+    q0 = draw(st.floats((qa + qb) / 2, (qb + qc) / 2))
+    return a, c, q0, (qa, qb, qc)
+
+
 class TestParabolicPeak:
-    def test_exact_parabola(self):
-        f = lambda x: -((x - 0.61) ** 2) + 2.0
-        q, s = _parabolic_peak(f, 0.5, 0.6, 0.7, f(0.5), f(0.6), f(0.7), tol=1e-10)
-        assert q == pytest.approx(0.61, abs=1e-8)
-        assert s == pytest.approx(2.0, abs=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(concave_brackets())
+    @example((1.0, 2.0, 0.61, (0.5, 0.6, 0.7)))
+    def test_exact_parabola(self, case):
+        a, c, q0, qs = case
+        f = lambda q: c - a * (q - q0) ** 2
+        ss = tuple(f(q) for q in qs)
+        # the caller's bracket: the middle value is not below the ends
+        assume(ss[1] >= max(ss[0], ss[2]))
+        q, s = _parabolic_peak(f, qs, ss)
+        assert abs(q - q0) <= 1e-6
+        assert s == f(q)
+        assert s >= ss[1]
 
     def test_flat_top_keeps_bracket(self):
         f = lambda x: 1.0
-        q, s = _parabolic_peak(f, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0, tol=1e-6)
+        q, s = _parabolic_peak(f, (0.0, 0.5, 1.0), (1.0, 1.0, 1.0))
         assert 0.0 <= q <= 1.0
         assert s == 1.0
 
     def test_skewed_function(self):
         f = lambda x: math.sin(x)
-        q, _ = _parabolic_peak(
-            f, 1.0, 1.4, 2.0, f(1.0), f(1.4), f(2.0), tol=1e-9
-        )
+        q, _ = _parabolic_peak(f, (1.0, 1.4, 2.0), (f(1.0), f(1.4), f(2.0)))
         assert q == pytest.approx(math.pi / 2.0, abs=1e-6)
 
-    def test_bad_bracket_rejected(self):
-        f = lambda x: x
-        with pytest.raises(ValueError):
-            _parabolic_peak(f, 0.0, 0.5, 1.0, 0.0, 0.5, 1.0)
+
+@st.composite
+def fock_optimal_q_cases(draw):
+    init = InitialState(kind="fock", fock_n=draw(st.integers(0, 8)))
+    gamma = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    params = SystemParams(chi=draw(st.floats(0.0, 0.1)), gamma=gamma)
+    return init, params, draw(st.floats(0.1, 3.0)), q_grid(0.5, 1.0, draw(st.integers(3, 30)))
 
 
 class TestFindOptimalQ:
@@ -197,6 +219,12 @@ class TestFindOptimalQ:
         assert 0.93 < result.q_star < 0.95
         assert result.s_star > result.scan.s_field.max() - 1e-12
         assert result.scan.q.shape == (60,)
+        # On 11 points the coarse best, q = 0.95, is next to the last point
+        # and is refined too.
+        coarse = find_optimal_q(init, params, q_grid(0.5, 1.0, 11), 1.0)
+        assert int(np.argmax(coarse.scan.s_field)) == 9
+        assert coarse.q_star == pytest.approx(result.q_star, abs=1e-6)
+        assert coarse.s_star > coarse.scan.s_field.max()
 
     def test_boundary_peak_returned_as_is(self):
         # N = 0: entropy identically zero, argmax lands on the first grid
@@ -205,6 +233,21 @@ class TestFindOptimalQ:
         result = find_optimal_q(init, SystemParams(omega=1.0, chi=0.0, gamma=1.0), q_grid(0.5, 1.0, 10), 1.0)
         assert result.q_star == 0.5
         assert result.s_star == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(fock_optimal_q_cases())
+    def test_refines_the_coarse_best(self, case):
+        init, params, t, qs = case
+        result = find_optimal_q(init, params, qs, t)
+        scan = result.scan
+        best = int(np.argmax(scan.s_field))
+        assert result.s_star >= scan.s_field.max()
+        # S* is the entropy at q*, bit for bit, as a sweep computes it
+        again = run_sweep_q(init, params, np.array([result.q_star]), t)
+        assert result.s_star == again.s_field[0]
+        assert abs(result.q_star - qs[best]) <= qs[1] - qs[0]
+        if best in (0, qs.size - 1):
+            assert (result.q_star, result.s_star) == (qs[best], scan.s_field[best])
 
     @pytest.mark.parametrize("qs", BAD_Q_GRIDS)
     def test_rejects_grid_not_strictly_increasing(self, qs):

@@ -59,6 +59,7 @@ def test_tracer_records_small_runs(tmp_path, capsys):
             ["evolve", "--gamma", "1", "--q", "0.9", "--fock-n", "3", "--t-max", "5", "--steps", "11"],
             ["evolve", "--gamma", "1", "--q", "0.9", "--initial", "coherent", "--t-max", "5", "--steps", "11"],
             ["sweep-q", "--gamma", "1", "--q-steps", "5"],
+            ["find-optimal-q", "--gamma=-0.7853981633974483", "--t", "1", "--fock-n", "5", "--q-steps", "20"],
         ]
         for i, argv in enumerate(calls):
             assert main(argv + ["--out", str(tmp_path / f"{i}.csv")]) == 0, argv
@@ -66,6 +67,8 @@ def test_tracer_records_small_runs(tmp_path, capsys):
         tracer.uninstall()
     metrics = tracer.metrics(0.0)
     assert [name for name, metric in metrics.items() if metric.get("absent")] == []
+    # the traced _entropy_at sees the 20-point coarse scan and the refinement
+    assert metrics["harness.find_optimal_q.entropy_evals"]["value"] > 20
 
 
 def test_all_names_import():
