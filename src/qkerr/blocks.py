@@ -14,14 +14,17 @@ symmetric tridiagonal there:
     diag[m]    = ([N-m] + [N-m+1])/2 + omega (m + 1/2) + chi m (m - 1)
     offdiag[m-1] = gamma sqrt(m) sqrt([N-m+1])          (m = 1..N)
 
-eigh_tridiagonal diagonalizes a block densely (tridiagonal_dense) with
-LAPACK: blocks are at most a few hundred rows.
+build_block returns a block as the BlockMatrix pair (diag, offdiag), and
+eigh_tridiagonal, the one place that checks a block's shapes and
+finiteness, diagonalizes it densely (tridiagonal_dense) with LAPACK:
+blocks are at most a few hundred rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,34 +58,24 @@ class SystemParams:
         object.__setattr__(self, "q", check_deformation(self.q))
 
 
-@dataclass(frozen=True)
-class BlockMatrix:
-    """Real symmetric tridiagonal block at total excitation n_total.
+class BlockMatrix(NamedTuple):
+    """Real symmetric tridiagonal block at total excitation N = dim - 1:
+    the N + 1 diagonal entries (index m = atomic quanta) and the N
+    couplings between m - 1 and m.  eigh_tridiagonal(*block) checks them."""
 
-    diag has n_total + 1 entries (index m = atomic quanta), offdiag the
-    n_total couplings between m - 1 and m.
-    """
-
-    n_total: int
     diag: np.ndarray
     offdiag: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.n_total < 0:
-            raise ValueError(f"n_total must be >= 0, got {self.n_total}")
-        if self.diag.shape != (self.n_total + 1,):
-            raise ValueError(f"diag must have {self.n_total + 1} entries")
-        if self.offdiag.shape != (self.n_total,):
-            raise ValueError(f"offdiag must have {self.n_total} entries")
-
     @property
     def dim(self) -> int:
-        return self.n_total + 1
+        return self.diag.size
 
 
 def build_block(params: SystemParams, n_total: int) -> BlockMatrix:
     """Assemble the tridiagonal Hamiltonian block at total excitation n_total."""
     n_total = int(n_total)
+    if n_total < 0:
+        raise ValueError(f"n_total must be >= 0, got {n_total}")
     # brackets[k] = [k] for k = 0..n_total+1
     brackets = np.array([box_n(k, params.q) for k in range(n_total + 2)])
     m = np.arange(n_total + 1)
@@ -96,7 +89,7 @@ def build_block(params: SystemParams, n_total: int) -> BlockMatrix:
             + params.chi * m * (m - 1)
         )
         offdiag = params.gamma * np.sqrt(mm) * np.sqrt(brackets[n_total - mm + 1])
-    return BlockMatrix(n_total=n_total, diag=diag, offdiag=offdiag)
+    return BlockMatrix(diag, offdiag)
 
 
 def tridiagonal_dense(diag, offdiag) -> np.ndarray:

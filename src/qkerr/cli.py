@@ -40,6 +40,11 @@ from .harness import (
 _PARAMS = SystemParams()
 _INITIAL = InitialState(kind="fock")
 
+# evolve's default time grid per initial kind, (gamma*t span, samples),
+# kept here and not in the library: dips are ~1 wide in gamma*t, so a 0.05
+# spacing resolves them with room to spare.
+_DEFAULT_GRIDS = {"fock": (700.0, 14_001), "coherent": (1400.0, 28_001)}
+
 
 def _log_base(text: str) -> float:
     if text == "2":
@@ -141,11 +146,12 @@ def _cmd_sweep_q(args: argparse.Namespace) -> int:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     q = check_grid_q(args.q)
-    initial = _initial_from(args)
-    t_max = initial.default_t_max(args.gamma) if args.t_max is None else args.t_max
-    steps = initial.default_steps if args.steps is None else args.steps
-    times = time_grid(args.t_min, t_max, steps)
-    series = run_evolve(initial, replace(_params_from(args), q=q), times, log_base=args.log_base)
+    gt_max, steps = _DEFAULT_GRIDS[args.initial]
+    if args.t_max is None and args.gamma == 0.0:
+        raise ValueError("cannot infer a default time grid with gamma = 0; pass t_max")
+    t_max = gt_max / abs(args.gamma) if args.t_max is None else args.t_max
+    times = time_grid(args.t_min, t_max, steps if args.steps is None else args.steps)
+    series = run_evolve(_initial_from(args), replace(_params_from(args), q=q), times, log_base=args.log_base)
     series.write_csv(args.out)
     print(f"wrote {times.shape[0]} rows to {args.out}")
     return 0

@@ -8,14 +8,15 @@ n + m = N: with a_m = psi(N - m, m) and the block spectrum (V, lambda),
 
     a(t) = V diag(exp(-i lambda t)) V^T a(0),
 
-so one diagonalization per block serves every requested time, and only
-the blocks where the state has weight need one.  entropy_series is the one
-path from a state to entropies and purities.  The state is pure, so both
-reduced modes share one Schmidt spectrum: S_field, S_atom and the purity
-all come from it, and a chunk on several blocks peaks near three of its
-largest arrays (about 24 MiB).  dense_reference_evolve is a brute-force
-propagator for cross-checks: it diagonalizes _lattice_hamiltonian, the
-Hamiltonian of the whole lattice as one matrix.
+so one diagonalization per block serves every requested time (a(0) itself
+at t = 0), and only the blocks where the state has weight, found once
+when it is built, need one.  entropy_series is the one path from a state
+to entropies and purities.  The state is pure, so both reduced modes
+share one Schmidt spectrum: S_field, S_atom and the purity all come from
+it, and a chunk on several blocks peaks near three of its largest arrays
+(about 24 MiB).  dense_reference_evolve is a brute-force propagator for
+cross-checks: it diagonalizes _lattice_hamiltonian, the Hamiltonian of
+the whole lattice as one matrix.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class TwoModeState:
     """Unit-norm pure state on the triangle n + m <= n_max.
 
     amplitudes[n, m] is the coefficient of |n field quanta; m atomic
-    quanta>; entries beyond the triangle must be exactly zero.
+    quanta>; entries beyond the triangle must be exactly zero.  The blocks
+    N = n + m that hold weight are found once, here.
     """
 
     n_max: int
@@ -69,19 +71,19 @@ class TwoModeState:
             raise ValueError(
                 f"amplitude table must be {dim}x{dim}, got {amps.shape}"
             )
-        n_idx, m_idx = np.indices(amps.shape)
-        if np.any(amps[n_idx + m_idx > self.n_max] != 0):
+        k = np.arange(dim)
+        blocks = np.unique(np.add.outer(k, k)[amps != 0])
+        if np.any(blocks > self.n_max):
             raise ValueError("amplitudes beyond n + m = n_max must be zero")
         norm = float(np.linalg.norm(amps))
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_blocks", tuple(int(n) for n in blocks))
 
     def occupied_blocks(self) -> tuple[int, ...]:
         """Ascending total excitations N = n + m that hold nonzero weight."""
-        n_idx, m_idx = np.indices(self.amplitudes.shape)
-        totals = (n_idx + m_idx)[self.amplitudes != 0]
-        return tuple(int(n) for n in np.unique(totals))
+        return self._blocks
 
 
 def prepare_fock(fock_n: int) -> TwoModeState:
@@ -121,9 +123,8 @@ def build_spectral_cache(params: SystemParams, blocks: Iterable[int]) -> dict[in
     """
     spectra = {}
     for n_total in sorted({int(n) for n in blocks}):
-        block = build_block(params, n_total)
         try:
-            spectra[n_total] = eigh_tridiagonal(block.diag, block.offdiag)
+            spectra[n_total] = eigh_tridiagonal(*build_block(params, n_total))
         except ConvergenceError as exc:
             raise ConvergenceError(f"q={params.q:g}: {exc}") from exc
     return spectra
@@ -148,9 +149,12 @@ def _block_amplitudes(
             f"phase lambda*t overflows on block N={n_total} at |t| = {t_max:g} ({phase_err:.1e} rad of rounding)"
         )
     ms = np.arange(n_total + 1)
-    modes = vecs.T @ state.amplitudes[n_total - ms, ms]
+    a0 = state.amplitudes[n_total - ms, ms]
     phases = np.exp(-1j * vals[:, None] * times[None, :])
-    return (vecs @ (phases * modes[:, None])).T
+    amps = (vecs @ (phases * (vecs.T @ a0)[:, None])).T
+    # U(0) is the identity: V V^T would leave roundoff on the empty levels.
+    amps[times == 0] = a0
+    return amps
 
 
 def _propagate(state: TwoModeState, cache: dict[int, Spectrum], times: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ grid, and serialize.  All CSV is written with 12 significant digits and
 and revival-dip tables all go through one block-formatted writer, which
 replaces the target only once the whole table is written, and a series is
 read back with ``np.loadtxt`` behind the header, width, emptiness and
-time-order checks.  The drivers take the physics as one ``SystemParams``;
-the q drivers replace its ``q`` at each grid point.
+time-order checks.  The drivers take the physics as one ``SystemParams``
+and explicit grids (the CLI holds the default time grids); the q drivers
+replace its ``q`` at each grid point.
 """
 
 from __future__ import annotations
@@ -40,13 +41,6 @@ DIP_COLUMNS = ("t", "gamma_t", "S", "classification")
 # Revival classification half-width, as a fraction of the target gamma*t.
 # 5 percent keeps multiples of 2*pi/chi and pi/chi unambiguous.
 CLASSIFY_REL_TOL = 0.05
-
-# Default time grids, in gamma*t units: dips are ~1 wide in gamma*t, so a
-# 0.05 spacing resolves them with room to spare.
-FOCK_GT_MAX = 700.0
-FOCK_STEPS = 14_001
-COHERENT_GT_MAX = 1400.0
-COHERENT_STEPS = 28_001
 
 # Number format of every CSV field and of the CLI's summary lines.
 NUMBER_FORMAT = "%.12g"
@@ -92,18 +86,6 @@ class InitialState:
         if self.kind == "fock":
             return prepare_fock(self.fock_n)
         return prepare_coherent(self.alpha_sq, q, tail_tol=self.tail_tol)
-
-    @property
-    def default_steps(self) -> int:
-        """Default number of time samples, which depends on the kind alone."""
-        return FOCK_STEPS if self.kind == "fock" else COHERENT_STEPS
-
-    def default_t_max(self, gamma: float) -> float:
-        """Default end time, so that gamma*t spans the revival window."""
-        if gamma == 0.0:
-            raise ValueError("cannot infer a default time grid with gamma = 0; pass t_max")
-        gt_max = FOCK_GT_MAX if self.kind == "fock" else COHERENT_GT_MAX
-        return gt_max / abs(gamma)
 
 
 def _check_samples(count, name: str, least: int) -> int:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkerr.blocks import BlockMatrix, SystemParams, build_block, tridiagonal_dense
+from qkerr.blocks import SystemParams, build_block, tridiagonal_dense
 from qkerr.dynamics import _lattice_hamiltonian
 from qkerr.qalgebra import box_n
 
@@ -60,9 +60,12 @@ class TestBuildBlock:
     def test_vacuum_block(self):
         block = build_block(SystemParams(), 0)
         assert block.dim == 1
+        # the block is the pair itself
+        diag, offdiag = block
+        assert diag is block.diag and offdiag is block.offdiag
         # d_0 = ([0] + [1])/2 + omega/2 = 1/2 + 1/2 = 1.
-        np.testing.assert_allclose(block.diag, [1.0])
-        assert block.offdiag.shape == (0,)
+        np.testing.assert_allclose(diag, [1.0])
+        assert offdiag.shape == (0,)
 
     def test_n1_non_deformed(self):
         g = -math.pi / 4
@@ -103,10 +106,6 @@ class TestBuildBlock:
     def test_rejects_negative_block(self):
         with pytest.raises(ValueError):
             build_block(SystemParams(), -1)
-
-    def test_blockmatrix_shape_validation(self):
-        with pytest.raises(ValueError):
-            BlockMatrix(n_total=2, diag=np.zeros(3), offdiag=np.zeros(3))
 
 
 def _over_lattice_params(test):

@@ -139,6 +139,35 @@ class TestEvolve:
         assert series.t[-1] == 5.0
         np.testing.assert_allclose(series.s_field, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "flags, gamma, t_max, rows",
+        [
+            # gamma*t spans 700 on Fock states and 1400 on coherent ones
+            (["--fock-n", "1"], "2", 350.0, 14_001),
+            (["--initial", "coherent", "--alpha-sq", "0.01"], "-1", 1400.0, 28_001),
+        ],
+        ids=["fock", "coherent"],
+    )
+    def test_default_grid(self, tmp_path, flags, gamma, t_max, rows):
+        out = tmp_path / "series.csv"
+        assert run_cli(["evolve", f"--gamma={gamma}", "--q", "1", "--out", str(out)] + flags) == 0
+        series = EntropySeries.read_csv(str(out))
+        assert series.t.shape == (rows,)
+        assert (series.t[0], series.t[-1]) == (0.0, t_max)
+
+    def test_gamma_zero_without_t_max_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "series.csv"
+        assert run_cli(["evolve", "--gamma", "0", "--q", "0.9", "--steps", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: cannot infer a default time grid with gamma = 0; pass t_max\n"
+        assert not out.exists()
+
+    def test_product_state_row_at_t0_is_exact(self, tmp_path):
+        # U(0) = 1 exactly: V V^T used to leave 6.4e-16 of entropy here
+        out = tmp_path / "series.csv"
+        argv = ["evolve", "--gamma", "1", "--chi", "0.01", "--q", "1", "--fock-n", "5", "--t-max", "1", "--steps", "3"]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert out.read_text().split("\n")[1] == "0,0,0,0,1"
+
     def test_t_min_flag(self, tmp_path):
         out = tmp_path / "series.csv"
         code = run_cli(

@@ -109,16 +109,6 @@ class TestInitialState:
         b = init.build(0.9)
         assert a.n_max != b.n_max or not np.array_equal(a.amplitudes, b.amplitudes)
 
-    def test_default_grid(self):
-        fock = InitialState(kind="fock")
-        assert fock.default_t_max(2.0) == pytest.approx(350.0)
-        assert fock.default_steps == 14_001
-        coh = InitialState(kind="coherent")
-        assert coh.default_t_max(-1.0) == pytest.approx(1400.0)
-        assert coh.default_steps == 28_001
-        with pytest.raises(ValueError):
-            fock.default_t_max(0.0)
-
 
 # Empty, repeated, decreasing, 2-d, NaN.
 BAD_Q_GRIDS = [[], [0.6, 0.6, 0.7], [0.7, 0.6], [[0.5, 0.6], [0.7, 0.8]], [0.5, math.nan, 0.9]]

@@ -71,6 +71,23 @@ def test_tracer_records_small_runs(tmp_path, capsys):
     assert metrics["harness.find_optimal_q.entropy_evals"]["value"] > 20
 
 
+def test_tracer_counts_block_rows(tmp_path):
+    # A Fock state with N = 3 occupies block 3 alone: 4 rows, read by the
+    # recorders as BlockMatrix.dim and len(diag) (a dim taken from the
+    # length of the (diag, offdiag) pair would read 2).
+    tracer = load_bench("spans").Tracer()
+    tracer.start_round()
+    tracer.install()
+    try:
+        argv = ["evolve", "--gamma", "1", "--q", "0.9", "--fock-n", "3", "--t-max", "5", "--steps", "11"]
+        assert main(argv + ["--out", str(tmp_path / "f3.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(0.0)
+    assert metrics["blocks.build_block.rows"]["value"] == 4
+    assert metrics["eigen.eigh_tridiagonal.rows"]["value"] == 4
+
+
 def test_all_names_import():
     for name in qkerr.__all__:
         assert hasattr(qkerr, name), name
