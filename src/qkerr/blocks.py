@@ -17,7 +17,8 @@ symmetric tridiagonal there:
 build_block returns a block as the BlockMatrix pair (diag, offdiag), and
 eigh_tridiagonal, the one place that checks a block's shapes and
 finiteness, diagonalizes it densely (tridiagonal_dense) with LAPACK:
-blocks are at most a few hundred rows.
+blocks are at most a few hundred rows.  Both also take a stack of blocks
+of one size, (..., n) and (..., n - 1), and solve it in one LAPACK call.
 """
 
 from __future__ import annotations
@@ -93,26 +94,39 @@ def build_block(params: SystemParams, n_total: int) -> BlockMatrix:
 
 
 def tridiagonal_dense(diag, offdiag) -> np.ndarray:
-    """Dense symmetric matrix with diagonal diag and couplings offdiag."""
-    return np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+    """Dense symmetric matrix with diagonal diag and couplings offdiag, or
+    the stack of them for diag of shape (..., n) and offdiag (..., n - 1).
+
+    The entries are placed, not summed; adding 0.0 turns -0.0 into 0.0, as
+    summing np.diag matrices would, so the matrix is the same bit for bit.
+    """
+    diag, offdiag = np.asarray(diag, dtype=float), np.asarray(offdiag, dtype=float)
+    n = diag.shape[-1]
+    dense = np.zeros(diag.shape + (n,))
+    i = np.arange(n)
+    dense[..., i, i] = diag + 0.0
+    dense[..., i[:-1], i[1:]] = dense[..., i[1:], i[:-1]] = offdiag + 0.0
+    return dense
 
 
 def eigh_tridiagonal(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a real symmetric tridiagonal matrix.
+    """Diagonalize a real symmetric tridiagonal matrix, or a stack of them.
 
-    diag has the n diagonal entries, offdiag the n - 1 couplings.  Returns
-    the pair (eigenvalues, eigenvectors) of numpy.linalg.eigh: eigenvalues
-    ascending, eigenvectors as the columns of an orthogonal matrix, with the
-    signs LAPACK gives them (the propagator V diag(e^{-i lambda t}) V^T does
-    not depend on them).  A LAPACK failure is raised as ConvergenceError
-    naming the block.
+    diag has the n diagonal entries, offdiag the n - 1 couplings; a leading
+    stack axis, diag (..., n) and offdiag (..., n - 1), is solved in one
+    numpy.linalg.eigh call, each matrix to the bits of a call of its own.
+    Returns the pair (eigenvalues, eigenvectors) of numpy.linalg.eigh:
+    eigenvalues ascending, eigenvectors as the columns of an orthogonal
+    matrix, with the signs LAPACK gives them (the propagator
+    V diag(e^{-i lambda t}) V^T does not depend on them).  A LAPACK
+    failure is raised as ConvergenceError naming the block.
     """
     d = np.asarray(diag, dtype=float)
-    if d.ndim != 1 or d.size == 0:
+    if d.ndim == 0 or d.shape[-1] == 0:
         raise ValueError("diag must be a nonempty 1-d array")
-    n = d.size
+    n = d.shape[-1]
     e = np.asarray(offdiag, dtype=float)
-    if e.shape != (n - 1,):
+    if e.shape != d.shape[:-1] + (n - 1,):
         raise ValueError(f"offdiag must have length {n - 1}, got shape {e.shape}")
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValueError("tridiagonal entries must be finite")
@@ -121,4 +135,3 @@ def eigh_tridiagonal(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolve failed on block N={n - 1}: {exc}") from exc
     return vals, vecs
-

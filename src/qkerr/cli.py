@@ -148,7 +148,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     q = check_grid_q(args.q)
     gt_max, steps = _DEFAULT_GRIDS[args.initial]
     if args.t_max is None and args.gamma == 0.0:
-        raise ValueError("cannot infer a default time grid with gamma = 0; pass t_max")
+        raise ValueError("cannot infer a default time grid with gamma = 0; pass --t-max")
     t_max = gt_max / abs(args.gamma) if args.t_max is None else args.t_max
     times = time_grid(args.t_min, t_max, steps if args.steps is None else args.steps)
     series = run_evolve(_initial_from(args), replace(_params_from(args), q=q), times, log_base=args.log_base)

@@ -11,7 +11,10 @@ n + m = N: with a_m = psi(N - m, m) and the block spectrum (V, lambda),
 so one diagonalization per block serves every requested time (a(0) itself
 at t = 0), and only the blocks where the state has weight, found once
 when it is built, need one.  entropy_series is the one path from a state
-to entropies and purities.  The state is pure, so both reduced modes
+to entropies and purities along a time grid.  Across a q grid at one
+time, a state on one block (every Fock state) has its blocks for all q
+stacked, solved in one LAPACK call and propagated by the same kernel
+(_single_block_sweep).  The state is pure, so both reduced modes
 share one Schmidt spectrum: S_field, S_atom and the purity all come from
 it, and a chunk on several blocks peaks near three of its largest arrays
 (about 24 MiB).  dense_reference_evolve is a brute-force propagator for
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -130,10 +133,47 @@ def build_spectral_cache(params: SystemParams, blocks: Iterable[int]) -> dict[in
     return spectra
 
 
+def _single_block_sweep(
+    state: TwoModeState, params: SystemParams, qs: np.ndarray, t: float, log_base: float
+) -> np.ndarray:
+    """Field entropy at time t of a state on one block N (every Fock state)
+    for each deformation in qs, with params.q replaced by it.
+
+    The blocks N of all q are stacked and solved in one eigh_tridiagonal
+    call and propagated in one _block_amplitudes call, in chunks whose
+    (q, N + 1, N + 1) complex eigenvector stack stays under _CHUNK_BYTES.
+    Each q keeps the bits a one-sample entropy_series gives it, and errors
+    come in q order: a phase failure at one q is reported before a block
+    of a later q that overflowed.
+    """
+    _check_log_base(log_base)
+    (n_total,) = state.occupied_blocks()
+    times = np.array([float(t)])
+    step = max(1, _CHUNK_BYTES // (16 * (n_total + 1) ** 2))
+    s_field = np.empty(qs.size)
+    start = 0
+    while start < qs.size:
+        chunk = qs[start : start + step]
+        diag, offdiag = map(np.stack, zip(*(build_block(replace(params, q=float(q)), n_total) for q in chunk)))
+        # eigh_tridiagonal rejects a stack holding an overflowed block: end
+        # the chunk before it, so the q ahead of it are checked first.
+        finite = np.isfinite(diag).all(axis=-1) & np.isfinite(offdiag).all(axis=-1)
+        stop = chunk.size if finite.all() else max(1, int(finite.argmin()))
+        try:
+            spectra = eigh_tridiagonal(diag[:stop], offdiag[:stop])
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"q={chunk[0]:g} to {chunk[stop - 1]:g}: {exc}") from exc
+        a = _block_amplitudes(state, {n_total: spectra}, n_total, times)[0]
+        s_field[start : start + stop] = _entropy_of_spectra((a.real**2 + a.imag**2)[:, ::-1], log_base)
+        start += stop
+    return s_field
+
+
 def _block_amplitudes(
     state: TwoModeState, cache: dict[int, Spectrum], n_total: int, times: np.ndarray
 ) -> np.ndarray:
-    """Amplitudes a_m(t) = psi(N - m, m; t) of block N, shape (len(times), N + 1)."""
+    """Amplitudes a_m(t) = psi(N - m, m; t) of block N, shape (len(times), N + 1),
+    or (len(times), ..., N + 1) when cache[N] holds a stack of spectra."""
     if n_total not in cache:
         raise ValueError(
             f"spectral cache has no spectrum for block N={n_total}, "
@@ -141,17 +181,21 @@ def _block_amplitudes(
         )
     vals, vecs = cache[n_total]
     # A phase lambda*t is rounded by about |lambda t| eps rad: past _PHASE_TOL,
-    # and at inf or NaN, it has lost its digits.
+    # and at inf or NaN, it has lost its digits.  The first failing
+    # spectrum of a stack is reported.
     t_max = float(np.abs(times).max())
-    phase_err = float(np.abs(vals).max()) * t_max * sys.float_info.epsilon
-    if not phase_err <= _PHASE_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase_err = np.ravel(np.abs(vals).max(axis=-1) * t_max * sys.float_info.epsilon)
+    failed = np.flatnonzero(~(phase_err <= _PHASE_TOL))
+    if failed.size:
         raise ConvergenceError(
-            f"phase lambda*t overflows on block N={n_total} at |t| = {t_max:g} ({phase_err:.1e} rad of rounding)"
+            f"phase lambda*t overflows on block N={n_total} at |t| = {t_max:g} "
+            f"({phase_err[failed[0]]:.1e} rad of rounding)"
         )
     ms = np.arange(n_total + 1)
     a0 = state.amplitudes[n_total - ms, ms]
-    phases = np.exp(-1j * vals[:, None] * times[None, :])
-    amps = (vecs @ (phases * (vecs.T @ a0)[:, None])).T
+    phases = np.exp(-1j * vals[..., None] * times)
+    amps = np.moveaxis(vecs @ (phases * (np.swapaxes(vecs, -1, -2) @ a0)[..., None]), -1, 0)
     # U(0) is the identity: V V^T would leave roundoff on the empty levels.
     amps[times == 0] = a0
     return amps

@@ -3,14 +3,16 @@ search, and revival-dip detection, with deterministic CSV output.
 
 Everything here is a thin orchestration layer over dynamics: build the
 initial state, build the per-block spectra once, evaluate the entropy on a
-grid, and serialize.  All CSV is written with 12 significant digits and
-``\\n`` newlines so repeated runs are byte-identical: the series, sweep
-and revival-dip tables all go through one block-formatted writer, which
-replaces the target only once the whole table is written, and a series is
-read back with ``np.loadtxt`` behind the header, width, emptiness and
-time-order checks.  The drivers take the physics as one ``SystemParams``
-and explicit grids (the CLI holds the default time grids); the q drivers
-replace its ``q`` at each grid point.
+grid, and serialize.  A q grid of a Fock state, which does not depend on
+q, builds the state once and solves every q's block in one stacked
+eigensolve; a coherent state is rebuilt at each q.  All CSV is written
+with 12 significant digits and ``\\n`` newlines so repeated runs are
+byte-identical: the series, sweep and revival-dip tables all go through
+one block-formatted writer, which replaces the target only once the whole
+table is written, and a series is read back with ``np.loadtxt`` behind
+the header, width, emptiness and time-order checks.  The drivers take the
+physics as one ``SystemParams`` and explicit grids (the CLI holds the
+default time grids); the q drivers replace its ``q`` at each grid point.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from .blocks import SystemParams
 from .dynamics import (
     TwoModeState,
+    _single_block_sweep,
     build_spectral_cache,
     entropy_series,
     prepare_coherent,
@@ -273,8 +276,7 @@ def run_evolve(
     once and reused for every sample.  gamma * t must be finite.
     """
     times = np.asarray(times, dtype=float)
-    if not math.isfinite(params.gamma * float(np.abs(times).max(initial=0.0))):
-        raise ValueError("gamma * t must be finite at every sample")
+    _check_gamma_t(params, times)
     state = initial.build(params.q)
     cache = build_spectral_cache(params, state.occupied_blocks())
     s_field, s_atom, purity_field = entropy_series(state, cache, times, log_base=log_base)
@@ -287,9 +289,24 @@ def run_evolve(
     )
 
 
+def _check_gamma_t(params: SystemParams, times: np.ndarray) -> None:
+    if not math.isfinite(params.gamma * float(np.abs(times).max(initial=0.0))):
+        raise ValueError("gamma * t must be finite at every sample")
+
+
+def _s_field_over_q(initial: InitialState, params: SystemParams, qs, t: float, log_base: float) -> np.ndarray:
+    """Field-mode entropy at time t for each q in qs (see run_sweep_q)."""
+    times = np.array([float(t)])
+    if initial.kind == "coherent":
+        return np.array([run_evolve(initial, replace(params, q=float(q)), times, log_base).s_field[0] for q in qs])
+    _check_gamma_t(params, times)
+    return _single_block_sweep(initial.build(float(qs[0])), params, qs, t, log_base)
+
+
 def _entropy_at(initial: InitialState, params: SystemParams, q: float, t: float, log_base: float) -> float:
-    """Field-mode entropy at time t with params.q replaced by q."""
-    return float(run_evolve(initial, replace(params, q=float(q)), np.array([t]), log_base).s_field[0])
+    """Field-mode entropy at time t with params.q replaced by q: the
+    one-point q grid."""
+    return float(_s_field_over_q(initial, params, np.array([float(q)]), t, log_base)[0])
 
 
 def run_sweep_q(
@@ -303,15 +320,14 @@ def run_sweep_q(
 
     qs must be a non-empty, strictly increasing 1-d array (see q_grid).
     params.q is replaced by each grid point in turn; its own value is not
-    used.  Each grid point rebuilds the state and the spectra of the blocks
-    where it has weight: the truncation of a coherent state and every block
-    matrix depend on q.
+    used.  A Fock state is built once and the blocks of all grid points are
+    diagonalized in one stacked eigensolve; a coherent state, whose
+    truncation depends on q, is rebuilt and solved at each grid point.
     """
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 1 or qs.size == 0 or not np.all(np.diff(qs) > 0):
         raise ValueError("q grid must be a non-empty, strictly increasing 1-d array")
-    s_field = np.array([_entropy_at(initial, params, q, t, log_base) for q in qs])
-    return SweepResult(q=qs, s_field=s_field)
+    return SweepResult(q=qs, s_field=_s_field_over_q(initial, params, qs, t, log_base))
 
 
 def _parabolic_peak(f, qs, ss):

@@ -158,7 +158,7 @@ class TestEvolve:
     def test_gamma_zero_without_t_max_exits_2(self, tmp_path, capsys):
         out = tmp_path / "series.csv"
         assert run_cli(["evolve", "--gamma", "0", "--q", "0.9", "--steps", "3", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: cannot infer a default time grid with gamma = 0; pass t_max\n"
+        assert capsys.readouterr().err == "error: cannot infer a default time grid with gamma = 0; pass --t-max\n"
         assert not out.exists()
 
     def test_product_state_row_at_t0_is_exact(self, tmp_path):
@@ -206,24 +206,37 @@ class TestEvolve:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["evolve", "--gamma", "1", "--q", "1", "--steps", "5", "--t-max", "1e308"],
-            ["sweep-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"],
-            ["find-optimal-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"],
+            (["evolve", "--gamma", "1", "--q", "1", "--steps", "5", "--t-max", "1e308"], "|t| = 1e+308 (inf"),
+            (["sweep-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"], "|t| = 1e+308 (inf"),
+            (["find-optimal-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"], "|t| = 1e+308 (inf"),
             # gamma t stays finite, but the phases lambda * t (t = 7e302)
             # keep none of their digits
-            ["evolve", "--gamma", "1e-300", "--q", "1", "--steps", "5"],
+            (["evolve", "--gamma", "1e-300", "--q", "1", "--steps", "5"], "|t| = 7e+302 (9.3e+287"),
+            # the first q of the sweep fails
+            (["sweep-q", "--gamma", "1e300", "--t", "1", "--fock-n", "5", "--q-steps", "5"], "|t| = 1 (8.1e+284"),
+            # the block of q 1 overflows, but the phases of q 0.5 fail first
+            (["sweep-q", "--gamma", "6e307", "--t", "1", "--fock-n", "5", "--q-steps", "5"], "|t| = 1 (inf"),
+            (["sweep-q", "--gamma", "6e307", "--t", "0", "--fock-n", "5", "--q-steps", "5"], "|t| = 0 (nan"),
         ],
+        ids=[f"argv{i}" for i in range(7)],
     )
-    def test_phase_overflow_exits_3(self, tmp_path, capsys, argv):
+    def test_phase_overflow_exits_3(self, tmp_path, capsys, argv, message):
         # lambda * t overflows: NaN phases used to be written as S = 0, and
         # phases without digits as S = 0 on every row.
         out = tmp_path / "x.csv"
         code = run_cli(argv + ["--out", str(out)])
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == f"error: phase lambda*t overflows on block N=5 at {message} rad of rounding)\n"
+        assert not out.exists()
+
+    def test_overflowed_block_of_a_sweep_exits_2(self, tmp_path, capsys):
+        # gamma 1e308 overflows the couplings of every q's block
+        out = tmp_path / "x.csv"
+        assert run_cli(["sweep-q", "--gamma", "1e308", "--t", "1", "--q-steps", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: tridiagonal entries must be finite\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -301,6 +314,19 @@ class TestEvolve:
         assert code == 3
         assert err.startswith("error: ") and "block N=5" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_stacked_eigensolver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a Fock sweep solves the blocks of all its q in one call
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        out = tmp_path / "x.csv"
+        code = run_cli(["sweep-q", "--gamma", "1", "--q-steps", "200", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "error: q=0.5 to 1: eigensolve failed on block N=5: Eigenvalues did not converge\n"
         assert not out.exists()
 
     def test_failed_write_keeps_old_output(self, tmp_path, monkeypatch, capsys):

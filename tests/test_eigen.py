@@ -4,9 +4,12 @@ The tridiagonal block solver (qkerr.blocks.eigh_tridiagonal) is checked
 against a from-scratch Sturm-sequence bisection oracle (eigenvalues only),
 plus orthonormality and residual bounds that do not presuppose any
 reference solver, on hand-picked matrices and, through the engine's own
-build_spectral_cache, on random physical blocks.  That results do not
+build_spectral_cache, on random physical blocks.  A stack of blocks is
+checked bit for bit against one call per block.  That results do not
 depend on the eigenvector signs is a property test in test_dynamics.py.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -145,6 +148,74 @@ class TestTridiagonal:
             eigh_tridiagonal(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             eigh_tridiagonal(np.array([1.0, np.nan]), np.zeros(1))
+
+
+@st.composite
+def tridiagonal_stacks(draw):
+    """(diag, offdiag) stacks of shape (*lead, n) and (*lead, n - 1), with
+    signed zeros among the entries."""
+    lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    n = draw(st.integers(1, 12))
+    entry = st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, -0.0]))
+
+    def array(shape):
+        return np.array(draw(st.lists(entry, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+
+    return array(lead + (n,)), array(lead + (n - 1,))
+
+
+class TestStacked:
+    """A leading stack axis solves every block in one LAPACK call, each
+    slice with the bits its own call gives."""
+
+    @given(tridiagonal_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_stack_equals_per_slice_calls(self, stack):
+        diag, offdiag = stack
+        vals, vecs = eigh_tridiagonal(diag, offdiag)
+        assert vals.shape == diag.shape and vecs.shape == diag.shape + diag.shape[-1:]
+        for index in np.ndindex(diag.shape[:-1]):
+            one_vals, one_vecs = eigh_tridiagonal(diag[index], offdiag[index])
+            assert vals[index].tobytes() == one_vals.tobytes()
+            assert vecs[index].tobytes() == one_vecs.tobytes()
+
+    @given(tridiagonal_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_dense_matrix_equals_np_diag_sum(self, stack):
+        # placed entries, -0.0 included, give the bits of the np.diag sum
+        diag, offdiag = stack
+        dense = tridiagonal_dense(diag, offdiag)
+        for index in np.ndindex(diag.shape[:-1]):
+            d, e = diag[index], offdiag[index]
+            assert dense[index].tobytes() == (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)).tobytes()
+
+    def test_one_eigh_call(self, rng, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        eigh_tridiagonal(rng.standard_normal((7, 5)), rng.standard_normal((7, 4)))
+        assert calls == [(7, 5, 5)]
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            eigh_tridiagonal(np.zeros((3, 0)), np.zeros((3, 0)))
+        with pytest.raises(ValueError, match="offdiag must have length 3"):
+            eigh_tridiagonal(np.zeros((2, 4)), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            eigh_tridiagonal(np.ones((2, 3)), np.array([[1.0, 1.0], [1.0, np.inf]]))
+
+    def test_lapack_failure_names_the_block(self, monkeypatch):
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(ConvergenceError, match="block N=2"):
+            eigh_tridiagonal(np.ones((4, 3)), np.ones((4, 2)))
 
 
 class TestHermitian:

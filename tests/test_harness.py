@@ -3,13 +3,16 @@ and revival-dip classification on synthetic series."""
 
 import io
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qkerr import dynamics
 from qkerr.blocks import SystemParams
 from qkerr.harness import (
     CLASSIFY_REL_TOL,
@@ -151,6 +154,86 @@ class TestSweep:
         c = find_optimal_q(init, SystemParams(chi=0.01, gamma=-0.7, q=0.3), grid, 1.5)
         d = find_optimal_q(init, SystemParams(chi=0.01, gamma=-0.7, q=1.0), grid, 1.5)
         assert (c.q_star, c.s_star) == (d.q_star, d.s_star)
+
+
+@st.composite
+def fock_sweep_cases(draw):
+    """A Fock state with N <= 40, random physics, a strictly increasing q
+    grid, and a time t that may be 0 or negative."""
+    init = InitialState(kind="fock", fock_n=draw(st.integers(0, 40)))
+    params = SystemParams(
+        omega=draw(st.floats(0.1, 5.0)), chi=draw(st.floats(0.0, 0.1)), gamma=draw(st.floats(-2.0, 2.0))
+    )
+    qs = np.array(sorted(draw(st.sets(st.floats(0.06, 1.0), min_size=1, max_size=8))))
+    t = draw(st.one_of(st.just(0.0), st.floats(-20.0, 20.0)))
+    return init, params, qs, t
+
+
+class TestStackedSweep:
+    """A Fock sweep builds its state once and solves the blocks of every q
+    in one stacked eigensolve, with the bits a one-sample evolve gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fock_sweep_cases())
+    @example((InitialState(kind="fock", fock_n=5), SystemParams(chi=0.01, gamma=-0.7), np.array([0.5, 1.0]), 0.0))
+    def test_sweep_equals_evolve_bit_for_bit(self, case):
+        init, params, qs, t = case
+        sweep = run_sweep_q(init, params, qs, t)
+        for q, s in zip(qs, sweep.s_field):
+            series = run_evolve(init, replace(params, q=float(q)), np.array([t]))
+            assert s.tobytes() == series.s_field[0].tobytes()
+
+    def test_one_eigensolve_and_one_state_build(self, monkeypatch):
+        eigh_shapes, builds = [], []
+        eigh, build = np.linalg.eigh, InitialState.build
+
+        def counted_eigh(a):
+            eigh_shapes.append(a.shape)
+            return eigh(a)
+
+        def counted_build(self, q):
+            builds.append(q)
+            return build(self, q)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(InitialState, "build", counted_build)
+        run_sweep_q(InitialState(kind="fock", fock_n=5), SystemParams(gamma=-0.7), q_grid(0.5, 1.0, 200), 1.0)
+        assert eigh_shapes == [(200, 6, 6)]
+        assert len(builds) == 1
+
+    def test_chunks_keep_the_bits(self, monkeypatch):
+        init, params = InitialState(kind="fock", fock_n=5), SystemParams(chi=0.01, gamma=-0.7)
+        qs = q_grid(0.5, 1.0, 200)
+        whole = run_sweep_q(init, params, qs, 1.3).s_field
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        # 7 blocks of 6 x 6 complex eigenvectors a chunk: 28 chunks of 7 and one of 4
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 7 * 16 * 6**2)
+        chunked = run_sweep_q(init, params, qs, 1.3).s_field
+        assert calls == [7] * 28 + [4]
+        assert chunked.tobytes() == whole.tobytes()
+
+    def test_memory_bounded_by_q_chunks(self, monkeypatch):
+        # Unchunked, the 1,000 blocks of N = 40 make a (1000, 41, 41) complex
+        # eigenvector stack of 25.6 budgets of 1 MiB, and a measured peak of
+        # 41; the budget cuts chunks to 38 q, and the peak to 1.6 budgets.
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 2**20)
+        init, params = InitialState(kind="fock", fock_n=40), SystemParams(chi=0.01, gamma=-0.7)
+        qs = q_grid(0.5, 1.0, 1000)
+        tracemalloc.start()
+        try:
+            s_field = run_sweep_q(init, params, qs, 1.0).s_field
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert np.all((s_field >= 0.0) & (s_field <= math.log2(41) + 1e-12))
 
 
 @st.composite

@@ -67,8 +67,9 @@ def test_tracer_records_small_runs(tmp_path, capsys):
         tracer.uninstall()
     metrics = tracer.metrics(0.0)
     assert [name for name, metric in metrics.items() if metric.get("absent")] == []
-    # the traced _entropy_at sees the 20-point coarse scan and the refinement
-    assert metrics["harness.find_optimal_q.entropy_evals"]["value"] > 20
+    # the coarse scan is one stacked sweep; the traced _entropy_at sees the
+    # 9 one-point evaluations of the refinement
+    assert metrics["harness.find_optimal_q.entropy_evals"]["value"] == 9
 
 
 def test_tracer_counts_block_rows(tmp_path):
