@@ -17,8 +17,12 @@ symmetric tridiagonal there:
 build_block returns a block as the BlockMatrix pair (diag, offdiag), and
 eigh_tridiagonal, the one place that checks a block's shapes and
 finiteness, diagonalizes it densely (tridiagonal_dense) with LAPACK:
-blocks are at most a few hundred rows.  Both also take a stack of blocks
-of one size, (..., n) and (..., n - 1), and solve it in one LAPACK call.
+blocks are at most a few hundred rows.  Given a 1-d stack of q,
+build_block returns block N of every q as one stack, (len(qs), N + 1)
+and (len(qs), N), from one bracket table (qalgebra.bracket_table); a
+block of params.q alone is the one-row case.  eigh_tridiagonal takes a
+stack of blocks of one size, (..., n) and (..., n - 1), and solves it in
+one LAPACK call.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import ConvergenceError
-from .qalgebra import box_n, check_deformation
+# box_n is unused here: the benchmark's tracer wraps the name qkerr.blocks.box_n
+from .qalgebra import box_n, bracket_table, check_deformation  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -60,9 +65,11 @@ class SystemParams:
 
 
 class BlockMatrix(NamedTuple):
-    """Real symmetric tridiagonal block at total excitation N = dim - 1:
-    the N + 1 diagonal entries (index m = atomic quanta) and the N
-    couplings between m - 1 and m.  eigh_tridiagonal(*block) checks them."""
+    """Real symmetric tridiagonal block at total excitation N: the N + 1
+    diagonal entries (index m = atomic quanta) and the N couplings between
+    m - 1 and m, or a stack of such blocks along a leading q axis.  dim
+    counts the rows of every block held, N + 1 for one block.
+    eigh_tridiagonal(*block) checks them."""
 
     diag: np.ndarray
     offdiag: np.ndarray
@@ -72,25 +79,31 @@ class BlockMatrix(NamedTuple):
         return self.diag.size
 
 
-def build_block(params: SystemParams, n_total: int) -> BlockMatrix:
-    """Assemble the tridiagonal Hamiltonian block at total excitation n_total."""
+def build_block(params: SystemParams, n_total: int, qs=None) -> BlockMatrix:
+    """Assemble the tridiagonal Hamiltonian block at total excitation n_total.
+
+    With qs, a 1-d sequence of deformations, params.q is replaced by each
+    of them: diag has shape (len(qs), n_total + 1) and offdiag
+    (len(qs), n_total), each row the bits of the block of that q alone.
+    Each q is checked as SystemParams checks it, in order.
+    """
     n_total = int(n_total)
     if n_total < 0:
         raise ValueError(f"n_total must be >= 0, got {n_total}")
-    # brackets[k] = [k] for k = 0..n_total+1
-    brackets = np.array([box_n(k, params.q) for k in range(n_total + 2)])
+    # brackets[:, k] = [k] for k = 0..n_total+1
+    brackets = bracket_table([params.q] if qs is None else qs, n_total + 1)
     m = np.arange(n_total + 1)
     field_n = n_total - m
     mm = np.arange(1, n_total + 1)
     # Huge couplings overflow to inf silently: eigh_tridiagonal rejects it.
     with np.errstate(over="ignore"):
         diag = (
-            0.5 * (brackets[field_n] + brackets[field_n + 1])
+            0.5 * (brackets[:, field_n] + brackets[:, field_n + 1])
             + params.omega * (m + 0.5)
             + params.chi * m * (m - 1)
         )
-        offdiag = params.gamma * np.sqrt(mm) * np.sqrt(brackets[n_total - mm + 1])
-    return BlockMatrix(diag, offdiag)
+        offdiag = params.gamma * np.sqrt(mm) * np.sqrt(brackets[:, n_total - mm + 1])
+    return BlockMatrix(diag[0], offdiag[0]) if qs is None else BlockMatrix(diag, offdiag)
 
 
 def tridiagonal_dense(diag, offdiag) -> np.ndarray:

@@ -14,6 +14,7 @@ or convergence failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections import Counter
@@ -187,9 +188,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call (building costs about
+    ten times a parse) and not at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except ConvergenceError as exc:

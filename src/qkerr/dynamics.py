@@ -13,13 +13,13 @@ at t = 0), and only the blocks where the state has weight, found once
 when it is built, need one.  entropy_series is the one path from a state
 to entropies and purities along a time grid.  Across a q grid at one
 time, a state on one block (every Fock state) has its blocks for all q
-stacked, solved in one LAPACK call and propagated by the same kernel
-(_single_block_sweep).  The state is pure, so both reduced modes
-share one Schmidt spectrum: S_field, S_atom and the purity all come from
-it, and a chunk on several blocks peaks near three of its largest arrays
-(about 24 MiB).  dense_reference_evolve is a brute-force propagator for
-cross-checks: it diagonalizes _lattice_hamiltonian, the Hamiltonian of
-the whole lattice as one matrix.
+built as one stack from one bracket table, solved in one LAPACK call and
+propagated by the same kernel (_single_block_sweep).  The state is pure,
+so both reduced modes share one Schmidt spectrum: S_field, S_atom and the
+purity all come from it, and a chunk on several blocks peaks near three
+of its largest arrays (about 24 MiB).  dense_reference_evolve is a
+brute-force propagator for cross-checks: it diagonalizes
+_lattice_hamiltonian, the Hamiltonian of the whole lattice as one matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,9 +139,11 @@ def _single_block_sweep(
     """Field entropy at time t of a state on one block N (every Fock state)
     for each deformation in qs, with params.q replaced by it.
 
-    The blocks N of all q are stacked and solved in one eigh_tridiagonal
-    call and propagated in one _block_amplitudes call, in chunks whose
-    (q, N + 1, N + 1) complex eigenvector stack stays under _CHUNK_BYTES.
+    The blocks N of a chunk of q are built in one build_block call, solved
+    in one eigh_tridiagonal call and propagated in one _block_amplitudes
+    call.  A chunk's (q, N + 1, N + 1) real dense-block stack and the real
+    eigenvector stack LAPACK returns for it, 16 bytes per entry together,
+    stay under _CHUNK_BYTES.
     Each q keeps the bits a one-sample entropy_series gives it, and errors
     come in q order: a phase failure at one q is reported before a block
     of a later q that overflowed.
@@ -154,7 +156,7 @@ def _single_block_sweep(
     start = 0
     while start < qs.size:
         chunk = qs[start : start + step]
-        diag, offdiag = map(np.stack, zip(*(build_block(replace(params, q=float(q)), n_total) for q in chunk)))
+        diag, offdiag = build_block(params, n_total, chunk)
         # eigh_tridiagonal rejects a stack holding an overflowed block: end
         # the chunk before it, so the q ahead of it are checked first.
         finite = np.isfinite(diag).all(axis=-1) & np.isfinite(offdiag).all(axis=-1)
@@ -260,12 +262,13 @@ def _lattice_hamiltonian(params: SystemParams, n_max: int) -> tuple[np.ndarray, 
     Assembled from the operator actions, not from build_block: the diagonal
     is ([n] + [n+1])/2 + omega (m + 1/2) + chi m (m - 1), and A+ b maps
     |n; m> to gamma sqrt(m) sqrt([n+1]) |n+1; m-1>, A b+ being its
-    transpose.  The elements keep build_block's expressions and factor
-    order, so each block of this matrix equals build_block's bit for bit.
+    transpose.  The brackets come from the same bracket_table, and the
+    elements keep build_block's expressions and factor order, so each
+    block of this matrix equals build_block's bit for bit.
     """
     k = np.arange(n_max + 1)
     n, m = np.nonzero(np.add.outer(k, k) <= n_max)
-    brackets = np.array([qalgebra.box_n(j, params.q) for j in range(n_max + 2)])
+    brackets = qalgebra.bracket_table([params.q], n_max + 1)[0]
     index = np.empty((n_max + 1, n_max + 1), dtype=int)
     index[n, m] = np.arange(n.size)
     ham = np.diag(0.5 * (brackets[n] + brackets[n + 1]) + params.omega * (m + 0.5) + params.chi * m * (m - 1))

@@ -7,10 +7,11 @@ integer (bracket) is
     [n] = (1 - q^(2n)) / (1 - q^2),   0 < q <= 1,
 
 which reduces to n at q = 1 and saturates at 1/(1 - q^2) for q < 1.
-The block Hamiltonian takes its couplings from the bracket, and the
-deformed coherent state its amplitudes c_n = alpha^n / sqrt([n]!), with
-the truncation chosen from the same weights (coherent_amplitudes, which
-takes the intensity alpha_sq = |alpha|^2 and checks its whole rule).
+The block Hamiltonian takes its couplings from the bracket (a table of
+them for a stack of q in bracket_table), and the deformed coherent state
+its amplitudes c_n = alpha^n / sqrt([n]!), with the truncation chosen
+from the same weights (coherent_amplitudes, which takes the intensity
+alpha_sq = |alpha|^2 and checks its whole rule).
 """
 
 from __future__ import annotations
@@ -67,6 +68,29 @@ def box_n(n: int, q: float) -> float:
         return 0.0
     log_q2 = 2.0 * math.log(q)
     return math.expm1(n * log_q2) / math.expm1(log_q2)
+
+
+def bracket_table(qs, n_max: int) -> np.ndarray:
+    """Brackets [0]..[n_max] for each q of the 1-d sequence qs, shape
+    (len(qs), n_max + 1), each entry with the bits of box_n(n, q).
+
+    Each q is checked by check_deformation, in order.  The exponentials
+    are the scalar math.expm1 of box_n: numpy's expm1 is a different
+    implementation and can differ from it in the last bit.
+    """
+    n_max = _check_count(n_max, "n_max")
+    if np.ndim(qs) != 1:
+        raise ValueError(f"qs must be a 1-d sequence, got shape {np.shape(qs)}")
+    log_q2 = np.array([2.0 * math.log(check_deformation(q)) for q in qs])
+    ns = np.arange(n_max + 1)
+    exponents = np.multiply.outer(log_q2, ns)
+    table = np.fromiter(map(math.expm1, exponents.ravel().tolist()), float, exponents.size)
+    table = table.reshape(exponents.shape)
+    # q = 1, the one q with log q = 0, has [n] = n
+    undeformed = log_q2 == 0.0
+    table[~undeformed] /= np.array([math.expm1(x) for x in log_q2[~undeformed].tolist()])[:, None]
+    table[undeformed] = ns
+    return table
 
 
 def _check_count(n, name: str = "occupation number") -> int:

@@ -13,6 +13,7 @@ Hand-worked reference entries, using [n] = (1 - q^(2n)) / (1 - q^2):
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,45 @@ class TestBuildBlock:
     def test_rejects_negative_block(self):
         with pytest.raises(ValueError):
             build_block(SystemParams(), -1)
+
+
+_QS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+_BAD_QS = st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True), st.just(math.nan))
+
+
+class TestStackedBuildBlock:
+    """build_block over a stack of q: each row is the block of that q alone."""
+
+    @given(
+        n_total=st.integers(min_value=0, max_value=40),
+        qs=st.lists(_QS, min_size=1, max_size=6),
+        omega=st.floats(min_value=0.2, max_value=3.0),
+        chi=st.floats(min_value=0.0, max_value=0.2),
+        gamma=st.one_of(st.floats(min_value=-2.0, max_value=2.0), st.sampled_from([-0.0, 6e307, -1e308])),
+    )
+    @example(n_total=0, qs=[0.5, 1.0], omega=1.0, chi=0.0, gamma=1.0)
+    @example(n_total=5, qs=[0.5, 1.0 - 1e-15, 1.0], omega=1.0, chi=0.01, gamma=-0.0)
+    # the couplings of q = 1 overflow to inf, those of q = 0.5 do not
+    @example(n_total=5, qs=[0.5, 0.9, 1.0], omega=1.0, chi=0.0, gamma=6e307)
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_single_q_blocks(self, n_total, qs, omega, chi, gamma):
+        params = SystemParams(omega=omega, chi=chi, gamma=gamma)
+        stack = build_block(params, n_total, qs)
+        assert stack.diag.shape == (len(qs), n_total + 1)
+        assert stack.offdiag.shape == (len(qs), n_total)
+        for row, q in enumerate(qs):
+            block = build_block(replace(params, q=q), n_total)
+            assert stack.diag[row].tobytes() == block.diag.tobytes()
+            assert stack.offdiag[row].tobytes() == block.offdiag.tobytes()
+
+    @given(good=st.lists(_QS, max_size=4), bad=_BAD_QS, rest=st.lists(st.floats(), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_bad_q_raises_the_system_params_message(self, good, bad, rest):
+        with pytest.raises(ValueError) as expected:
+            SystemParams(q=bad)
+        with pytest.raises(ValueError) as got:
+            build_block(SystemParams(), 3, good + [bad] + rest)
+        assert str(got.value) == str(expected.value)
 
 
 def _over_lattice_params(test):

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkerr import harness
-from qkerr.cli import main
+from qkerr import cli, harness
+from qkerr.cli import build_parser, main
 from qkerr.harness import EntropySeries
 
 
@@ -484,6 +484,30 @@ class TestRevivals:
 class TestParser:
     def test_unknown_command(self):
         assert run_cli(["frobnicate"]) == 2
+
+    def test_parser_built_once(self, tmp_path, monkeypatch, capsys):
+        # main builds its parser on its first call and reuses it after an
+        # argparse error (exit 2); the outputs of a repeated call stay the same.
+        builds = []
+
+        def counted():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            argv = ["sweep-q", "--gamma", GAMMA_BS, "--q-steps", "5", "--out", str(tmp_path / "s.csv")]
+            runs = []
+            for args in (argv, ["sweep-q", "--gamma", "x", "--out", "y.csv"], argv):
+                code = run_cli(args)
+                runs.append((code, capsys.readouterr(), (tmp_path / "s.csv").read_bytes()))
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
+        assert [code for code, _, _ in runs] == [0, 2, 0]
+        assert runs[1][1].err.endswith("argument --gamma: invalid float value: 'x'\n")
+        assert runs[0][1:] == runs[2][1:]
 
     def test_no_command(self):
         assert run_cli([]) == 2

@@ -201,6 +201,20 @@ class TestStackedSweep:
         assert eigh_shapes == [(200, 6, 6)]
         assert len(builds) == 1
 
+    def test_one_block_build(self, monkeypatch):
+        # through the name dynamics calls, the one the benchmark's tracer wraps
+        shapes = []
+        build_block = dynamics.build_block
+
+        def counted(*args):
+            block = build_block(*args)
+            shapes.append(block.diag.shape)
+            return block
+
+        monkeypatch.setattr(dynamics, "build_block", counted)
+        run_sweep_q(InitialState(kind="fock", fock_n=5), SystemParams(gamma=-0.7), q_grid(0.5, 1.0, 200), 1.0)
+        assert shapes == [(200, 6)]
+
     def test_chunks_keep_the_bits(self, monkeypatch):
         init, params = InitialState(kind="fock", fock_n=5), SystemParams(chi=0.01, gamma=-0.7)
         qs = q_grid(0.5, 1.0, 200)
@@ -213,16 +227,18 @@ class TestStackedSweep:
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        # 7 blocks of 6 x 6 complex eigenvectors a chunk: 28 chunks of 7 and one of 4
+        # 7 blocks of 6 x 6 a chunk, at 16 bytes an entry for the real dense
+        # block and its real eigenvectors: 28 chunks of 7 and one of 4
         monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 7 * 16 * 6**2)
         chunked = run_sweep_q(init, params, qs, 1.3).s_field
         assert calls == [7] * 28 + [4]
         assert chunked.tobytes() == whole.tobytes()
 
     def test_memory_bounded_by_q_chunks(self, monkeypatch):
-        # Unchunked, the 1,000 blocks of N = 40 make a (1000, 41, 41) complex
-        # eigenvector stack of 25.6 budgets of 1 MiB, and a measured peak of
-        # 41; the budget cuts chunks to 38 q, and the peak to 1.6 budgets.
+        # Unchunked, the 1,000 blocks of N = 40 make (1000, 41, 41) real
+        # dense-block and eigenvector stacks of 25.6 budgets of 1 MiB
+        # together, and a measured peak of 41; the budget cuts chunks to
+        # 38 q, and the peak to 1.6 budgets.
         monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 2**20)
         init, params = InitialState(kind="fock", fock_n=40), SystemParams(chi=0.01, gamma=-0.7)
         qs = q_grid(0.5, 1.0, 1000)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkerr.exceptions import TruncationError
@@ -19,6 +19,7 @@ from qkerr.qalgebra import (
     COHERENT_N_CAP,
     box_n,
     bracket_radius,
+    bracket_table,
     check_deformation,
     coherent_amplitudes,
 )
@@ -87,6 +88,28 @@ class TestBracket:
             box_n(2.5, 0.5)
         with pytest.raises(ValueError):
             box_n(True, 0.5)
+
+
+class TestBracketTable:
+    """bracket_table gives every q's brackets [0]..[n_max] in one array,
+    each with box_n's bits."""
+
+    @given(
+        qs=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), max_size=6),
+        n_max=st.integers(min_value=0, max_value=512),
+    )
+    @example(qs=[1.0, 1.0 - 1e-15, 0.5, 5e-324], n_max=512)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_box_n_bit_for_bit(self, qs, n_max):
+        table = bracket_table(qs, n_max)
+        reference = np.array([[box_n(n, q) for n in range(n_max + 1)] for q in qs]).reshape(len(qs), n_max + 1)
+        assert table.tobytes() == reference.tobytes()
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="1-d"):
+            bracket_table([[0.5]], 3)
+        with pytest.raises(ValueError, match="n_max"):
+            bracket_table([0.5], -1)
 
 
 class TestCoherentSpec:
