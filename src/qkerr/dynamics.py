@@ -16,10 +16,13 @@ time, a state on one block (every Fock state) has its blocks for all q
 built as one stack from one bracket table, solved in one LAPACK call and
 propagated by the same kernel (_single_block_sweep).  The state is pure,
 so both reduced modes share one Schmidt spectrum: S_field, S_atom and the
-purity all come from it, and a chunk on several blocks peaks near three
-of its largest arrays (about 24 MiB).  dense_reference_evolve is a
-brute-force propagator for cross-checks: it diagonalizes
-_lattice_hamiltonian, the Hamiltonian of the whole lattice as one matrix.
+purity all come from it.  On several blocks a chunk's amplitudes stay
+packed, block beside block, and only a slice of them at a time is laid out
+as dense tables for the reduction: a coherent series peaks at 4.4 MiB of
+traced arrays at alpha_sq 0.5 (11 levels) and 5.8 MiB at 47 levels.
+dense_reference_evolve is a brute-force propagator for cross-checks: it
+diagonalizes _lattice_hamiltonian, the Hamiltonian of the whole lattice
+as one matrix.
 """
 
 from __future__ import annotations
@@ -40,12 +43,19 @@ _EIGENVALUE_FLOOR = -1e-10
 # Largest phase error, in radians, that rounding max|lambda| |t| may leave.
 _PHASE_TOL = 1e-3
 # Most samples entropy_series evolves per chunk, and the cap on the bytes
-# of the largest array it forms per chunk: the (chunk, dim, dim) complex
-# tables on several blocks, the (chunk, N + 1) amplitudes on one.  On
-# several blocks three arrays of that size are alive at once (psi, its
-# conjugate and rho_field), so a chunk peaks near 3 times it, about 24 MiB.
+# of a chunk's (chunk, dim, dim) complex tables on several blocks, or of
+# its (chunk, N + 1) amplitudes on one.  On several blocks those tables are
+# never formed whole: _propagate packs the chunk's amplitudes into
+# (chunk, sum(N + 1)), about 55% of the tables at dim 11, and the
+# reduction lays out _SLICE_BYTES of tables at a time, so a chunk peaks
+# near 4.4 MiB at dim 11 and 5.8 MiB at dim 47 (tracemalloc).
 _CHUNK_SAMPLES = 2048
 _CHUNK_BYTES = 8 * 2**20
+# Cap on the bytes of each dense (slice, dim, dim) complex array of the
+# multi-block reduction: the amplitude tables, their conjugate and
+# rho_field.  The Gram product and eigvalsh act matrix by matrix, so the
+# slice length moves no bit.
+_SLICE_BYTES = 2**19
 # the dense reference evolver is meant for cross-checks at test scale
 DENSE_REFERENCE_N_CAP = 20
 
@@ -143,7 +153,10 @@ def _single_block_sweep(
     in one eigh_tridiagonal call and propagated in one _block_amplitudes
     call.  A chunk's (q, N + 1, N + 1) real dense-block stack and the real
     eigenvector stack LAPACK returns for it, 16 bytes per entry together,
-    stay under _CHUNK_BYTES.
+    stay under _CHUNK_BYTES.  _block_amplitudes also makes a temporary
+    complex copy of the eigenvector stack, 16 bytes an entry more, for its
+    two complex products: two real products on the real and imaginary
+    parts would avoid it, but do not give the same bits.
     Each q keeps the bits a one-sample entropy_series gives it, and errors
     come in q order: a phase failure at one q is reported before a block
     of a later q that overflowed.
@@ -204,13 +217,16 @@ def _block_amplitudes(
 
 
 def _propagate(state: TwoModeState, cache: dict[int, Spectrum], times: np.ndarray) -> np.ndarray:
-    """Amplitude tables at each time, shape (len(times), dim, dim)."""
-    dim = state.n_max + 1
-    psi = np.zeros((times.size, dim, dim), dtype=complex)
-    for n_total in state.occupied_blocks():
-        ms = np.arange(n_total + 1)
-        psi[:, n_total - ms, ms] = _block_amplitudes(state, cache, n_total, times)
-    return psi
+    """Amplitudes of the occupied blocks at each time, packed side by side
+    in ascending N, each block's psi(N - m, m) in ascending m as
+    _block_amplitudes gives them: shape (len(times), sum(N + 1))."""
+    blocks = state.occupied_blocks()
+    packed = np.empty((times.size, sum(n + 1 for n in blocks)), dtype=complex)
+    col = 0
+    for n_total in blocks:
+        packed[:, col : col + n_total + 1] = _block_amplitudes(state, cache, n_total, times)
+        col += n_total + 1
+    return packed
 
 
 def entropy_series(
@@ -222,11 +238,12 @@ def entropy_series(
     """Field entropy, atom entropy, and field purity along a time grid.
 
     Evolves in chunks of at most _CHUNK_SAMPLES samples, fewer where the
-    largest array would pass _CHUNK_BYTES; on several blocks a chunk peaks
-    near three such arrays (about 24 MiB).  Each chunk yields only its
-    Schmidt spectrum: on one block N (every Fock state) the reductions are
-    diagonal, with p_n = |psi(n, N - n; t)|^2; on several blocks it is
-    eigvalsh of the rho_field stack.  The state is pure, so S_field, S_atom
+    dense (chunk, dim, dim) tables, or on one block the amplitudes, would
+    pass _CHUNK_BYTES.  Each chunk yields only its Schmidt spectrum: on one
+    block N (every Fock state) the reductions are diagonal, with
+    p_n = |psi(n, N - n; t)|^2; on several blocks it is eigvalsh of the
+    rho_field stack, formed from the packed amplitudes one slice of dense
+    tables at a time (_SLICE_BYTES).  The state is pure, so S_field, S_atom
     (equal to it bit for bit) and the purity sum p^2 all come from that
     one spectrum.
     """
@@ -237,9 +254,16 @@ def entropy_series(
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     blocks = state.occupied_blocks()
+    dim = state.n_max + 1
     single = len(blocks) == 1
-    row_bytes = 16 * (blocks[0] + 1) if single else 16 * (state.n_max + 1) ** 2
+    row_bytes = 16 * (blocks[0] + 1) if single else 16 * dim**2
     step = max(1, min(_CHUNK_SAMPLES, _CHUNK_BYTES // row_bytes))
+    if not single:
+        # the flat site n * dim + m of each packed column, and one zeroed
+        # buffer of dense tables that every slice rewrites at those sites
+        m = np.concatenate([np.arange(n + 1) for n in blocks])
+        sites = (np.repeat(blocks, [n + 1 for n in blocks]) - m) * dim + m
+        tables = np.zeros((min(max(1, _SLICE_BYTES // row_bytes), step, times.size), dim, dim), dtype=complex)
     s_field = np.empty(times.size)
     purity_field = np.empty(times.size)
     for start in range(0, times.size, step):
@@ -248,11 +272,23 @@ def entropy_series(
             a = _block_amplitudes(state, cache, blocks[0], times[sl])
             spec = (a.real**2 + a.imag**2)[:, ::-1]
         else:
-            psi = _propagate(state, cache, times[sl])
-            spec = np.linalg.eigvalsh(psi @ psi.conj().transpose(0, 2, 1))
+            spec = _field_spectra(_propagate(state, cache, times[sl]), tables, sites)
         s_field[sl] = _entropy_of_spectra(spec, log_base)
         purity_field[sl] = (spec**2).sum(axis=1)
     return s_field, s_field.copy(), purity_field
+
+
+def _field_spectra(packed: np.ndarray, tables: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Eigenvalues of rho_field = psi psi^dagger for each row of packed
+    amplitudes, laid out at the flat sites of the (slice, dim, dim) buffer
+    tables, len(tables) rows at a time."""
+    spec = np.empty((len(packed), tables.shape[1]))
+    for lo in range(0, len(packed), len(tables)):
+        rows = packed[lo : lo + len(tables)]
+        psi = tables[: len(rows)]
+        psi.reshape(len(rows), -1)[:, sites] = rows
+        spec[lo : lo + len(rows)] = np.linalg.eigvalsh(psi @ psi.conj().transpose(0, 2, 1))
+    return spec
 
 
 def _lattice_hamiltonian(params: SystemParams, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

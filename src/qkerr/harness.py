@@ -9,15 +9,16 @@ eigensolve; a coherent state is rebuilt at each q.  All CSV is written
 with 12 significant digits and ``\\n`` newlines so repeated runs are
 byte-identical: the series, sweep and revival-dip tables all go through
 one block-formatted writer, which replaces the target only once the whole
-table is written, and a series is read back with ``np.loadtxt`` behind
-the header, width, emptiness and time-order checks.  The drivers take the
-physics as one ``SystemParams`` and explicit grids (the CLI holds the
-default time grids); the q drivers replace its ``q`` at each grid point.
+table is written, and a series is read back by streaming the open file
+to ``np.loadtxt`` behind the header, width, emptiness and time-order
+checks.  The drivers take the physics as one ``SystemParams`` and explicit
+grids (the CLI holds the default time grids); the q drivers replace its
+``q`` at each grid point.
 """
 
 from __future__ import annotations
 
-import io
+import itertools
 import math
 import os
 from collections.abc import Callable
@@ -161,21 +162,26 @@ class EntropySeries:
         t.  Blank lines are skipped."""
         with open(path) as fh:
             header = fh.readline()
-            body = fh.read()
-        if not header:
-            raise ValueError(f"malformed series CSV {path}: empty file")
-        if header.rstrip("\n") != ",".join(SERIES_COLUMNS):
-            raise ValueError(
-                f"malformed series CSV {path}: expected header "
-                f"{','.join(SERIES_COLUMNS)}, got {header.rstrip()}"
-            )
-        # Checked on the text: loadtxt warns on input with no data.
-        if not body.strip():
-            raise ValueError(f"malformed series CSV {path}: no data rows")
-        try:
-            data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
-        except ValueError as exc:
-            raise ValueError(f"malformed series CSV {path}: {exc}") from None
+            if not header:
+                raise ValueError(f"malformed series CSV {path}: empty file")
+            if header.rstrip("\n") != ",".join(SERIES_COLUMNS):
+                raise ValueError(
+                    f"malformed series CSV {path}: expected header "
+                    f"{','.join(SERIES_COLUMNS)}, got {header.rstrip()}"
+                )
+            # Checked up to the first data line: loadtxt warns on input with
+            # no data.  The lines read here go back in front of the rest.
+            head = []
+            for line in fh:
+                head.append(line)
+                if line.strip():
+                    break
+            else:
+                raise ValueError(f"malformed series CSV {path}: no data rows")
+            try:
+                data = np.loadtxt(itertools.chain(head, fh), delimiter=",", ndmin=2, comments=None)
+            except ValueError as exc:
+                raise ValueError(f"malformed series CSV {path}: {exc}") from None
         if data.shape[1] != len(SERIES_COLUMNS):
             raise ValueError(f"malformed series CSV {path}: rows have {data.shape[1]} fields")
         if not np.all(np.isfinite(data)):

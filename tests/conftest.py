@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkerr.dynamics import TwoModeState
+from qkerr.dynamics import TwoModeState, _propagate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -39,3 +39,19 @@ def random_triangle_state(rng: np.random.Generator, n_max: int) -> TwoModeState:
     table[n_idx + m_idx > n_max] = 0.0
     table /= np.linalg.norm(table)
     return TwoModeState(n_max=n_max, amplitudes=table)
+
+
+def propagated_tables(state: TwoModeState, cache, times) -> np.ndarray:
+    """The engine's amplitude tables psi[n, m] at each time, shape
+    (len(times), dim, dim): dynamics._propagate's packed blocks, ascending
+    N with m ascending within a block, unpacked onto the triangle."""
+    packed = _propagate(state, cache, np.asarray(times, dtype=float))
+    dim = state.n_max + 1
+    psi = np.zeros((len(packed), dim, dim), dtype=complex)
+    col = 0
+    for n_total in state.occupied_blocks():
+        ms = np.arange(n_total + 1)
+        psi[:, n_total - ms, ms] = packed[:, col : col + n_total + 1]
+        col += n_total + 1
+    assert col == packed.shape[1]
+    return psi

@@ -20,7 +20,6 @@ import pytest
 from qkerr.blocks import SystemParams, build_block, tridiagonal_dense
 from qkerr.cli import main as cli_main
 from qkerr.dynamics import (
-    _propagate,
     build_spectral_cache,
     dense_reference_evolve,
     prepare_coherent,
@@ -29,7 +28,7 @@ from qkerr.dynamics import (
 from qkerr.harness import InitialState, detect_revivals, find_optimal_q, q_grid, run_evolve
 from qkerr.qalgebra import box_n
 
-from conftest import load_bench, random_triangle_state
+from conftest import load_bench, propagated_tables, random_triangle_state
 
 oracle = load_bench("oracle")
 
@@ -295,7 +294,7 @@ def test_criterion_8_oracle_equivalence(capsys):
         state = random_triangle_state(rng, n_max)
         t = float(rng.uniform(-3.0, 3.0))
         cache = build_spectral_cache(params, range(n_max + 1))
-        fast = _propagate(state, cache, np.array([t]))[0]
+        fast = propagated_tables(state, cache, np.array([t]))[0]
         slow = dense_reference_evolve(state, params, t)
         worst = max(worst, float(np.abs(fast - slow.amplitudes).max()))
     ok = worst <= 1e-9
@@ -357,7 +356,7 @@ def test_criterion_9_invariant_suite(capsys):
     ]
     for state, params in states:
         cache = build_spectral_cache(params, range(state.n_max + 1))
-        psi = _propagate(state, cache, sample_times)
+        psi = propagated_tables(state, cache, sample_times)
         psi_atom = psi.transpose(0, 2, 1)
         worst_norm = max(worst_norm, float(np.abs(np.linalg.norm(psi, axis=(1, 2)) - 1.0).max()))
         for tables in (psi, psi_atom):

@@ -18,7 +18,8 @@ The engine is checked against references it shares no code with:
     Omega = sqrt(gamma^2 + delta^2/4).
 
 Engine amplitudes come from dynamics._propagate, the batched propagator
-behind entropy_series.
+behind entropy_series, unpacked into dense tables by
+conftest.propagated_tables.
 """
 
 import math
@@ -43,14 +44,14 @@ from qkerr.dynamics import (
 )
 from qkerr.exceptions import ConvergenceError
 
-from conftest import load_bench, random_triangle_state
+from conftest import load_bench, propagated_tables, random_triangle_state
 
 oracle = load_bench("oracle")
 
 
 def evolved(state: TwoModeState, cache, t: float) -> TwoModeState:
     """The engine's state at time t."""
-    return TwoModeState(n_max=state.n_max, amplitudes=_propagate(state, cache, np.array([t]))[0])
+    return TwoModeState(n_max=state.n_max, amplitudes=propagated_tables(state, cache, np.array([t]))[0])
 
 
 class TestPreparation:
@@ -128,7 +129,7 @@ class TestEvolution:
     def test_time_zero_is_identity(self, case):
         # exact: the t = 0 rows are the initial amplitudes, not V V^T a(0)
         state, cache, _, _, _ = case
-        assert np.array_equal(_propagate(state, cache, np.zeros(1))[0], state.amplitudes)
+        assert np.array_equal(propagated_tables(state, cache, np.zeros(1))[0], state.amplitudes)
 
     @given(case=propagation_cases())
     @settings(max_examples=40, deadline=None)
@@ -142,7 +143,7 @@ class TestEvolution:
     @settings(max_examples=40, deadline=None)
     def test_norm_preserved_long_time(self, case):
         state, cache, _, t1, t2 = case
-        norms = np.linalg.norm(_propagate(state, cache, np.array([t1, t2])), axis=(1, 2))
+        norms = np.linalg.norm(propagated_tables(state, cache, np.array([t1, t2])), axis=(1, 2))
         np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-10)
 
     @given(case=propagation_cases())
@@ -151,21 +152,21 @@ class TestEvolution:
         # U(t1 + t2) = U(t2) U(t1).
         state, cache, _, t1, t2 = case
         two_steps = evolved(evolved(state, cache, t1), cache, t2)
-        one_step = _propagate(state, cache, np.array([t1 + t2]))[0]
+        one_step = propagated_tables(state, cache, np.array([t1 + t2]))[0]
         np.testing.assert_allclose(two_steps.amplitudes, one_step, atol=1e-10)
 
     @given(case=propagation_cases())
     @settings(max_examples=40, deadline=None)
     def test_matches_dense_reference_on_random_parameters(self, case):
         state, cache, params, t, _ = case
-        fast = _propagate(state, cache, np.array([t]))[0]
+        fast = propagated_tables(state, cache, np.array([t]))[0]
         np.testing.assert_allclose(fast, dense_reference_evolve(state, params, t).amplitudes, atol=1e-9)
 
     def test_beam_splitter_binomial(self):
         # gamma*t = -pi/4 with gamma = -pi/4, t = 1.
         state = prepare_fock(5)
         cache = build_spectral_cache(SystemParams(gamma=-math.pi / 4.0), range(6))
-        out = _propagate(state, cache, np.array([1.0]))[0]
+        out = propagated_tables(state, cache, np.array([1.0]))[0]
         weights = np.abs(out[5 - np.arange(6), np.arange(6)]) ** 2
         expected = np.array([math.comb(5, m) for m in range(6)]) / 32.0
         np.testing.assert_allclose(weights, expected, atol=1e-12)
@@ -174,7 +175,7 @@ class TestEvolution:
         state = random_triangle_state(rng, 6)
         cache = build_spectral_cache(SystemParams(), range(5))
         with pytest.raises(ValueError):
-            _propagate(state, cache, np.array([1.0]))
+            propagated_tables(state, cache, np.array([1.0]))
 
     def test_cache_missing_occupied_block_rejected(self):
         amps = np.zeros((4, 4), dtype=complex)
@@ -182,7 +183,7 @@ class TestEvolution:
         state = TwoModeState(n_max=3, amplitudes=amps)
         cache = build_spectral_cache(SystemParams(chi=0.01, q=0.9), [0, 1, 2])
         with pytest.raises(ValueError, match="block N=3"):
-            _propagate(state, cache, np.array([1.0]))
+            propagated_tables(state, cache, np.array([1.0]))
 
     @pytest.mark.parametrize("q", [1.0, 0.9, 0.6])
     def test_matches_dense_reference(self, rng, q):
@@ -192,7 +193,7 @@ class TestEvolution:
             state = random_triangle_state(rng, n_max)
             t = float(rng.uniform(-3.0, 3.0))
             cache = build_spectral_cache(params, range(n_max + 1))
-            fast = _propagate(state, cache, np.array([t]))[0]
+            fast = propagated_tables(state, cache, np.array([t]))[0]
             slow = dense_reference_evolve(state, params, t)
             np.testing.assert_allclose(fast, slow.amplitudes, atol=1e-9)
 
@@ -224,7 +225,7 @@ class TestEvolution:
         cache = build_spectral_cache(params, range(2))
         delta = (1.0 + q * q) / 2.0 - omega
         omega_r = math.sqrt(g * g + 0.25 * delta * delta)
-        p_transfer = abs(_propagate(prepare_fock(1), cache, np.array([t]))[0, 0, 1]) ** 2
+        p_transfer = abs(propagated_tables(prepare_fock(1), cache, np.array([t]))[0, 0, 1]) ** 2
         expected = g * g * math.sin(omega_r * t) ** 2 / omega_r**2
         assert p_transfer == pytest.approx(expected, rel=0, abs=1e-12)
 
@@ -235,7 +236,7 @@ class TestReducedStates:
         # because its field reduction is diagonal.
         state = prepare_fock(5)
         cache = build_spectral_cache(SystemParams(chi=0.01), range(6))
-        psi = _propagate(state, cache, np.array([2.0]))[0]
+        psi = propagated_tables(state, cache, np.array([2.0]))[0]
         rho = psi @ psi.conj().T
         off = rho - np.diag(np.diag(rho))
         assert np.abs(off).max() < 1e-14
@@ -352,7 +353,7 @@ def assert_series_matches_single_step_api(state, cache, times):
     diagonalized on its own, and the atom reduction's purity, which a pure
     state shares with the field reduction."""
     s_field, s_atom, pur = entropy_series(state, cache, times)
-    psi = _propagate(state, cache, np.asarray(times, dtype=float))
+    psi = propagated_tables(state, cache, np.asarray(times, dtype=float))
     atom_tables = psi.transpose(0, 2, 1)
     rho_atom = atom_tables @ atom_tables.conj().transpose(0, 2, 1)
     np.testing.assert_allclose(s_field, oracle.field_entropy(psi), rtol=0, atol=1e-12)
@@ -430,8 +431,9 @@ class TestEntropySeries:
     def test_multi_block_memory_bounded_by_chunk_bytes(self, rng):
         # At n_max = 60 a 2048-sample (chunk, dim, dim) complex table is
         # 122 MB, 14.5 times _CHUNK_BYTES; the budget cuts chunks to 140
-        # samples.  psi, its conjugate and rho_field are alive together:
-        # measured peak 3.13 _CHUNK_BYTES.
+        # samples.  Their packed amplitudes take 0.51 budgets, and the
+        # reduction's 8-sample slices of psi, its conjugate and rho_field
+        # 0.17: measured peak 0.71 _CHUNK_BYTES, bound with a 0.09 margin.
         state = random_triangle_state(rng, 60)
         cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(61))
         times = np.linspace(0.0, 40.0, 3000)
@@ -441,7 +443,7 @@ class TestEntropySeries:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * dynamics._CHUNK_BYTES
+        assert peak < 0.8 * dynamics._CHUNK_BYTES
         assert np.array_equal(s_field, s_atom)
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(61) + 1e-12))
 
@@ -533,6 +535,60 @@ class TestSchmidtSpectrum:
         assert_series_matches_single_step_api(state, cache, np.array(times))
 
 
+def scattered_tables(state: TwoModeState, cache, times: np.ndarray) -> np.ndarray:
+    """Each occupied block's _block_amplitudes scattered straight into
+    zeroed dense (len(times), dim, dim) tables."""
+    dim = state.n_max + 1
+    psi = np.zeros((times.size, dim, dim), dtype=complex)
+    for n_total in state.occupied_blocks():
+        ms = np.arange(n_total + 1)
+        psi[:, n_total - ms, ms] = dynamics._block_amplitudes(state, cache, n_total, times)
+    return psi
+
+
+class TestPackedChunks:
+    @given(
+        drawn=block_supported_states(min_blocks=2),
+        q=st.floats(min_value=0.3, max_value=1.0),
+        chi=st.floats(min_value=0.0, max_value=0.1),
+        gamma=st.floats(min_value=-1.5, max_value=1.5),
+        times=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_packed_blocks_unpack_to_scattered_tables(self, drawn, q, chi, gamma, times):
+        state, _ = drawn
+        cache = build_spectral_cache(SystemParams(chi=chi, gamma=gamma, q=q), state.occupied_blocks())
+        times = np.array(times)
+        packed = _propagate(state, cache, times)
+        assert packed.shape == (times.size, sum(n + 1 for n in state.occupied_blocks()))
+        assert propagated_tables(state, cache, times).tobytes() == scattered_tables(state, cache, times).tobytes()
+
+    @given(
+        drawn=block_supported_states(min_blocks=2),
+        q=st.floats(min_value=0.3, max_value=1.0),
+        chi=st.floats(min_value=0.0, max_value=0.1),
+        gamma=st.floats(min_value=-1.5, max_value=1.5),
+        samples=st.integers(min_value=1, max_value=40),
+        chunk=st.integers(min_value=1, max_value=16),
+        few=st.integers(min_value=2, max_value=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_slice_cap_moves_no_bit(self, drawn, q, chi, gamma, samples, chunk, few):
+        # The reduction lays out a chunk's tables a slice at a time; a slice
+        # of one sample, of a few, or of the whole chunk gives the same bits.
+        state, _ = drawn
+        cache = build_spectral_cache(SystemParams(chi=chi, gamma=gamma, q=q), state.occupied_blocks())
+        times = np.linspace(-5.0, 40.0, samples)
+        table_bytes = 16 * (state.n_max + 1) ** 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_CHUNK_SAMPLES", chunk)
+            want = entropy_series(state, cache, times)
+            for cap in (1, few * table_bytes, chunk * table_bytes):
+                mp.setattr(dynamics, "_SLICE_BYTES", cap)
+                for a, b in zip(entropy_series(state, cache, times), want):
+                    assert a.tobytes() == b.tobytes()
+
+
 class TestOccupiedBlockCache:
     @given(
         drawn=block_supported_states(),
@@ -575,7 +631,7 @@ class TestEigenvectorSigns:
         times = np.linspace(-5.0, 40.0, 23)
         for a, b in zip(entropy_series(state, cache, times), entropy_series(state, flipped, times)):
             assert np.array_equal(a, b)
-        assert np.array_equal(_propagate(state, cache, times), _propagate(state, flipped, times))
+        assert np.array_equal(propagated_tables(state, cache, times), propagated_tables(state, flipped, times))
 
 
 class TestExcitationPhase:

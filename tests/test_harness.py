@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qkerr import dynamics
 from qkerr.blocks import SystemParams
+from qkerr.cli import main as cli_main
 from qkerr.harness import (
     CLASSIFY_REL_TOL,
     DIP_COLUMNS,
@@ -33,6 +34,33 @@ from qkerr.harness import (
     run_evolve,
     run_sweep_q,
     time_grid,
+)
+
+
+HEADER = "t,gamma_t,S_field,S_atom,purity_field\n"
+# Series CSVs evolve would not write, each with the reason read_csv gives.
+MALFORMED_SERIES = (
+    ("nope\n1,2\n", "expected header t,gamma_t,S_field,S_atom,purity_field, got nope"),
+    ("", "empty file"),
+    (HEADER + "1,2,3\n", "rows have 3 fields"),
+    (
+        HEADER + "1,2,3,4,5\n2,2,3,4,5,6\n",
+        "the number of columns changed from 5 to 6 at row 2; use `usecols` to select a subset and avoid this error",
+    ),
+    # Uniform widths other than 5, which a bare numeric parser accepts.
+    (HEADER + "1,2,3,4,5,6\n2,2,3,4,5,6\n", "rows have 6 fields"),
+    (HEADER + "1,2,3\n2,2,3\n", "rows have 3 fields"),
+    (HEADER + "1,2,x,4,5\n", "could not convert string 'x' to float64 at row 0, column 3."),
+    (HEADER + "1,2,,4,5\n", "could not convert string '' to float64 at row 0, column 3."),
+    # evolve never quotes a field or groups digits with underscores.
+    (HEADER + '"1",2,3,4,5\n', "could not convert string '\"1\"' to float64 at row 0, column 1."),
+    (HEADER + "1_0,2,3,4,5\n", "could not convert string '1_0' to float64 at row 0, column 1."),
+    # A comment line is not data, and no line is skipped as one.
+    (
+        HEADER + "1,2,3,4,5\n# comment\n2,2,3,4,5\n",
+        "the number of columns changed from 5 to 1 at row 2; use `usecols` to select a subset and avoid this error",
+    ),
+    (HEADER + "2,2,3,4,5\n1,2,3,4,5\n", "time column is not strictly increasing"),
 )
 
 
@@ -502,33 +530,42 @@ class TestCsv:
 
     def test_malformed_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
-        header = "t,gamma_t,S_field,S_atom,purity_field\n"
-        for text in (
-            "nope\n1,2\n",
-            "",
-            header + "1,2,3\n",
-            header + "1,2,3,4,5\n2,2,3,4,5,6\n",
-            # Uniform widths other than 5, which a bare numeric parser accepts.
-            header + "1,2,3,4,5,6\n2,2,3,4,5,6\n",
-            header + "1,2,3\n2,2,3\n",
-            header + "1,2,x,4,5\n",
-            header + "1,2,,4,5\n",
-            # evolve never quotes a field or groups digits with underscores.
-            header + '"1",2,3,4,5\n',
-            header + "1_0,2,3,4,5\n",
-            # A comment line is not data, and no line is skipped as one.
-            header + "1,2,3,4,5\n# comment\n2,2,3,4,5\n",
-            header + "2,2,3,4,5\n1,2,3,4,5\n",
-        ):
+        for text, _ in MALFORMED_SERIES:
             p.write_text(text)
             with pytest.raises(ValueError, match="malformed series CSV"):
                 EntropySeries.read_csv(str(p))
         # Header only: rejected, with no warning on the way.
-        p.write_text(header)
+        p.write_text(HEADER)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="no data rows"):
                 EntropySeries.read_csv(str(p))
+
+    @pytest.mark.parametrize(
+        "text, message", MALFORMED_SERIES + ((HEADER, "no data rows"), (HEADER + "\n \n", "no data rows"))
+    )
+    def test_revivals_reports_malformed(self, tmp_path, capsys, text, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        assert cli_main(["revivals", str(p), "--chi", "0.01"]) == 2
+        assert capsys.readouterr() == ("", f"error: malformed series CSV {p}: {message}\n")
+
+    def test_read_streams_the_file(self, tmp_path, rng):
+        # The default evolve grid's 28,001 rows parse to a 1.07 MiB table.
+        # Reading the body into one string before parsing peaked at 8.2
+        # times that; streaming the file to loadtxt peaks at 2.0 times.
+        rows = 28_001
+        t = np.linspace(0.0, 1400.0, rows)
+        path = tmp_path / "s.csv"
+        EntropySeries(t, t, 3.0 * rng.random(rows), 3.0 * rng.random(rows), rng.random(rows)).write_csv(str(path))
+        tracemalloc.start()
+        try:
+            back = EntropySeries.read_csv(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * rows * len(SERIES_COLUMNS) * 8
+        np.testing.assert_allclose(back.t, t, rtol=1e-11, atol=0)
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "gaps.csv"
