@@ -136,7 +136,7 @@ def eigh_tridiagonal(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
     """
     d = np.asarray(diag, dtype=float)
     if d.ndim == 0 or d.shape[-1] == 0:
-        raise ValueError("diag must be a nonempty 1-d array")
+        raise ValueError(f"diag must have a nonempty last axis, got shape {d.shape}")
     n = d.shape[-1]
     e = np.asarray(offdiag, dtype=float)
     if e.shape != d.shape[:-1] + (n - 1,):

@@ -144,10 +144,11 @@ def build_spectral_cache(params: SystemParams, blocks: Iterable[int]) -> dict[in
 
 
 def _single_block_sweep(
-    state: TwoModeState, params: SystemParams, qs: np.ndarray, t: float, log_base: float
+    state: TwoModeState, params: SystemParams, qs: np.ndarray, times: np.ndarray, log_base: float
 ) -> np.ndarray:
-    """Field entropy at time t of a state on one block N (every Fock state)
-    for each deformation in qs, with params.q replaced by it.
+    """Field entropy at the one time of times, shape (1,), of a state on one
+    block N (every Fock state) for each deformation in qs, with params.q
+    replaced by it.
 
     The blocks N of a chunk of q are built in one build_block call, solved
     in one eigh_tridiagonal call and propagated in one _block_amplitudes
@@ -163,7 +164,6 @@ def _single_block_sweep(
     """
     _check_log_base(log_base)
     (n_total,) = state.occupied_blocks()
-    times = np.array([float(t)])
     step = max(1, _CHUNK_BYTES // (16 * (n_total + 1) ** 2))
     s_field = np.empty(qs.size)
     start = 0

@@ -5,15 +5,17 @@ Everything here is a thin orchestration layer over dynamics: build the
 initial state, build the per-block spectra once, evaluate the entropy on a
 grid, and serialize.  A q grid of a Fock state, which does not depend on
 q, builds the state once and solves every q's block in one stacked
-eigensolve; a coherent state is rebuilt at each q.  All CSV is written
-with 12 significant digits and ``\\n`` newlines so repeated runs are
-byte-identical: the series, sweep and revival-dip tables all go through
-one block-formatted writer, which replaces the target only once the whole
-table is written, and a series is read back by streaming the open file
-to ``np.loadtxt`` behind the header, width, emptiness and time-order
-checks.  The drivers take the physics as one ``SystemParams`` and explicit
-grids (the CLI holds the default time grids); the q drivers replace its
-``q`` at each grid point.
+eigensolve; a coherent state is rebuilt at each q.  Every q evaluation
+goes through run_sweep_q: a step of the optimal-q refinement is a
+one-point sweep.  All CSV is written with 12 significant digits and
+``\\n`` newlines so repeated runs are byte-identical: the series, sweep
+and revival-dip tables all go through one block-formatted writer, which
+replaces the target only once the whole table is written, and a series is
+read back by streaming the open file to ``np.loadtxt`` behind the header,
+width, emptiness and time-order checks, its columns left as views of the
+one parsed table.  The drivers take the physics as one ``SystemParams``
+and explicit grids (the CLI holds the default time grids); the q drivers
+replace its ``q`` at each grid point.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ class EntropySeries:
         t = data[:, 0]
         if not np.all(np.diff(t) > 0):
             raise ValueError(f"malformed series CSV {path}: time column is not strictly increasing")
-        return cls(*data.T.copy())
+        return cls(*data.T)
 
 
 def _write_table(path: str, columns: tuple[str, ...], values: tuple[np.ndarray, ...]) -> None:
@@ -300,19 +302,10 @@ def _check_gamma_t(params: SystemParams, times: np.ndarray) -> None:
         raise ValueError("gamma * t must be finite at every sample")
 
 
-def _s_field_over_q(initial: InitialState, params: SystemParams, qs, t: float, log_base: float) -> np.ndarray:
-    """Field-mode entropy at time t for each q in qs (see run_sweep_q)."""
-    times = np.array([float(t)])
-    if initial.kind == "coherent":
-        return np.array([run_evolve(initial, replace(params, q=float(q)), times, log_base).s_field[0] for q in qs])
-    _check_gamma_t(params, times)
-    return _single_block_sweep(initial.build(float(qs[0])), params, qs, t, log_base)
-
-
 def _entropy_at(initial: InitialState, params: SystemParams, q: float, t: float, log_base: float) -> float:
-    """Field-mode entropy at time t with params.q replaced by q: the
-    one-point q grid."""
-    return float(_s_field_over_q(initial, params, np.array([float(q)]), t, log_base)[0])
+    """Field-mode entropy at time t with params.q replaced by q: a
+    one-point run_sweep_q."""
+    return float(run_sweep_q(initial, params, [q], t, log_base).s_field[0])
 
 
 def run_sweep_q(
@@ -333,7 +326,13 @@ def run_sweep_q(
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 1 or qs.size == 0 or not np.all(np.diff(qs) > 0):
         raise ValueError("q grid must be a non-empty, strictly increasing 1-d array")
-    return SweepResult(q=qs, s_field=_s_field_over_q(initial, params, qs, t, log_base))
+    times = np.array([float(t)])
+    if initial.kind == "coherent":
+        s_field = np.array([run_evolve(initial, replace(params, q=float(q)), times, log_base).s_field[0] for q in qs])
+    else:
+        _check_gamma_t(params, times)
+        s_field = _single_block_sweep(initial.build(float(qs[0])), params, qs, times, log_base)
+    return SweepResult(q=qs, s_field=s_field)
 
 
 def _parabolic_peak(f, qs, ss):

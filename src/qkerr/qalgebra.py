@@ -145,11 +145,10 @@ def coherent_amplitudes(alpha_sq: float, q: float, *, tail_tol: float = TAIL_TOL
         weight_next = weight * alpha_sq / bracket
         # The term ratio alpha_sq / [k + 1] falls with k, so below one it
         # bounds the omitted tail sum_{k > n_max} w_k by a geometric series.
+        # Only there can the weights fall, so a weight at 0 gives a tail of 0.
         bracket_next = box_n(n_max + 2, q)
         ratio = alpha_sq / bracket_next
-        if weight_next == 0.0:
-            tail = 0.0
-        elif ratio >= 1.0:
+        if ratio >= 1.0:
             tail = math.inf
         else:
             tail = weight_next / (1.0 - ratio)

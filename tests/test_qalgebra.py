@@ -286,8 +286,17 @@ def _outcome(fn, *args, **kwargs):
         return type(exc)
 
 
+# A weight of 0 stops the walk: at alpha_sq 0 and -0.0 on the first step,
+# and with a tail_tol of 5e-324 where the falling weights underflow (n 156
+# at alpha_sq 0.5, q 1; n 161 at alpha_sq 0.01, q 0.06).
 @settings(max_examples=400, deadline=None)
 @given(coherent_cases())
+@example((0.0, 1.0, 1e-10))
+@example((-0.0, 1.0, 1e-10))
+@example((0.0, 0.06, 1e-10))
+@example((-0.0, 0.06, 1e-10))
+@example((0.5, 1.0, 5e-324))
+@example((0.01, 0.06, 5e-324))
 def test_one_walk_matches_two_pass(case):
     alpha_sq, q, tail_tol = case
     one = _outcome(coherent_amplitudes, alpha_sq, q, tail_tol=tail_tol)
