@@ -16,10 +16,15 @@ time, a state on one block (every Fock state) has its blocks for all q
 built as one stack from one bracket table, solved in one LAPACK call and
 propagated by the same kernel (_single_block_sweep).  The state is pure,
 so both reduced modes share one Schmidt spectrum: S_field, S_atom and the
-purity all come from it.  On several blocks a chunk's amplitudes stay
-packed, block beside block, and only a slice of them at a time is laid out
-as dense tables for the reduction: a coherent series peaks at 4.4 MiB of
-traced arrays at alpha_sq 0.5 (11 levels) and 5.8 MiB at 47 levels.
+purity all come from it.  On one block a chunk's phase factors are
+scaled in one array and its spectrum is squared over its amplitudes, so
+at most two (chunk, N + 1) complex arrays are alive at once: a series
+peaks at 2.6 MiB of traced arrays at N = 40 (2,001 samples), 13.4 MiB at
+N = 200 and 20.3 MiB at N = 512 (14,001 samples each).  On several blocks
+a chunk's amplitudes stay packed, block beside block, and only a slice of
+them at a time is laid out as dense tables for the reduction: a coherent
+series peaks at 4.2 MiB of traced arrays at alpha_sq 0.5 (11 levels) and
+5.7 MiB at 47 levels.
 dense_reference_evolve is a brute-force propagator for cross-checks: it
 diagonalizes _lattice_hamiltonian, the Hamiltonian of the whole lattice
 as one matrix.
@@ -44,11 +49,14 @@ _EIGENVALUE_FLOOR = -1e-10
 _PHASE_TOL = 1e-3
 # Most samples entropy_series evolves per chunk, and the cap on the bytes
 # of a chunk's (chunk, dim, dim) complex tables on several blocks, or of
-# its (chunk, N + 1) amplitudes on one.  On several blocks those tables are
-# never formed whole: _propagate packs the chunk's amplitudes into
-# (chunk, sum(N + 1)), about 55% of the tables at dim 11, and the
-# reduction lays out _SLICE_BYTES of tables at a time, so a chunk peaks
-# near 4.4 MiB at dim 11 and 5.8 MiB at dim 47 (tracemalloc).
+# its (chunk, N + 1) amplitudes on one.  On one block the phase factors are
+# exponentiated and scaled in one array, and the spectrum is squared over
+# the amplitudes' imaginary part, so a chunk peaks near two such arrays:
+# 2.6 MiB at N = 40 and 13.4 MiB at N = 200 (tracemalloc).  On several
+# blocks those tables are never formed whole: _propagate packs the chunk's
+# amplitudes into (chunk, sum(N + 1)), about 55% of the tables at dim 11,
+# and the reduction lays out _SLICE_BYTES of tables at a time, so a chunk
+# peaks near 4.2 MiB at dim 11 and 5.7 MiB at dim 47 (tracemalloc).
 _CHUNK_SAMPLES = 2048
 _CHUNK_BYTES = 8 * 2**20
 # Cap on the bytes of each dense (slice, dim, dim) complex array of the
@@ -157,7 +165,9 @@ def _single_block_sweep(
     stay under _CHUNK_BYTES.  _block_amplitudes also makes a temporary
     complex copy of the eigenvector stack, 16 bytes an entry more, for its
     two complex products: two real products on the real and imaginary
-    parts would avoid it, but do not give the same bits.
+    parts would avoid it, but do not give the same bits.  The stacks set the
+    peak, 1.6 budgets at N = 40 (tracemalloc): the phases, amplitudes and
+    spectra of a chunk are (q, N + 1) arrays, the spectra computed in place.
     Each q keeps the bits a one-sample entropy_series gives it, and errors
     come in q order: a phase failure at one q is reported before a block
     of a later q that overflowed.
@@ -178,8 +188,8 @@ def _single_block_sweep(
             spectra = eigh_tridiagonal(diag[:stop], offdiag[:stop])
         except ConvergenceError as exc:
             raise ConvergenceError(f"q={chunk[0]:g} to {chunk[stop - 1]:g}: {exc}") from exc
-        a = _block_amplitudes(state, {n_total: spectra}, n_total, times)[0]
-        s_field[start : start + stop] = _entropy_of_spectra((a.real**2 + a.imag**2)[:, ::-1], log_base)
+        spec = _block_spectra(_block_amplitudes(state, {n_total: spectra}, n_total, times)[0])
+        s_field[start : start + stop] = _entropy_of_spectra(spec, log_base)
         start += stop
     return s_field
 
@@ -209,8 +219,11 @@ def _block_amplitudes(
         )
     ms = np.arange(n_total + 1)
     a0 = state.amplitudes[n_total - ms, ms]
-    phases = np.exp(-1j * vals[..., None] * times)
-    amps = np.moveaxis(vecs @ (phases * (np.swapaxes(vecs, -1, -2) @ a0)[..., None]), -1, 0)
+    # exp(-i lambda t) V^T a(0) in one array, exponentiated and scaled in place
+    phases = -1j * vals[..., None] * times
+    np.exp(phases, out=phases)
+    phases *= (np.swapaxes(vecs, -1, -2) @ a0)[..., None]
+    amps = np.moveaxis(vecs @ phases, -1, 0)
     # U(0) is the identity: V V^T would leave roundoff on the empty levels.
     amps[times == 0] = a0
     return amps
@@ -269,13 +282,24 @@ def entropy_series(
     for start in range(0, times.size, step):
         sl = slice(start, min(start + step, times.size))
         if single:
-            a = _block_amplitudes(state, cache, blocks[0], times[sl])
-            spec = (a.real**2 + a.imag**2)[:, ::-1]
+            spec = _block_spectra(_block_amplitudes(state, cache, blocks[0], times[sl]))
         else:
             spec = _field_spectra(_propagate(state, cache, times[sl]), tables, sites)
         s_field[sl] = _entropy_of_spectra(spec, log_base)
         purity_field[sl] = (spec**2).sum(axis=1)
+        # not kept alive while the next chunk propagates
+        del spec
     return s_field, s_field.copy(), purity_field
+
+
+def _block_spectra(a: np.ndarray) -> np.ndarray:
+    """Schmidt spectrum p_n = |psi(n, N - n)|^2, n ascending, of each row of
+    one block's amplitudes a_m = psi(N - m, m); overwrites a's imaginary
+    part.  The squares keep a's memory layout and the columns are reversed
+    as a view: the entropy and purity sums read that layout."""
+    spec = np.square(a.real)
+    spec += np.square(a.imag, out=a.imag)
+    return spec[:, ::-1]
 
 
 def _field_spectra(packed: np.ndarray, tables: np.ndarray, sites: np.ndarray) -> np.ndarray:
@@ -337,7 +361,13 @@ def dense_reference_evolve(state: TwoModeState, params: SystemParams, t: float) 
 
 
 def _entropy_of_spectra(vals: np.ndarray, log_base: float) -> np.ndarray:
-    """Entropy of each row of eigenvalues, with the roundoff floor applied."""
+    """Entropy of each row of eigenvalues, with the roundoff floor applied.
+
+    The row sums reduce in an order set by the memory layout of vals, so
+    their last bits depend on it: a C-contiguous copy of a one-block
+    spectrum, whose column-reversed layout _block_spectra gives, changes
+    some rows.
+    """
     floor = float(vals.min())
     if not floor >= _EIGENVALUE_FLOOR:
         raise ValueError(
@@ -345,7 +375,9 @@ def _entropy_of_spectra(vals: np.ndarray, log_base: float) -> np.ndarray:
             "upstream state is inconsistent"
         )
     vals = np.clip(vals, 0.0, None)
-    terms = vals * np.log(np.where(vals > 0.0, vals, 1.0))
+    terms = np.where(vals > 0.0, vals, 1.0)
+    np.log(terms, out=terms)
+    terms *= vals
     return np.maximum(-terms.sum(axis=-1) / math.log(log_base), 0.0)
 
 

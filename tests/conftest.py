@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,17 @@ def load_bench(name: str):
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

@@ -23,7 +23,6 @@ conftest.propagated_tables.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +43,7 @@ from qkerr.dynamics import (
 )
 from qkerr.exceptions import ConvergenceError
 
-from conftest import load_bench, propagated_tables, random_triangle_state
+from conftest import load_bench, propagated_tables, random_triangle_state, traced_peak
 
 oracle = load_bench("oracle")
 
@@ -412,19 +411,17 @@ class TestEntropySeries:
     def test_single_block_memory_bounded_by_block_amplitudes(self, monkeypatch):
         # A Fock state at N = 200 needs only (chunk, N + 1) amplitude arrays.
         # A (chunk, dim, dim) amplitude table would be 2048 * 201**2 * 16
-        # bytes, 1.3 GB; the bound allows eight (chunk, N + 1) complex arrays.
+        # bytes, 1.3 GB.  The phase factors are scaled in one array and the
+        # spectrum is squared over the amplitudes' imaginary part, so the
+        # measured peak is 2.1 (chunk, N + 1) complex arrays.  The bound
+        # allows 3.5, and fails when a chunk keeps four alive at once (4.6).
         n, chunk = 200, 2048
         state = prepare_fock(n)
         cache = build_spectral_cache(SystemParams(chi=0.01, q=0.7), state.occupied_blocks())
         times = np.linspace(0.0, 700.0, 14_001)
         monkeypatch.setattr(dynamics, "_CHUNK_SAMPLES", chunk)
-        tracemalloc.start()
-        try:
-            s_field, s_atom, _ = entropy_series(state, cache, times)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * chunk * (n + 1) * 16
+        (s_field, s_atom, _), peak = traced_peak(lambda: entropy_series(state, cache, times))
+        assert peak < 3.5 * chunk * (n + 1) * 16
         assert np.array_equal(s_field, s_atom)
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(n + 1) + 1e-12))
 
@@ -437,12 +434,7 @@ class TestEntropySeries:
         state = random_triangle_state(rng, 60)
         cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(61))
         times = np.linspace(0.0, 40.0, 3000)
-        tracemalloc.start()
-        try:
-            s_field, s_atom, _ = entropy_series(state, cache, times)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (s_field, s_atom, _), peak = traced_peak(lambda: entropy_series(state, cache, times))
         assert peak < 0.8 * dynamics._CHUNK_BYTES
         assert np.array_equal(s_field, s_atom)
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(61) + 1e-12))
@@ -473,6 +465,40 @@ class TestEntropySeries:
         b = series(2048)
         for x, y in zip(series(64), b):
             assert np.array_equal(x, y)
+
+    @given(
+        n_total=st.integers(min_value=0, max_value=60),
+        seed=st.none() | st.integers(min_value=0, max_value=2**32 - 1),
+        q=st.floats(min_value=0.3, max_value=1.0),
+        chi=st.floats(min_value=0.0, max_value=0.1),
+        gamma=st.floats(min_value=-1.5, max_value=1.5),
+        samples=st.integers(min_value=1, max_value=60),
+        chunk=st.integers(min_value=2, max_value=32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_single_block_series_bits(self, n_total, seed, q, chi, gamma, samples, chunk):
+        # The in-place one-block path against the plain expressions on the
+        # same chunks: the spectrum keeps the layout of
+        # (a.real**2 + a.imag**2)[:, ::-1], whose row sums the entropy and
+        # purity reduce in the same order.  A Fock state N, or a random
+        # complex vector on block N when a seed is drawn.
+        if seed is None:
+            state = prepare_fock(n_total)
+        else:
+            state = random_block_state(np.random.default_rng(seed), n_total, n_total)
+        cache = build_spectral_cache(SystemParams(chi=chi, gamma=gamma, q=q), [n_total])
+        times = np.linspace(-3.0, 60.0, samples)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_CHUNK_SAMPLES", chunk)
+            s_field, _, purity = entropy_series(state, cache, times)
+        want_s, want_p = [], []
+        for lo in range(0, samples, chunk):
+            a = dynamics._block_amplitudes(state, cache, n_total, times[lo : lo + chunk])
+            spec = (a.real**2 + a.imag**2)[:, ::-1]
+            want_s.append(dynamics._entropy_of_spectra(spec, 2.0))
+            want_p.append((spec**2).sum(axis=1))
+        assert s_field.tobytes() == np.concatenate(want_s).tobytes()
+        assert purity.tobytes() == np.concatenate(want_p).tobytes()
 
     def test_one_eigvalsh_call_per_multi_block_chunk(self, rng, monkeypatch):
         # The field spectrum alone gives S_field and S_atom (Schmidt).

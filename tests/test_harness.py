@@ -3,7 +3,6 @@ and revival-dip classification on synthetic series."""
 
 import io
 import math
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -35,6 +34,8 @@ from qkerr.harness import (
     run_sweep_q,
     time_grid,
 )
+
+from conftest import traced_peak
 
 
 HEADER = "t,gamma_t,S_field,S_atom,purity_field\n"
@@ -270,12 +271,7 @@ class TestStackedSweep:
         monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 2**20)
         init, params = InitialState(kind="fock", fock_n=40), SystemParams(chi=0.01, gamma=-0.7)
         qs = q_grid(0.5, 1.0, 1000)
-        tracemalloc.start()
-        try:
-            s_field = run_sweep_q(init, params, qs, 1.0).s_field
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        s_field, peak = traced_peak(lambda: run_sweep_q(init, params, qs, 1.0).s_field)
         assert peak < 4 * 2**20
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(41) + 1e-12))
 
@@ -561,12 +557,7 @@ class TestCsv:
         path = tmp_path / "s.csv"
         s_field = 3.0 * rng.random(rows)
         EntropySeries(t, t, s_field, 3.0 * rng.random(rows), rng.random(rows)).write_csv(str(path))
-        tracemalloc.start()
-        try:
-            back = EntropySeries.read_csv(str(path))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        back, peak = traced_peak(lambda: EntropySeries.read_csv(str(path)))
         assert peak < 1.5 * rows * len(SERIES_COLUMNS) * 8
         np.testing.assert_allclose(back.t, t, rtol=1e-11, atol=0)
         np.testing.assert_allclose(back.s_field, s_field, rtol=1e-11, atol=0)
