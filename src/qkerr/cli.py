@@ -20,8 +20,6 @@ import sys
 from collections import Counter
 from dataclasses import replace
 
-import numpy as np
-
 from .blocks import SystemParams
 from .exceptions import ConvergenceError
 from .harness import (
@@ -201,10 +199,6 @@ def main(argv: list[str] | None = None) -> int:
         return _HANDLERS[args.command](args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as exc:
-        # Subclasses ValueError, so it must be caught first.
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,13 +18,10 @@ propagated by the same kernel (_single_block_sweep).  The state is pure,
 so both reduced modes share one Schmidt spectrum: S_field, S_atom and the
 purity all come from it.  On one block a chunk's phase factors are
 scaled in one array and its spectrum is squared over its amplitudes, so
-at most two (chunk, N + 1) complex arrays are alive at once: a series
-peaks at 2.6 MiB of traced arrays at N = 40 (2,001 samples), 13.4 MiB at
-N = 200 and 20.3 MiB at N = 512 (14,001 samples each).  On several blocks
-a chunk's amplitudes stay packed, block beside block, and only a slice of
-them at a time is laid out as dense tables for the reduction: a coherent
-series peaks at 4.2 MiB of traced arrays at alpha_sq 0.5 (11 levels) and
-5.7 MiB at 47 levels.
+at most two (chunk, N + 1) complex arrays are alive at once.  On several
+blocks a chunk's amplitudes stay packed, block beside block, and only a
+slice of them at a time (_SLICE_BYTES) is laid out as dense tables for
+the reduction.  README gives the measured peaks.
 dense_reference_evolve is a brute-force propagator for cross-checks: it
 diagonalizes _lattice_hamiltonian, the Hamiltonian of the whole lattice
 as one matrix.
@@ -49,14 +46,10 @@ _EIGENVALUE_FLOOR = -1e-10
 _PHASE_TOL = 1e-3
 # Most samples entropy_series evolves per chunk, and the cap on the bytes
 # of a chunk's (chunk, dim, dim) complex tables on several blocks, or of
-# its (chunk, N + 1) amplitudes on one.  On one block the phase factors are
-# exponentiated and scaled in one array, and the spectrum is squared over
-# the amplitudes' imaginary part, so a chunk peaks near two such arrays:
-# 2.6 MiB at N = 40 and 13.4 MiB at N = 200 (tracemalloc).  On several
-# blocks those tables are never formed whole: _propagate packs the chunk's
-# amplitudes into (chunk, sum(N + 1)), about 55% of the tables at dim 11,
-# and the reduction lays out _SLICE_BYTES of tables at a time, so a chunk
-# peaks near 4.2 MiB at dim 11 and 5.7 MiB at dim 47 (tracemalloc).
+# its (chunk, N + 1) amplitudes on one.  On one block a chunk peaks near
+# two such amplitude arrays.  On several blocks the tables are never formed
+# whole: a chunk peaks near its packed amplitudes (_propagate) plus
+# _SLICE_BYTES of tables.
 _CHUNK_SAMPLES = 2048
 _CHUNK_BYTES = 8 * 2**20
 # Cap on the bytes of each dense (slice, dim, dim) complex array of the
@@ -138,8 +131,9 @@ def prepare_coherent(alpha_sq: float, q: float, tail_tol: float = qalgebra.TAIL_
 def build_spectral_cache(params: SystemParams, blocks: Iterable[int]) -> dict[int, Spectrum]:
     """Diagonalize the requested blocks once for reuse across times.
 
-    Returns the (eigenvalues, eigenvectors) pairs keyed by total excitation
-    N.  Pass state.occupied_blocks() for the blocks one state needs, or
+    Returns a plain dict of the (eigenvalues, eigenvectors) pairs keyed by
+    total excitation N, so vals, vecs = cache[N].  Pass
+    state.occupied_blocks() for the blocks one state needs, or
     range(n_max + 1) for every block up to n_max.
     """
     spectra = {}
@@ -166,8 +160,8 @@ def _single_block_sweep(
     complex copy of the eigenvector stack, 16 bytes an entry more, for its
     two complex products: two real products on the real and imaginary
     parts would avoid it, but do not give the same bits.  The stacks set the
-    peak, 1.6 budgets at N = 40 (tracemalloc): the phases, amplitudes and
-    spectra of a chunk are (q, N + 1) arrays, the spectra computed in place.
+    peak: the phases, amplitudes and spectra of a chunk are (q, N + 1)
+    arrays, the spectra computed in place.
     Each q keeps the bits a one-sample entropy_series gives it, and errors
     come in q order: a phase failure at one q is reported before a block
     of a later q that overflowed.
@@ -305,13 +299,17 @@ def _block_spectra(a: np.ndarray) -> np.ndarray:
 def _field_spectra(packed: np.ndarray, tables: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """Eigenvalues of rho_field = psi psi^dagger for each row of packed
     amplitudes, laid out at the flat sites of the (slice, dim, dim) buffer
-    tables, len(tables) rows at a time."""
+    tables, len(tables) rows at a time.  A LAPACK failure is raised as
+    ConvergenceError."""
     spec = np.empty((len(packed), tables.shape[1]))
     for lo in range(0, len(packed), len(tables)):
         rows = packed[lo : lo + len(tables)]
         psi = tables[: len(rows)]
         psi.reshape(len(rows), -1)[:, sites] = rows
-        spec[lo : lo + len(rows)] = np.linalg.eigvalsh(psi @ psi.conj().transpose(0, 2, 1))
+        try:
+            spec[lo : lo + len(rows)] = np.linalg.eigvalsh(psi @ psi.conj().transpose(0, 2, 1))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigensolve failed on the field density matrix (dim {psi.shape[1]}): {exc}") from exc
     return spec
 
 

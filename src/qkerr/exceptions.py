@@ -2,7 +2,9 @@
 
 
 class ConvergenceError(RuntimeError):
-    """A series or iterative eigensolver failed to converge."""
+    """A numerical failure, not bad input (ValueError): an eigensolve that
+    does not converge, a phase lambda*t that has lost its digits, or a
+    truncation that cannot reach its tolerance (TruncationError)."""
 
 
 class TruncationError(ConvergenceError):

@@ -111,7 +111,7 @@ def coherent_amplitudes(alpha_sq: float, q: float, *, tail_tol: float = TAIL_TOL
     excitation-conserving Hamiltonian, so no entropy or purity could depend
     on it.  alpha_sq must be finite, >= 0 and below the series radius
     bracket_radius(q) = 1/(1 - q^2), beyond which the state is not
-    normalizable.
+    normalizable, and tail_tol must lie in (0, 1).
 
     Walks c_n = alpha^n / sqrt([n]!) and the unnormalized weights
     w_n = alpha_sq^n / [n]! up from n = 0 and stops at the first n_max

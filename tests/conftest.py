@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qkerr.cli import main
 from qkerr.dynamics import TwoModeState, _propagate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -25,6 +26,15 @@ def load_bench(name: str):
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+def run_cli(argv):
+    """Invoke the entry point, normalizing argparse's SystemExit to a code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else 2
+    return 0 if code is None else code
 
 
 def traced_peak(fn):

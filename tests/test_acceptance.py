@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from qkerr.blocks import SystemParams, build_block, tridiagonal_dense
-from qkerr.cli import main as cli_main
 from qkerr.dynamics import (
     build_spectral_cache,
     dense_reference_evolve,
@@ -28,7 +27,7 @@ from qkerr.dynamics import (
 from qkerr.harness import InitialState, detect_revivals, find_optimal_q, q_grid, run_evolve
 from qkerr.qalgebra import box_n
 
-from conftest import load_bench, propagated_tables, random_triangle_state
+from conftest import load_bench, propagated_tables, random_triangle_state, run_cli
 
 oracle = load_bench("oracle")
 
@@ -46,14 +45,6 @@ COHERENT_TIMES = np.linspace(0.0, 1400.0, 28_001)
 def report(capsys, num, ok, detail):
     with capsys.disabled():
         print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
-
-
-def run_cli(argv):
-    try:
-        code = cli_main(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-    return 0 if code is None else code
 
 
 def fock_series(n, q):

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import io
 import math
+import runpy
 import tempfile
 from pathlib import Path
 
@@ -13,17 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkerr import cli, harness
-from qkerr.cli import build_parser, main
+from qkerr.cli import build_parser
 from qkerr.harness import EntropySeries
 
-
-def run_cli(argv):
-    """Invoke the entry point, normalizing argparse's SystemExit to a code."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-    return 0 if code is None else code
+from conftest import run_cli
 
 
 GAMMA_BS = str(-math.pi / 4.0)
@@ -316,6 +310,29 @@ class TestEvolve:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_field_eigensolver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a coherent state reduces its field density matrices through eigvalsh
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        out = tmp_path / "x.csv"
+        argv = ["evolve", "--gamma", "1", "--q", "0.9", "--initial", "coherent", "--t-max", "1", "--steps", "3"]
+        code = run_cli(argv + ["--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: eigensolve failed on the field density matrix (dim 13): Eigenvalues did not converge\n"
+        assert not out.exists()
+
+    def test_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 1.00 PiB")
+
+        monkeypatch.setitem(cli._HANDLERS, "evolve", exhausted)
+        code = run_cli(["evolve", "--gamma", "1", "--q", "0.9", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.00 PiB\n"
+
     def test_stacked_eigensolver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         # a Fock sweep solves the blocks of all its q in one call
         def failing(matrix):
@@ -485,6 +502,16 @@ class TestParser:
     def test_unknown_command(self):
         assert run_cli(["frobnicate"]) == 2
 
+    def test_same_outputs_edge_calls_parse(self, tmp_path):
+        # the output-identity tool's own calls, so its list cannot go stale;
+        # run_path compiles the script without writing bytecode
+        tool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"))
+        calls = [argv for group in tool["EDGE_CALLS"] for argv in group]
+        assert calls
+        parser = build_parser()
+        for argv in calls:
+            parser.parse_args([arg.replace(tool["OUT"], str(tmp_path)) for arg in argv])
+
     def test_parser_built_once(self, tmp_path, monkeypatch, capsys):
         # main builds its parser on its first call and reuses it after an
         # argparse error (exit 2); the outputs of a repeated call stay the same.
@@ -525,6 +552,11 @@ class TestParser:
             ]
         )
         assert ok == 0
+        # an explicit --log-base 2 is the default run, byte for byte
+        argv = ["evolve", "--gamma", "1", "--q", "0.9", "--t-max", "1", "--steps", "3", "--out"]
+        assert run_cli(argv + [str(tmp_path / "default.csv")]) == 0
+        assert run_cli(argv + [str(tmp_path / "base2.csv"), "--log-base", "2"]) == 0
+        assert (tmp_path / "base2.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
         bad = run_cli(
             [
                 "evolve",

@@ -105,6 +105,10 @@ class TestPreparation:
         bad[0, 0] = np.nan  # a NaN norm is not within tolerance of 1
         with pytest.raises(ValueError, match="norm"):
             TwoModeState(n_max=1, amplitudes=bad)
+        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+            TwoModeState(n_max=-1, amplitudes=np.zeros((0, 0), dtype=complex))
+        with pytest.raises(ValueError, match=r"amplitude table must be 2x2, got \(3, 3\)"):
+            TwoModeState(n_max=1, amplitudes=np.zeros((3, 3), dtype=complex))
 
 
 @st.composite
@@ -200,6 +204,11 @@ class TestEvolution:
         state = random_triangle_state(rng, DENSE_REFERENCE_N_CAP + 1)
         with pytest.raises(ValueError):
             dense_reference_evolve(state, SystemParams(), 1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_dense_reference_time_finite(self, rng, t):
+        with pytest.raises(ValueError, match="time must be finite"):
+            dense_reference_evolve(random_triangle_state(rng, 2), SystemParams(), t)
 
     def test_dense_reference_time_zero(self, rng):
         state = random_triangle_state(rng, 4)
@@ -346,7 +355,7 @@ def random_block_state(rng: np.random.Generator, n_max: int, n_total: int) -> Tw
     return TwoModeState(n_max=n_max, amplitudes=amps)
 
 
-def assert_series_matches_single_step_api(state, cache, times):
+def assert_series_matches_oracle(state, cache, times):
     """entropy_series against the oracle, sample by sample: the field and
     the atom reduction of each of the engine's amplitude tables, each
     diagonalized on its own, and the atom reduction's purity, which a pure
@@ -361,7 +370,7 @@ def assert_series_matches_single_step_api(state, cache, times):
 
 
 class TestEntropySeries:
-    def test_matches_single_step_api(self, rng):
+    def test_matches_oracle(self, rng):
         cache = build_spectral_cache(SystemParams(chi=0.05, gamma=0.8, q=0.9), range(6))
         times = np.linspace(0.0, 4.0, 9)
         # a state on all six blocks (dense path), then two single-block states
@@ -371,7 +380,7 @@ class TestEntropySeries:
             (random_block_state(rng, 5, 4), 1),
         ):
             assert len(state.occupied_blocks()) == blocks
-            assert_series_matches_single_step_api(state, cache, times)
+            assert_series_matches_oracle(state, cache, times)
 
     @given(
         n_total=st.integers(min_value=0, max_value=12),
@@ -382,12 +391,38 @@ class TestEntropySeries:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_single_block_matches_single_step_api(self, n_total, q, chi, gamma, times, seed):
+    def test_single_block_matches_oracle(self, n_total, q, chi, gamma, times, seed):
         # A single-block state takes the diagonal (Shannon) path; the
         # oracle reduces and diagonalizes the full tables.
         state = random_block_state(np.random.default_rng(seed), n_total, n_total)
         cache = build_spectral_cache(SystemParams(chi=chi, gamma=gamma, q=q), [n_total])
-        assert_series_matches_single_step_api(state, cache, np.array(times))
+        assert_series_matches_oracle(state, cache, np.array(times))
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            (np.zeros((2, 2)), "times must be one-dimensional"),
+            ([0.0, math.nan], "times must be finite"),
+            ([math.inf], "times must be finite"),
+        ],
+    )
+    def test_times_validated(self, times, message):
+        state = prepare_fock(2)
+        cache = build_spectral_cache(SystemParams(), state.occupied_blocks())
+        with pytest.raises(ValueError, match=message):
+            entropy_series(state, cache, times)
+
+    def test_field_eigensolve_failure_is_convergence_error(self, monkeypatch):
+        # a state on several blocks reduces through eigvalsh
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        state = prepare_coherent(0.5, 0.9)
+        cache = build_spectral_cache(SystemParams(), state.occupied_blocks())
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        message = r"^eigensolve failed on the field density matrix \(dim 13\): Eigenvalues did not converge$"
+        with pytest.raises(ConvergenceError, match=message):
+            entropy_series(state, cache, [0.0, 1.0])
 
     def test_single_block_cache_missing_block_rejected(self):
         state = prepare_fock(4)
@@ -553,12 +588,12 @@ class TestSchmidtSpectrum:
         times=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=6),
     )
     @settings(max_examples=40, deadline=None)
-    def test_multi_block_matches_single_step_api(self, drawn, q, chi, gamma, times):
+    def test_multi_block_matches_oracle(self, drawn, q, chi, gamma, times):
         # A multi-block series takes S_atom from the field spectrum; the
         # oracle reduces the atom mode and diagonalizes it.
         state, _ = drawn
         cache = build_spectral_cache(SystemParams(chi=chi, gamma=gamma, q=q), state.occupied_blocks())
-        assert_series_matches_single_step_api(state, cache, np.array(times))
+        assert_series_matches_oracle(state, cache, np.array(times))
 
 
 def scattered_tables(state: TwoModeState, cache, times: np.ndarray) -> np.ndarray:

@@ -524,6 +524,13 @@ class TestCsv:
         assert lines[0] == "t,gamma_t,S_field,S_atom,purity_field"
         assert "0.333333333333" in lines[2]  # 12 significant digits
 
+    def test_columns_match_their_grid(self):
+        t = np.arange(3.0)
+        with pytest.raises(ValueError, match=r"s_atom must match the time grid shape \(3,\)"):
+            EntropySeries(t, t, t, t[:2], t)
+        with pytest.raises(ValueError, match="S_field must match the q grid shape"):
+            SweepResult(q=t, s_field=t[:2])
+
     def test_malformed_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         for text, _ in MALFORMED_SERIES:

@@ -112,7 +112,7 @@ class TestBracketTable:
             bracket_table([0.5], -1)
 
 
-class TestCoherentSpec:
+class TestCoherentIntensity:
     """The intensity rule that coherent_amplitudes owns: alpha_sq finite and
     >= 0 (the radius half is in TestCoherentAmplitudes)."""
 
