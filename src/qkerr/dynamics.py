@@ -136,13 +136,7 @@ def build_spectral_cache(params: SystemParams, blocks: Iterable[int]) -> dict[in
     state.occupied_blocks() for the blocks one state needs, or
     range(n_max + 1) for every block up to n_max.
     """
-    spectra = {}
-    for n_total in sorted({int(n) for n in blocks}):
-        try:
-            spectra[n_total] = eigh_tridiagonal(*build_block(params, n_total))
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"q={params.q:g}: {exc}") from exc
-    return spectra
+    return {n_total: eigh_tridiagonal(*build_block(params, n_total)) for n_total in sorted({int(n) for n in blocks})}
 
 
 def _single_block_sweep(

@@ -38,6 +38,7 @@ from .dynamics import (
     prepare_coherent,
     prepare_fock,
 )
+from .exceptions import ConvergenceError
 from .qalgebra import TAIL_TOL, _check_count
 
 SERIES_COLUMNS = ("t", "gamma_t", "S_field", "S_atom", "purity_field")
@@ -281,13 +282,19 @@ def run_evolve(
     """Evolve the prepared state across a time grid and record entropies.
 
     The spectra of the blocks where the state has weight are diagonalized
-    once and reused for every sample.  gamma * t must be finite.
+    once and reused for every sample.  gamma * t must be finite.  A
+    ValueError or ConvergenceError from the spectra or the series is raised
+    again as the same class with "q=<params.q>: " in front, so a failure
+    names its q once (a failed coherent walk already names it).
     """
     times = np.asarray(times, dtype=float)
     _check_gamma_t(params, times)
     state = initial.build(params.q)
-    cache = build_spectral_cache(params, state.occupied_blocks())
-    s_field, s_atom, purity_field = entropy_series(state, cache, times, log_base=log_base)
+    try:
+        cache = build_spectral_cache(params, state.occupied_blocks())
+        s_field, s_atom, purity_field = entropy_series(state, cache, times, log_base=log_base)
+    except (ValueError, ConvergenceError) as exc:
+        raise type(exc)(f"q={params.q:g}: {exc}") from exc
     return EntropySeries(
         t=times,
         gamma_t=params.gamma * times,

@@ -64,8 +64,6 @@ def box_n(n: int, q: float) -> float:
     q = check_deformation(q)
     if q == 1.0:
         return float(n)
-    if n == 0:
-        return 0.0
     log_q2 = 2.0 * math.log(q)
     return math.expm1(n * log_q2) / math.expm1(log_q2)
 

@@ -36,26 +36,6 @@ def fail_after_header(monkeypatch):
 
 
 class TestSweepQ:
-    def test_happy_path(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        code = run_cli(
-            [
-                "sweep-q",
-                "--gamma", GAMMA_BS,
-                "--t", "1",
-                "--q-min", "0.9",
-                "--q-max", "1.0",
-                "--q-steps", "5",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        lines = out.read_text().strip().split("\n")
-        assert lines[0] == "q,S_field"
-        assert len(lines) == 6
-        # The q = 1 row is the non-deformed beam-splitter value.
-        assert float(lines[-1].split(",")[1]) == pytest.approx(2.198, abs=1e-3)
-
     def test_q_floor_enforced(self, tmp_path):
         code = run_cli(
             ["sweep-q", "--gamma", "1", "--q-min", "0.04", "--out", str(tmp_path / "x.csv")]
@@ -90,6 +70,29 @@ class TestSweepQ:
         err = capsys.readouterr().err
         assert code == 3
         assert err.count("q=0.9") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, fail_eigvalsh, exit_code",
+        [
+            (["--gamma", "1e-300", "--t", "1e300"], False, 3),  # the phases keep no digits
+            (["--gamma", "6e307"], False, 2),  # the block overflows
+            (["--gamma", "1"], True, 3),  # the field density matrix's eigensolve fails
+        ],
+        ids=["phase", "overflow", "eigvalsh"],
+    )
+    def test_coherent_failure_names_q_once(self, tmp_path, monkeypatch, capsys, flags, fail_eigvalsh, exit_code):
+        if fail_eigvalsh:
+            def failing(matrix):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+            monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        out = tmp_path / "x.csv"
+        code = run_cli(["sweep-q", "--initial", "coherent", "--q-steps", "5", "--out", str(out)] + flags)
+        err = capsys.readouterr().err
+        assert code == exit_code
+        assert err.startswith("error: q=0.5: ") and err.count("\n") == 1
+        assert err.count("q=") == 1
         assert not out.exists()
 
 
@@ -200,30 +203,30 @@ class TestEvolve:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, prefix, message",
         [
-            (["evolve", "--gamma", "1", "--q", "1", "--steps", "5", "--t-max", "1e308"], "|t| = 1e+308 (inf"),
-            (["sweep-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"], "|t| = 1e+308 (inf"),
-            (["find-optimal-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"], "|t| = 1e+308 (inf"),
+            (["evolve", "--gamma", "1", "--q", "1", "--steps", "5", "--t-max", "1e308"], "q=1: ", "|t| = 1e+308 (inf"),
+            (["sweep-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"], "", "|t| = 1e+308 (inf"),
+            (["find-optimal-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"], "", "|t| = 1e+308 (inf"),
             # gamma t stays finite, but the phases lambda * t (t = 7e302)
             # keep none of their digits
-            (["evolve", "--gamma", "1e-300", "--q", "1", "--steps", "5"], "|t| = 7e+302 (9.3e+287"),
+            (["evolve", "--gamma", "1e-300", "--q", "1", "--steps", "5"], "q=1: ", "|t| = 7e+302 (9.3e+287"),
             # the first q of the sweep fails
-            (["sweep-q", "--gamma", "1e300", "--t", "1", "--fock-n", "5", "--q-steps", "5"], "|t| = 1 (8.1e+284"),
+            (["sweep-q", "--gamma", "1e300", "--t", "1", "--fock-n", "5", "--q-steps", "5"], "", "|t| = 1 (8.1e+284"),
             # the block of q 1 overflows, but the phases of q 0.5 fail first
-            (["sweep-q", "--gamma", "6e307", "--t", "1", "--fock-n", "5", "--q-steps", "5"], "|t| = 1 (inf"),
-            (["sweep-q", "--gamma", "6e307", "--t", "0", "--fock-n", "5", "--q-steps", "5"], "|t| = 0 (nan"),
+            (["sweep-q", "--gamma", "6e307", "--t", "1", "--fock-n", "5", "--q-steps", "5"], "", "|t| = 1 (inf"),
+            (["sweep-q", "--gamma", "6e307", "--t", "0", "--fock-n", "5", "--q-steps", "5"], "", "|t| = 0 (nan"),
         ],
         ids=[f"argv{i}" for i in range(7)],
     )
-    def test_phase_overflow_exits_3(self, tmp_path, capsys, argv, message):
+    def test_phase_overflow_exits_3(self, tmp_path, capsys, argv, prefix, message):
         # lambda * t overflows: NaN phases used to be written as S = 0, and
         # phases without digits as S = 0 on every row.
         out = tmp_path / "x.csv"
         code = run_cli(argv + ["--out", str(out)])
         err = capsys.readouterr().err
         assert code == 3
-        assert err == f"error: phase lambda*t overflows on block N=5 at {message} rad of rounding)\n"
+        assert err == f"error: {prefix}phase lambda*t overflows on block N=5 at {message} rad of rounding)\n"
         assert not out.exists()
 
     def test_overflowed_block_of_a_sweep_exits_2(self, tmp_path, capsys):
@@ -321,7 +324,8 @@ class TestEvolve:
         code = run_cli(argv + ["--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
-        assert err == "error: eigensolve failed on the field density matrix (dim 13): Eigenvalues did not converge\n"
+        message = "eigensolve failed on the field density matrix (dim 13): Eigenvalues did not converge"
+        assert err == f"error: q=0.9: {message}\n"
         assert not out.exists()
 
     def test_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys):
@@ -461,22 +465,6 @@ class TestRevivals:
         captured = capsys.readouterr()
         assert captured.out.startswith("t,gamma_t,S,classification")
         assert "dip(s) below" in captured.err
-
-    def test_malformed_csv_exits_2(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        header = "t,gamma_t,S_field,S_atom,purity_field\n"
-        for text in (
-            "not,a,series\n1,2,3\n",
-            header,
-            header + "1,2,3,4,5,6\n",
-            header + "1,2,3,4,5\n1,2,3\n",
-            header + "1,2,,4,5\n",
-            header + "2,2,3,4,5\n1,2,3,4,5\n",
-            header + "1,2,3,4,5\n2,2,nan,4,5\n",
-            header + "1,2,3,4,5\n2,inf,3,4,5\n",
-        ):
-            bad.write_text(text)
-            assert run_cli(["revivals", str(bad), "--chi", "0.01"]) == 2
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli(["revivals", str(tmp_path / "absent.csv"), "--chi", "0.01"]) == 2

@@ -62,6 +62,8 @@ MALFORMED_SERIES = (
         "the number of columns changed from 5 to 1 at row 2; use `usecols` to select a subset and avoid this error",
     ),
     (HEADER + "2,2,3,4,5\n1,2,3,4,5\n", "time column is not strictly increasing"),
+    (HEADER + "1,2,3,4,5\n2,2,nan,4,5\n", "a field is not finite"),
+    (HEADER + "1,2,3,4,5\n2,inf,3,4,5\n", "a field is not finite"),
 )
 
 
@@ -495,17 +497,6 @@ def reference_csv(header, columns):
 
 
 class TestCsv:
-    def test_series_roundtrip(self, tmp_path):
-        init = InitialState(kind="fock", fock_n=3)
-        params = SystemParams(chi=0.01, gamma=1.0, q=0.9)
-        series = run_evolve(init, params, np.linspace(0.0, 5.0, 11))
-        path = tmp_path / "series.csv"
-        series.write_csv(str(path))
-        back = EntropySeries.read_csv(str(path))
-        # 12 significant digits survive the round trip at this magnitude.
-        np.testing.assert_allclose(back.t, series.t, rtol=1e-11)
-        np.testing.assert_allclose(back.s_field, series.s_field, rtol=1e-11, atol=1e-11)
-
     def test_byte_determinism(self, tmp_path):
         init = InitialState(kind="coherent", alpha_sq=0.5)
         params = SystemParams(chi=0.01, gamma=1.0, q=0.95)
@@ -515,14 +506,6 @@ class TestCsv:
         a.write_csv(str(p1))
         b.write_csv(str(p2))
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_header_and_format(self, tmp_path):
-        series = make_series([0.0, 1.0, 2.0], [0.0, 1.0 / 3.0, 0.5])
-        path = tmp_path / "s.csv"
-        series.write_csv(str(path))
-        lines = path.read_text().split("\n")
-        assert lines[0] == "t,gamma_t,S_field,S_atom,purity_field"
-        assert "0.333333333333" in lines[2]  # 12 significant digits
 
     def test_columns_match_their_grid(self):
         t = np.arange(3.0)
@@ -614,14 +597,3 @@ class TestCsv:
         ):
             want = np.array([float(format(x, ".12g")) for x in col])
             assert got.tobytes() == want.tobytes()
-
-    def test_report_csv(self, tmp_path):
-        gt = np.linspace(600, 660, 601)
-        s = 2.0 - 1.9 * np.exp(-((gt - 628.3) ** 2) / 8.0)
-        report = detect_revivals(make_series(gt, s), 0.01, 0.2)
-        path = tmp_path / "dips.csv"
-        report.write_csv(str(path))
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "t,gamma_t,S,classification"
-        assert lines[1].endswith("near-revival")
-        assert isinstance(report, RevivalReport)

@@ -60,6 +60,9 @@ EDGE_CALLS = (
     (("sweep-q", "--gamma", "6e307", "--out", f"{OUT}/sweep-gamma-huge.csv"),),
     (("sweep-q", "--gamma", "6e307", "--initial", "coherent", "--out", f"{OUT}/sweep-coherent-gamma-huge.csv"),),
     (("sweep-q", "--gamma", "1e308", "--out", f"{OUT}/sweep-gamma-max.csv"),),
+    # a coherent sweep whose phases keep no digits at its first q: exit 3
+    (("sweep-q", "--gamma", "1e-300", "--initial", "coherent", "--t", "1e300", "--q-steps", "5",
+      "--out", f"{OUT}/sweep-coherent-gamma-tiny.csv"),),
     # an intensity outside the radius of the low end of the grid: exit 2
     (("sweep-q", "--gamma", "1", "--initial", "coherent", "--alpha-sq", "5.2", "--q-min", "0.85",
       "--q-max", "0.95", "--q-steps", "5", "--out", f"{OUT}/sweep-coherent-radius.csv"),),
