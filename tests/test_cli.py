@@ -36,6 +36,26 @@ def fail_after_header(monkeypatch):
 
 
 class TestSweepQ:
+    def test_happy_path(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            [
+                "sweep-q",
+                "--gamma", GAMMA_BS,
+                "--t", "1",
+                "--q-min", "0.9",
+                "--q-max", "1.0",
+                "--q-steps", "5",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "q,S_field"
+        assert len(lines) == 6
+        # The q = 1 row is the non-deformed beam-splitter value.
+        assert float(lines[-1].split(",")[1]) == pytest.approx(2.198, abs=1e-3)
+
     def test_q_floor_enforced(self, tmp_path):
         code = run_cli(
             ["sweep-q", "--gamma", "1", "--q-min", "0.04", "--out", str(tmp_path / "x.csv")]
@@ -465,6 +485,22 @@ class TestRevivals:
         captured = capsys.readouterr()
         assert captured.out.startswith("t,gamma_t,S,classification")
         assert "dip(s) below" in captured.err
+
+    def test_malformed_csv_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        header = "t,gamma_t,S_field,S_atom,purity_field\n"
+        for text in (
+            "not,a,series\n1,2,3\n",
+            header,
+            header + "1,2,3,4,5,6\n",
+            header + "1,2,3,4,5\n1,2,3\n",
+            header + "1,2,,4,5\n",
+            header + "2,2,3,4,5\n1,2,3,4,5\n",
+            header + "1,2,3,4,5\n2,2,nan,4,5\n",
+            header + "1,2,3,4,5\n2,inf,3,4,5\n",
+        ):
+            bad.write_text(text)
+            assert run_cli(["revivals", str(bad), "--chi", "0.01"]) == 2
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli(["revivals", str(tmp_path / "absent.csv"), "--chi", "0.01"]) == 2

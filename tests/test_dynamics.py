@@ -188,6 +188,18 @@ class TestEvolution:
         with pytest.raises(ValueError, match="block N=3"):
             propagated_tables(state, cache, np.array([1.0]))
 
+    @pytest.mark.parametrize("q", [1.0, 0.9, 0.6])
+    def test_matches_dense_reference(self, rng, q):
+        params = SystemParams(omega=1.0, chi=0.013, gamma=0.9, q=q)
+        for _ in range(6):
+            n_max = int(rng.integers(1, 8))
+            state = random_triangle_state(rng, n_max)
+            t = float(rng.uniform(-3.0, 3.0))
+            cache = build_spectral_cache(params, range(n_max + 1))
+            fast = propagated_tables(state, cache, np.array([t]))[0]
+            slow = dense_reference_evolve(state, params, t)
+            np.testing.assert_allclose(fast, slow.amplitudes, atol=1e-9)
+
     def test_dense_reference_cap(self, rng):
         state = random_triangle_state(rng, DENSE_REFERENCE_N_CAP + 1)
         with pytest.raises(ValueError):
@@ -299,6 +311,15 @@ class TestEntropy:
             s_field, s_atom, _ = series_at_zero(state)
             assert s_field == pytest.approx(0.0, abs=1e-12)
             assert s_atom == pytest.approx(0.0, abs=1e-12)
+
+    def test_schmidt_symmetry(self, rng):
+        # A series copies S_atom from S_field; the oracle reduces the atom
+        # mode on its own.
+        for n_max in (2, 5, 9):
+            state = random_triangle_state(rng, n_max)
+            _, s_atom, _ = series_at_zero(state)
+            atom = oracle.field_entropy(state.amplitudes.T[None])[0]
+            assert s_atom == pytest.approx(atom, abs=1e-8)
 
     def test_entropy_bounded_by_log_dim(self, rng):
         n_max = 6

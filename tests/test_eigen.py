@@ -109,6 +109,13 @@ class TestTridiagonal:
         oracle = sturm_eigenvalues(d, e, tol=1e-13)
         np.testing.assert_allclose(vals, oracle, atol=1e-9)
 
+    def test_physical_blocks_against_oracle(self):
+        for q in (1.0, 0.9, 0.7):
+            block = build_block(SystemParams(chi=0.01, gamma=1.0, q=q), 7)
+            vals, _ = eigh_tridiagonal(block.diag, block.offdiag)
+            oracle = sturm_eigenvalues(block.diag, block.offdiag, tol=1e-13)
+            np.testing.assert_allclose(vals, oracle, atol=1e-9)
+
     def test_physical_n200_block_against_oracle(self):
         block = build_block(SystemParams(chi=0.01, gamma=1.0, q=0.9), 200)
         vals, vecs = eigh_tridiagonal(block.diag, block.offdiag)

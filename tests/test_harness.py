@@ -497,6 +497,17 @@ def reference_csv(header, columns):
 
 
 class TestCsv:
+    def test_series_roundtrip(self, tmp_path):
+        init = InitialState(kind="fock", fock_n=3)
+        params = SystemParams(chi=0.01, gamma=1.0, q=0.9)
+        series = run_evolve(init, params, np.linspace(0.0, 5.0, 11))
+        path = tmp_path / "series.csv"
+        series.write_csv(str(path))
+        back = EntropySeries.read_csv(str(path))
+        # 12 significant digits survive the round trip at this magnitude.
+        np.testing.assert_allclose(back.t, series.t, rtol=1e-11)
+        np.testing.assert_allclose(back.s_field, series.s_field, rtol=1e-11, atol=1e-11)
+
     def test_byte_determinism(self, tmp_path):
         init = InitialState(kind="coherent", alpha_sq=0.5)
         params = SystemParams(chi=0.01, gamma=1.0, q=0.95)
