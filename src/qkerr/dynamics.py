@@ -156,30 +156,34 @@ def _single_block_sweep(
     parts would avoid it, but do not give the same bits.  The stacks set the
     peak: the phases, amplitudes and spectra of a chunk are (q, N + 1)
     arrays, the spectra computed in place.
-    Each q keeps the bits a one-sample entropy_series gives it, and errors
-    come in q order: a phase failure at one q is reported before a block
-    of a later q that overflowed.
+    Each q keeps the bits a one-sample entropy_series gives it.  A chunk
+    that fails is run again as its two halves, lower q first, until a
+    single q fails; its error is raised again with "q=<q>: " in front, so
+    the sweep fails as the one-point run_evolve of that q does.
     """
     _check_log_base(log_base)
     (n_total,) = state.occupied_blocks()
     step = max(1, _CHUNK_BYTES // (16 * (n_total + 1) ** 2))
-    s_field = np.empty(qs.size)
-    start = 0
-    while start < qs.size:
-        chunk = qs[start : start + step]
-        diag, offdiag = build_block(params, n_total, chunk)
-        # eigh_tridiagonal rejects a stack holding an overflowed block: end
-        # the chunk before it, so the q ahead of it are checked first.
-        finite = np.isfinite(diag).all(axis=-1) & np.isfinite(offdiag).all(axis=-1)
-        stop = chunk.size if finite.all() else max(1, int(finite.argmin()))
-        try:
-            spectra = eigh_tridiagonal(diag[:stop], offdiag[:stop])
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"q={chunk[0]:g} to {chunk[stop - 1]:g}: {exc}") from exc
+    return np.concatenate([_sweep_chunk(state, params, qs[i : i + step], times, log_base) for i in range(0, qs.size, step)])
+
+
+def _sweep_chunk(
+    state: TwoModeState, params: SystemParams, qs: np.ndarray, times: np.ndarray, log_base: float
+) -> np.ndarray:
+    """Field entropies of one chunk qs of _single_block_sweep, halved on
+    failure as its docstring says.  A q outside (0, 1] is rejected by
+    build_block unprefixed, since that message names it."""
+    (n_total,) = state.occupied_blocks()
+    diag, offdiag = build_block(params, n_total, qs)
+    try:
+        spectra = eigh_tridiagonal(diag, offdiag)
         spec = _block_spectra(_block_amplitudes(state, {n_total: spectra}, n_total, times)[0])
-        s_field[start : start + stop] = _entropy_of_spectra(spec, log_base)
-        start += stop
-    return s_field
+        return _entropy_of_spectra(spec, log_base)
+    except (ValueError, ConvergenceError) as exc:
+        if qs.size == 1:
+            raise type(exc)(f"q={qs[0]:g}: {exc}") from exc
+    half = qs.size // 2
+    return np.concatenate([_sweep_chunk(state, params, part, times, log_base) for part in (qs[:half], qs[half:])])
 
 
 def _block_amplitudes(
@@ -194,16 +198,14 @@ def _block_amplitudes(
         )
     vals, vecs = cache[n_total]
     # A phase lambda*t is rounded by about |lambda t| eps rad: past _PHASE_TOL,
-    # and at inf or NaN, it has lost its digits.  The first failing
-    # spectrum of a stack is reported.
+    # and at inf or NaN, it has lost its digits.
     t_max = float(np.abs(times).max())
     with np.errstate(over="ignore", invalid="ignore"):
-        phase_err = np.ravel(np.abs(vals).max(axis=-1) * t_max * sys.float_info.epsilon)
-    failed = np.flatnonzero(~(phase_err <= _PHASE_TOL))
-    if failed.size:
+        phase_err = np.abs(vals).max() * t_max * sys.float_info.epsilon
+    if not phase_err <= _PHASE_TOL:
         raise ConvergenceError(
             f"phase lambda*t overflows on block N={n_total} at |t| = {t_max:g} "
-            f"({phase_err[failed[0]]:.1e} rad of rounding)"
+            f"({phase_err:.1e} rad of rounding)"
         )
     ms = np.arange(n_total + 1)
     a0 = state.amplitudes[n_total - ms, ms]

@@ -12,7 +12,6 @@ bound fails.  The check is asserted exactly as stated rather than weakened.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest

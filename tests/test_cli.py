@@ -226,16 +226,16 @@ class TestEvolve:
         "argv, prefix, message",
         [
             (["evolve", "--gamma", "1", "--q", "1", "--steps", "5", "--t-max", "1e308"], "q=1: ", "|t| = 1e+308 (inf"),
-            (["sweep-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"], "", "|t| = 1e+308 (inf"),
-            (["find-optimal-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"], "", "|t| = 1e+308 (inf"),
+            (["sweep-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"], "q=0.5: ", "|t| = 1e+308 (inf"),
+            (["find-optimal-q", "--gamma", "1", "--t", "1e308", "--q-steps", "5"], "q=0.5: ", "|t| = 1e+308 (inf"),
             # gamma t stays finite, but the phases lambda * t (t = 7e302)
             # keep none of their digits
             (["evolve", "--gamma", "1e-300", "--q", "1", "--steps", "5"], "q=1: ", "|t| = 7e+302 (9.3e+287"),
             # the first q of the sweep fails
-            (["sweep-q", "--gamma", "1e300", "--t", "1", "--fock-n", "5", "--q-steps", "5"], "", "|t| = 1 (8.1e+284"),
+            (["sweep-q", "--gamma", "1e300", "--t", "1", "--fock-n", "5", "--q-steps", "5"], "q=0.5: ", "|t| = 1 (8.1e+284"),
             # the block of q 1 overflows, but the phases of q 0.5 fail first
-            (["sweep-q", "--gamma", "6e307", "--t", "1", "--fock-n", "5", "--q-steps", "5"], "", "|t| = 1 (inf"),
-            (["sweep-q", "--gamma", "6e307", "--t", "0", "--fock-n", "5", "--q-steps", "5"], "", "|t| = 0 (nan"),
+            (["sweep-q", "--gamma", "6e307", "--t", "1", "--fock-n", "5", "--q-steps", "5"], "q=0.5: ", "|t| = 1 (inf"),
+            (["sweep-q", "--gamma", "6e307", "--t", "0", "--fock-n", "5", "--q-steps", "5"], "q=0.5: ", "|t| = 0 (nan"),
         ],
         ids=[f"argv{i}" for i in range(7)],
     )
@@ -253,7 +253,7 @@ class TestEvolve:
         # gamma 1e308 overflows the couplings of every q's block
         out = tmp_path / "x.csv"
         assert run_cli(["sweep-q", "--gamma", "1e308", "--t", "1", "--q-steps", "5", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: tridiagonal entries must be finite\n"
+        assert capsys.readouterr().err == "error: q=0.5: tridiagonal entries must be finite\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -358,7 +358,8 @@ class TestEvolve:
         assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.00 PiB\n"
 
     def test_stacked_eigensolver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
-        # a Fock sweep solves the blocks of all its q in one call
+        # a Fock sweep solves the blocks of all its q in one call, and halves
+        # a failing stack until its first q fails alone
         def failing(matrix):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -367,7 +368,7 @@ class TestEvolve:
         code = run_cli(["sweep-q", "--gamma", "1", "--q-steps", "200", "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 3
-        assert err == "error: q=0.5 to 1: eigensolve failed on block N=5: Eigenvalues did not converge\n"
+        assert err == "error: q=0.5: eigensolve failed on block N=5: Eigenvalues did not converge\n"
         assert not out.exists()
 
     def test_failed_write_keeps_old_output(self, tmp_path, monkeypatch, capsys):

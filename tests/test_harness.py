@@ -5,6 +5,7 @@ import io
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from qkerr import dynamics
 from qkerr.blocks import SystemParams
 from qkerr.cli import main as cli_main
+from qkerr.exceptions import ConvergenceError
 from qkerr.harness import (
     CLASSIFY_REL_TOL,
     DIP_COLUMNS,
@@ -200,6 +202,24 @@ def fock_sweep_cases(draw):
     return init, params, qs, t
 
 
+def signed_powers(lo, hi):
+    """+-10**e for e uniform in [lo, hi]."""
+    return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(lambda se: se[0] * 10.0 ** se[1])
+
+
+@st.composite
+def edge_sweep_cases(draw):
+    """A Fock state with N <= 11, |gamma| up to 1e308, |t| up to 1e13, a
+    strictly increasing q grid, and a chunk budget from one block up to
+    the default."""
+    n = draw(st.integers(0, 11))
+    params = SystemParams(chi=draw(st.floats(0.0, 0.1)), gamma=draw(st.one_of(st.floats(-2.0, 2.0), signed_powers(-3.0, 308.0))))
+    qs = np.array(sorted(draw(st.sets(st.floats(0.06, 1.0), min_size=1, max_size=30))))
+    t = draw(st.one_of(st.just(0.0), signed_powers(-300.0, 13.0)))
+    chunk_bytes = draw(st.one_of(st.integers(1, 8).map(lambda k: k * 16 * (n + 1) ** 2), st.just(dynamics._CHUNK_BYTES)))
+    return InitialState(kind="fock", fock_n=n), params, qs, t, chunk_bytes
+
+
 class TestStackedSweep:
     """A Fock sweep builds its state once and solves the blocks of every q
     in one stacked eigensolve, with the bits a one-sample evolve gives."""
@@ -246,24 +266,63 @@ class TestStackedSweep:
         run_sweep_q(InitialState(kind="fock", fock_n=5), SystemParams(gamma=-0.7), q_grid(0.5, 1.0, 200), 1.0)
         assert shapes == [(200, 6)]
 
+    @settings(max_examples=100, deadline=None)
+    @given(edge_sweep_cases())
+    # the phases of q 0.949749 and above keep no digits
+    @example((InitialState(kind="fock", fock_n=5), SystemParams(), q_grid(0.5, 1.0, 200), 4.3e11, 3 * 16 * 6**2))
+    # the phases of q 0.5 to 0.9 keep no digits, and the block of q 1 overflows
+    @example(
+        (InitialState(kind="fock", fock_n=10), SystemParams(gamma=3.3e307), np.array([0.06, 0.3, 0.5, 0.7, 0.9, 1.0]),
+         1e-300, dynamics._CHUNK_BYTES)
+    )
+    def test_sweep_fails_as_its_first_failing_q(self, case):
+        # The sweep gives each q the bits of a one-point evolve, or fails
+        # as the evolve of the first q that fails.
+        init, params, qs, t, chunk_bytes = case
+        rows, failure = [], None
+        for q in qs:
+            try:
+                rows.append(run_evolve(init, replace(params, q=float(q)), np.array([t])).s_field[0])
+            except (ValueError, ConvergenceError) as exc:
+                failure = exc
+                break
+        with mock.patch.object(dynamics, "_CHUNK_BYTES", chunk_bytes):
+            if failure is None:
+                assert run_sweep_q(init, params, qs, t).s_field.tobytes() == np.array(rows).tobytes()
+            else:
+                with pytest.raises((ValueError, ConvergenceError)) as info:
+                    run_sweep_q(init, params, qs, t)
+                assert type(info.value) is type(failure)
+                assert str(info.value) == str(failure)
+
     def test_chunks_keep_the_bits(self, monkeypatch):
         init, params = InitialState(kind="fock", fock_n=5), SystemParams(chi=0.01, gamma=-0.7)
         qs = q_grid(0.5, 1.0, 200)
         whole = run_sweep_q(init, params, qs, 1.3).s_field
-        calls = []
         eigh = np.linalg.eigh
+        # (chunk budget, the most blocks a stack solves, the stacks solved)
+        cases = (
+            # 7 blocks of 6 x 6 a chunk, at 16 bytes an entry for the real
+            # dense block and its real eigenvectors: 28 chunks of 7 and one of 4
+            (7 * 16 * 6**2, 200, [7] * 28 + [4]),
+            # one chunk of 200 whose stacks of more than 16 blocks fail: it is
+            # halved, lower q first, into 8 eighths of 25, each solved as 12 and 13
+            (dynamics._CHUNK_BYTES, 16, [12, 13] * 8),
+        )
+        for chunk_bytes, most, solved in cases:
+            calls = []
 
-        def counted(a):
-            calls.append(a.shape[0])
-            return eigh(a)
+            def counted(a, most=most, calls=calls):
+                if a.shape[0] > most:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                calls.append(a.shape[0])
+                return eigh(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        # 7 blocks of 6 x 6 a chunk, at 16 bytes an entry for the real dense
-        # block and its real eigenvectors: 28 chunks of 7 and one of 4
-        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 7 * 16 * 6**2)
-        chunked = run_sweep_q(init, params, qs, 1.3).s_field
-        assert calls == [7] * 28 + [4]
-        assert chunked.tobytes() == whole.tobytes()
+            monkeypatch.setattr(np.linalg, "eigh", counted)
+            monkeypatch.setattr(dynamics, "_CHUNK_BYTES", chunk_bytes)
+            chunked = run_sweep_q(init, params, qs, 1.3).s_field
+            assert calls == solved
+            assert chunked.tobytes() == whole.tobytes()
 
     def test_memory_bounded_by_q_chunks(self, monkeypatch):
         # Unchunked, the 1,000 blocks of N = 40 make (1000, 41, 41) real

@@ -60,6 +60,10 @@ EDGE_CALLS = (
     (("sweep-q", "--gamma", "6e307", "--out", f"{OUT}/sweep-gamma-huge.csv"),),
     (("sweep-q", "--gamma", "6e307", "--initial", "coherent", "--out", f"{OUT}/sweep-coherent-gamma-huge.csv"),),
     (("sweep-q", "--gamma", "1e308", "--out", f"{OUT}/sweep-gamma-max.csv"),),
+    # the phases keep no digits from q 0.949749 up, inside the one chunk of
+    # 200 q: exit 3, naming that q
+    (("sweep-q", "--gamma", "1", "--fock-n", "5", "--t", "4.3e11", "--q-steps", "200",
+      "--out", f"{OUT}/sweep-interior-phase.csv"),),
     # a coherent sweep whose phases keep no digits at its first q: exit 3
     (("sweep-q", "--gamma", "1e-300", "--initial", "coherent", "--t", "1e300", "--q-steps", "5",
       "--out", f"{OUT}/sweep-coherent-gamma-tiny.csv"),),
