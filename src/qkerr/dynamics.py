@@ -16,12 +16,15 @@ time, a state on one block (every Fock state) has its blocks for all q
 built as one stack from one bracket table, solved in one LAPACK call and
 propagated by the same kernel (_single_block_sweep).  The state is pure,
 so both reduced modes share one Schmidt spectrum: S_field, S_atom and the
-purity all come from it.  On one block a chunk's phase factors are
-scaled in one array and its spectrum is squared over its amplitudes, so
-at most two (chunk, N + 1) complex arrays are alive at once.  On several
-blocks a chunk's amplitudes stay packed, block beside block, and only a
-slice of them at a time (_SLICE_BYTES) is laid out as dense tables for
-the reduction.  README gives the measured peaks.
+purity all come from it.  On one block, whatever N, _SLICE_BYTES caps
+every array a series forms beside the block's spectrum and the complex
+copy of its eigenvectors, and every array a sweep forms: a series chunk
+is propagated and scored in parts of (part, N + 1) complex amplitudes,
+each part's phase factors scaled in one array and its spectrum squared
+over its amplitudes, and a sweep's chunk of q is cut to fit its stacks
+under the cap.  On several blocks a chunk's amplitudes stay packed, block
+beside block, and only a slice of them at a time is laid out as dense
+tables for the reduction.  README gives the measured peaks.
 dense_reference_evolve is a brute-force propagator for cross-checks: it
 diagonalizes _lattice_hamiltonian, the Hamiltonian of the whole lattice
 as one matrix.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,18 +47,23 @@ _NORM_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
 # Largest phase error, in radians, that rounding max|lambda| |t| may leave.
 _PHASE_TOL = 1e-3
-# Most samples entropy_series evolves per chunk, and the cap on the bytes
-# of a chunk's (chunk, dim, dim) complex tables on several blocks, or of
-# its (chunk, N + 1) amplitudes on one.  On one block a chunk peaks near
-# two such amplitude arrays.  On several blocks the tables are never formed
-# whole: a chunk peaks near its packed amplitudes (_propagate) plus
-# _SLICE_BYTES of tables.
+# Most samples entropy_series evolves per chunk, fewer where the chunk's
+# (chunk, dim, dim) complex tables on several blocks, or its (chunk, N + 1)
+# amplitudes on one, would pass _CHUNK_BYTES.  Neither is formed whole:
+# these two only place the chunk boundaries, which decide where a
+# one-sample chunk falls, and with it the bits of BLAS's matrix-vector
+# product.  On several blocks a chunk's packed amplitudes (_propagate)
+# take about half its tables' bytes.
 _CHUNK_SAMPLES = 2048
 _CHUNK_BYTES = 8 * 2**20
-# Cap on the bytes of each dense (slice, dim, dim) complex array of the
-# multi-block reduction: the amplitude tables, their conjugate and
-# rho_field.  The Gram product and eigvalsh act matrix by matrix, so the
-# slice length moves no bit.
+# Cap on the bytes of each array that a one-block part, a multi-block
+# reduction slice or a sweep chunk forms: the part's (part, N + 1) complex
+# amplitudes, the slice's (slice, dim, dim) complex amplitude tables, their
+# conjugate and rho_field, and the chunk's (q, N + 1, N + 1) complex
+# eigenvector copy.  Where the least they can hold (two samples, one
+# sample, one q) passes the cap, they hold that.  Near-equal parts of two
+# or more samples, the Gram product, eigvalsh and the stacked eigh act
+# sample by sample or matrix by matrix, so the cap moves no bit.
 _SLICE_BYTES = 2**19
 # the dense reference evolver is meant for cross-checks at test scale
 DENSE_REFERENCE_N_CAP = 20
@@ -85,8 +93,8 @@ class TwoModeState:
             raise ValueError(
                 f"amplitude table must be {dim}x{dim}, got {amps.shape}"
             )
-        k = np.arange(dim)
-        blocks = np.unique(np.add.outer(k, k)[amps != 0])
+        n, m = np.nonzero(amps)
+        blocks = np.unique(n + m)
         if np.any(blocks > self.n_max):
             raise ValueError("amplitudes beyond n + m = n_max must be zero")
         norm = float(np.linalg.norm(amps))
@@ -148,14 +156,14 @@ def _single_block_sweep(
 
     The blocks N of a chunk of q are built in one build_block call, solved
     in one eigh_tridiagonal call and propagated in one _block_amplitudes
-    call.  A chunk's (q, N + 1, N + 1) real dense-block stack and the real
-    eigenvector stack LAPACK returns for it, 16 bytes per entry together,
-    stay under _CHUNK_BYTES.  _block_amplitudes also makes a temporary
-    complex copy of the eigenvector stack, 16 bytes an entry more, for its
-    two complex products: two real products on the real and imaginary
-    parts would avoid it, but do not give the same bits.  The stacks set the
-    peak: the phases, amplitudes and spectra of a chunk are (q, N + 1)
-    arrays, the spectra computed in place.
+    call.  _block_amplitudes makes a complex copy of the eigenvector stack
+    for its product with the phases: two real products on the real and
+    imaginary parts would avoid it, but do not give the same bits.  That
+    copy, 16 bytes an entry, stays under _SLICE_BYTES, and the real
+    dense-block stack and the real eigenvector stack LAPACK returns for it
+    take half as much each.  The stacks set the peak: the phases,
+    amplitudes and spectra of a chunk are (q, N + 1) arrays, the spectra
+    computed in place.
     Each q keeps the bits a one-sample entropy_series gives it.  A chunk
     that fails is run again as its two halves, lower q first, until a
     single q fails; its error is raised again with "q=<q>: " in front, so
@@ -163,7 +171,7 @@ def _single_block_sweep(
     """
     _check_log_base(log_base)
     (n_total,) = state.occupied_blocks()
-    step = max(1, _CHUNK_BYTES // (16 * (n_total + 1) ** 2))
+    step = max(1, _SLICE_BYTES // (16 * (n_total + 1) ** 2))
     return np.concatenate([_sweep_chunk(state, params, qs[i : i + step], times, log_base) for i in range(0, qs.size, step)])
 
 
@@ -177,7 +185,7 @@ def _sweep_chunk(
     diag, offdiag = build_block(params, n_total, qs)
     try:
         spectra = eigh_tridiagonal(diag, offdiag)
-        spec = _block_spectra(_block_amplitudes(state, {n_total: spectra}, n_total, times)[0])
+        spec = _block_spectra(_block_amplitudes(state, {n_total: spectra}, n_total)(times)[0])
         return _entropy_of_spectra(spec, log_base)
     except (ValueError, ConvergenceError) as exc:
         if qs.size == 1:
@@ -187,36 +195,50 @@ def _sweep_chunk(
 
 
 def _block_amplitudes(
-    state: TwoModeState, cache: dict[int, Spectrum], n_total: int, times: np.ndarray
-) -> np.ndarray:
-    """Amplitudes a_m(t) = psi(N - m, m; t) of block N, shape (len(times), N + 1),
-    or (len(times), ..., N + 1) when cache[N] holds a stack of spectra."""
+    state: TwoModeState, cache: dict[int, Spectrum], n_total: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The function times -> amplitudes a_m(t) = psi(N - m, m; t) of block N,
+    shape (len(times), N + 1), or (len(times), ..., N + 1) when cache[N]
+    holds a stack of spectra.
+
+    V^T a(0) and the complex copy of V that its product with the phases
+    reads are made here, once for every call of the function: a one-block
+    series calls it once per part.  The copy gives the bits of the real V,
+    which numpy would copy to complex on each product.  V^T a(0) is taken
+    from the real V: the copy's product with a(0) has other bits.
+    """
     if n_total not in cache:
         raise ValueError(
             f"spectral cache has no spectrum for block N={n_total}, "
             "where the state has weight"
         )
     vals, vecs = cache[n_total]
-    # A phase lambda*t is rounded by about |lambda t| eps rad: past _PHASE_TOL,
-    # and at inf or NaN, it has lost its digits.
-    t_max = float(np.abs(times).max())
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase_err = np.abs(vals).max() * t_max * sys.float_info.epsilon
-    if not phase_err <= _PHASE_TOL:
-        raise ConvergenceError(
-            f"phase lambda*t overflows on block N={n_total} at |t| = {t_max:g} "
-            f"({phase_err:.1e} rad of rounding)"
-        )
     ms = np.arange(n_total + 1)
     a0 = state.amplitudes[n_total - ms, ms]
-    # exp(-i lambda t) V^T a(0) in one array, exponentiated and scaled in place
-    phases = -1j * vals[..., None] * times
-    np.exp(phases, out=phases)
-    phases *= (np.swapaxes(vecs, -1, -2) @ a0)[..., None]
-    amps = np.moveaxis(vecs @ phases, -1, 0)
-    # U(0) is the identity: V V^T would leave roundoff on the empty levels.
-    amps[times == 0] = a0
-    return amps
+    coeffs = (np.swapaxes(vecs, -1, -2) @ a0)[..., None]
+    vecs = vecs.astype(complex)
+
+    def amplitudes(times: np.ndarray) -> np.ndarray:
+        # A phase lambda*t is rounded by about |lambda t| eps rad: past
+        # _PHASE_TOL, and at inf or NaN, it has lost its digits.
+        t_max = float(np.abs(times).max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase_err = np.abs(vals).max() * t_max * sys.float_info.epsilon
+        if not phase_err <= _PHASE_TOL:
+            raise ConvergenceError(
+                f"phase lambda*t overflows on block N={n_total} at |t| = {t_max:g} "
+                f"({phase_err:.1e} rad of rounding)"
+            )
+        # exp(-i lambda t) V^T a(0) in one array, exponentiated and scaled in place
+        phases = -1j * vals[..., None] * times
+        np.exp(phases, out=phases)
+        phases *= coeffs
+        amps = np.moveaxis(vecs @ phases, -1, 0)
+        # U(0) is the identity: V V^T would leave roundoff on the empty levels.
+        amps[times == 0] = a0
+        return amps
+
+    return amplitudes
 
 
 def _propagate(state: TwoModeState, cache: dict[int, Spectrum], times: np.ndarray) -> np.ndarray:
@@ -227,7 +249,7 @@ def _propagate(state: TwoModeState, cache: dict[int, Spectrum], times: np.ndarra
     packed = np.empty((times.size, sum(n + 1 for n in blocks)), dtype=complex)
     col = 0
     for n_total in blocks:
-        packed[:, col : col + n_total + 1] = _block_amplitudes(state, cache, n_total, times)
+        packed[:, col : col + n_total + 1] = _block_amplitudes(state, cache, n_total)(times)
         col += n_total + 1
     return packed
 
@@ -244,11 +266,12 @@ def entropy_series(
     dense (chunk, dim, dim) tables, or on one block the amplitudes, would
     pass _CHUNK_BYTES.  Each chunk yields only its Schmidt spectrum: on one
     block N (every Fock state) the reductions are diagonal, with
-    p_n = |psi(n, N - n; t)|^2; on several blocks it is eigvalsh of the
-    rho_field stack, formed from the packed amplitudes one slice of dense
-    tables at a time (_SLICE_BYTES).  The state is pure, so S_field, S_atom
-    (equal to it bit for bit) and the purity sum p^2 all come from that
-    one spectrum.
+    p_n = |psi(n, N - n; t)|^2, and the chunk is propagated and scored in
+    the fewest near-equal parts of at most _SLICE_BYTES of amplitudes
+    (_chunk_parts); on several blocks it is eigvalsh of the rho_field
+    stack, formed from the packed amplitudes one slice of dense tables at
+    a time (_SLICE_BYTES).  The state is pure, so S_field, S_atom (equal to
+    it bit for bit) and the purity sum p^2 all come from that one spectrum.
     """
     _check_log_base(log_base)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -261,18 +284,21 @@ def entropy_series(
     single = len(blocks) == 1
     row_bytes = 16 * (blocks[0] + 1) if single else 16 * dim**2
     step = max(1, min(_CHUNK_SAMPLES, _CHUNK_BYTES // row_bytes))
+    # samples in a one-block part, and in a multi-block slice of tables
+    most = max(1, _SLICE_BYTES // row_bytes)
     if not single:
         # the flat site n * dim + m of each packed column, and one zeroed
         # buffer of dense tables that every slice rewrites at those sites
         m = np.concatenate([np.arange(n + 1) for n in blocks])
         sites = (np.repeat(blocks, [n + 1 for n in blocks]) - m) * dim + m
-        tables = np.zeros((min(max(1, _SLICE_BYTES // row_bytes), step, times.size), dim, dim), dtype=complex)
+        tables = np.zeros((min(most, step, times.size), dim, dim), dtype=complex)
     s_field = np.empty(times.size)
     purity_field = np.empty(times.size)
-    for start in range(0, times.size, step):
-        sl = slice(start, min(start + step, times.size))
+    if single:
+        propagate = _block_amplitudes(state, cache, blocks[0])
+    for sl in _chunk_parts(times.size, step, most if single else step):
         if single:
-            spec = _block_spectra(_block_amplitudes(state, cache, blocks[0], times[sl]))
+            spec = _block_spectra(propagate(times[sl]))
         else:
             spec = _field_spectra(_propagate(state, cache, times[sl]), tables, sites)
         s_field[sl] = _entropy_of_spectra(spec, log_base)
@@ -280,6 +306,19 @@ def entropy_series(
         # not kept alive while the next chunk propagates
         del spec
     return s_field, s_field.copy(), purity_field
+
+
+def _chunk_parts(size: int, step: int, most: int):
+    """Slices of range(size): chunks of step samples, the last one shorter,
+    each split into the fewest near-equal parts of at most most samples,
+    but never into parts of one sample (more than most when most < 3): BLAS
+    would propagate a one-sample part as a matrix-vector product, with
+    other bits than the rest of its chunk."""
+    for start in range(0, size, step):
+        n = min(step, size - start)
+        parts = max(1, min(-(-n // most), n // 2))
+        for i in range(parts):
+            yield slice(start + n * i // parts, start + n * (i + 1) // parts)
 
 
 def _block_spectra(a: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ goes through run_sweep_q: a step of the optimal-q refinement is a
 one-point sweep.  All CSV is written with 12 significant digits and
 ``\\n`` newlines so repeated runs are byte-identical: the series, sweep
 and revival-dip tables all go through one block-formatted writer, which
-replaces the target only once the whole table is written, and a series is
+stacks the columns one block of rows at a time and replaces the target
+only once the whole table is written, and a series is
 read back by streaming the open file to ``np.loadtxt`` behind the header,
 width, emptiness and time-order checks, its columns left as views of the
 one parsed table.  The drivers take the physics as one ``SystemParams``
@@ -196,8 +197,7 @@ class EntropySeries:
 
 
 def _write_table(path: str, columns: tuple[str, ...], values: tuple[np.ndarray, ...]) -> None:
-    table = np.column_stack(values)
-    _replace_file(path, lambda fh: _save_table(fh, columns, table, ",".join([NUMBER_FORMAT] * len(columns))))
+    _replace_file(path, lambda fh: _save_table(fh, columns, values, ",".join([NUMBER_FORMAT] * len(columns))))
 
 
 def _replace_file(path: str, write: Callable[[IO[str]], None]) -> None:
@@ -218,12 +218,14 @@ def _replace_file(path: str, write: Callable[[IO[str]], None]) -> None:
         raise
 
 
-def _save_table(fh: IO[str], columns: tuple[str, ...], table: np.ndarray, fmt: str) -> None:
-    """Header line, then the rows of table through the row format fmt,
-    one C-level % per block of _WRITE_ROWS rows (bounded text size)."""
+def _save_table(fh: IO[str], columns: tuple[str, ...], values: tuple[np.ndarray, ...], fmt: str) -> None:
+    """Header line, then the rows of the equal-length columns values
+    through the row format fmt.  The columns are stacked and formatted one
+    block of _WRITE_ROWS rows at a time, with one C-level % per block, so
+    neither the whole table nor all its text is held at once."""
     fh.write(",".join(columns) + "\n")
-    for start in range(0, len(table), _WRITE_ROWS):
-        block = table[start : start + _WRITE_ROWS]
+    for start in range(0, len(values[0]), _WRITE_ROWS):
+        block = np.column_stack([v[start : start + _WRITE_ROWS] for v in values])
         fh.write(((fmt + "\n") * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -269,8 +271,8 @@ class RevivalReport:
     def write(self, fh: IO[str]) -> None:
         """Write the dip table as CSV to an open text stream."""
         rows = [(dip.t, dip.gamma_t, dip.entropy, dip.classification) for dip in self.dips]
-        table = np.array(rows, dtype=object).reshape(-1, len(DIP_COLUMNS))
-        _save_table(fh, DIP_COLUMNS, table, ",".join([NUMBER_FORMAT] * 3 + ["%s"]))
+        values = tuple(np.array(rows, dtype=object).reshape(-1, len(DIP_COLUMNS)).T)
+        _save_table(fh, DIP_COLUMNS, values, ",".join([NUMBER_FORMAT] * 3 + ["%s"]))
 
 
 def run_evolve(

@@ -28,8 +28,8 @@ def fail_after_header(monkeypatch):
     header line is written."""
     save = harness._save_table
 
-    def failing(fh, columns, table, fmt):
-        save(fh, columns, table[:0], fmt)
+    def failing(fh, columns, values, fmt):
+        save(fh, columns, tuple(v[:0] for v in values), fmt)
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(harness, "_save_table", failing)

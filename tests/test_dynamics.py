@@ -90,14 +90,23 @@ class TestPreparation:
         amps[3, 1] = 0.8j
         assert TwoModeState(n_max=4, amplitudes=amps).occupied_blocks() == (2, 4)
 
+    def test_build_holds_no_index_table(self):
+        # The blocks come from the nonzero entries, not from a (dim, dim)
+        # table of n + m, which took the peak of the N = 512 build from the
+        # amplitude table's 1.0 times its bytes to 1.56.
+        prepare_fock(2)  # numpy's first-call allocations stay out of the peak
+        _, peak = traced_peak(lambda: prepare_fock(512))
+        assert peak < 1.2 * 16 * 513**2
+
     def test_cache_holds_requested_blocks_only(self):
         cache = build_spectral_cache(SystemParams(chi=0.01, q=0.8), [5, 2, 5])
         assert sorted(cache) == [2, 5]
         assert all(vals.shape == (n + 1,) for n, (vals, _) in cache.items())
 
     def test_state_validation(self):
-        with pytest.raises(ValueError):
-            TwoModeState(n_max=1, amplitudes=np.eye(2, dtype=complex))  # corner populated
+        # corner populated, and norm sqrt(2): the triangle is checked first
+        with pytest.raises(ValueError, match=r"^amplitudes beyond n \+ m = n_max must be zero$"):
+            TwoModeState(n_max=1, amplitudes=np.eye(2, dtype=complex))
         bad = np.zeros((2, 2), dtype=complex)
         bad[0, 0] = 0.5  # not normalized
         with pytest.raises(ValueError):
@@ -443,20 +452,21 @@ class TestEntropySeries:
         with pytest.raises(ValueError, match="eigenvalue nan"):
             dynamics._entropy_of_spectra(np.array([[1.0, 0.0], [np.nan, 0.5]]), 2.0)
 
-    def test_single_block_memory_bounded_by_block_amplitudes(self, monkeypatch):
-        # A Fock state at N = 200 needs only (chunk, N + 1) amplitude arrays.
-        # A (chunk, dim, dim) amplitude table would be 2048 * 201**2 * 16
-        # bytes, 1.3 GB.  The phase factors are scaled in one array and the
-        # spectrum is squared over the amplitudes' imaginary part, so the
-        # measured peak is 2.1 (chunk, N + 1) complex arrays.  The bound
-        # allows 3.5, and fails when a chunk keeps four alive at once (4.6).
-        n, chunk = 200, 2048
+    @pytest.mark.parametrize("n, samples", [(200, 14_001), (512, 2_045)])
+    def test_single_block_memory_bounded_by_block_amplitudes(self, n, samples):
+        # A Fock state needs only (part, N + 1) amplitude arrays, and its
+        # chunks of up to 2,048 samples (1,022 at N = 512, the last one of
+        # one sample) are propagated in parts of at most _SLICE_BYTES.  A
+        # part peaks at its phase factors and V's product with them, next
+        # to the complex copy of V and the three output columns: measured
+        # 1.82 MiB at N = 200 and 5.03 MiB at N = 512.  The bound allows
+        # half a part more, and fails when a part keeps three alive at once;
+        # whole chunks of amplitudes took N = 200 to 13.4 MiB.
         state = prepare_fock(n)
         cache = build_spectral_cache(SystemParams(chi=0.01, q=0.7), state.occupied_blocks())
-        times = np.linspace(0.0, 700.0, 14_001)
-        monkeypatch.setattr(dynamics, "_CHUNK_SAMPLES", chunk)
+        times = np.linspace(0.0, 700.0, samples)
         (s_field, s_atom, _), peak = traced_peak(lambda: entropy_series(state, cache, times))
-        assert peak < 3.5 * chunk * (n + 1) * 16
+        assert peak < 2.5 * dynamics._SLICE_BYTES + 16 * (n + 1) ** 2 + 3 * 8 * samples
         assert np.array_equal(s_field, s_atom)
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(n + 1) + 1e-12))
 
@@ -528,12 +538,66 @@ class TestEntropySeries:
             s_field, _, purity = entropy_series(state, cache, times)
         want_s, want_p = [], []
         for lo in range(0, samples, chunk):
-            a = dynamics._block_amplitudes(state, cache, n_total, times[lo : lo + chunk])
+            a = dynamics._block_amplitudes(state, cache, n_total)(times[lo : lo + chunk])
             spec = (a.real**2 + a.imag**2)[:, ::-1]
             want_s.append(dynamics._entropy_of_spectra(spec, 2.0))
             want_p.append((spec**2).sum(axis=1))
         assert s_field.tobytes() == np.concatenate(want_s).tobytes()
         assert purity.tobytes() == np.concatenate(want_p).tobytes()
+
+    @given(
+        n_total=st.integers(min_value=0, max_value=60),
+        seed=st.none() | st.integers(min_value=0, max_value=2**32 - 1),
+        gamma=st.floats(min_value=-1.5, max_value=1.5),
+        chunk=st.integers(min_value=3, max_value=40),
+        chunks=st.integers(min_value=0, max_value=3),
+        last=st.one_of(st.just(1), st.integers(min_value=1, max_value=40)),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_part_cap_moves_no_bit(self, n_total, seed, gamma, chunk, chunks, last, data):
+        # A one-block chunk is propagated in the fewest near-equal parts of
+        # at most _SLICE_BYTES, so none holds one sample: any cap from three
+        # samples' worth to a whole chunk gives the bits of whole chunks.
+        # The grid's last chunk may hold one sample (last 1), which no cap
+        # splits.
+        if seed is None:
+            state = prepare_fock(n_total)
+        else:
+            state = random_block_state(np.random.default_rng(seed), n_total, n_total)
+        cache = build_spectral_cache(SystemParams(chi=0.02, gamma=gamma, q=0.8), [n_total])
+        times = np.linspace(-3.0, 60.0, chunks * chunk + min(last, chunk))
+        row_bytes = 16 * (n_total + 1)
+        most = data.draw(st.integers(min_value=3, max_value=chunk))
+        cap = most * row_bytes + data.draw(st.integers(min_value=0, max_value=row_bytes - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_CHUNK_SAMPLES", chunk)
+            mp.setattr(dynamics, "_SLICE_BYTES", chunk * row_bytes)
+            want = entropy_series(state, cache, times)
+            mp.setattr(dynamics, "_SLICE_BYTES", cap)
+            for a, b in zip(entropy_series(state, cache, times), want):
+                assert a.tobytes() == b.tobytes()
+
+    @given(
+        size=st.integers(min_value=0, max_value=200),
+        step=st.integers(min_value=1, max_value=60),
+        most=st.integers(min_value=1, max_value=70),
+    )
+    def test_chunk_parts(self, size, step, most):
+        # Parts tile each chunk in order, in the fewest near-equal pieces of
+        # at most most samples, but none of one sample from a longer chunk.
+        parts = list(dynamics._chunk_parts(size, step, most))
+        assert [i for sl in parts for i in range(sl.start, sl.stop)] == list(range(size))
+        for start in range(0, size, step):
+            n = min(step, size - start)
+            sizes = [sl.stop - sl.start for sl in parts if start <= sl.start < start + n]
+            assert max(sizes) - min(sizes) <= 1
+            if n == 1:
+                assert sizes == [1]
+            elif most >= 3:
+                assert len(sizes) == -(-n // most) and max(sizes) <= most and min(sizes) >= 2
+            else:
+                assert min(sizes) >= 2
 
     def test_one_eigvalsh_call_per_multi_block_chunk(self, rng, monkeypatch):
         # The field spectrum alone gives S_field and S_atom (Schmidt).
@@ -603,7 +667,7 @@ def scattered_tables(state: TwoModeState, cache, times: np.ndarray) -> np.ndarra
     psi = np.zeros((times.size, dim, dim), dtype=complex)
     for n_total in state.occupied_blocks():
         ms = np.arange(n_total + 1)
-        psi[:, n_total - ms, ms] = dynamics._block_amplitudes(state, cache, n_total, times)
+        psi[:, n_total - ms, ms] = dynamics._block_amplitudes(state, cache, n_total)(times)
     return psi
 
 

@@ -216,7 +216,7 @@ def edge_sweep_cases(draw):
     params = SystemParams(chi=draw(st.floats(0.0, 0.1)), gamma=draw(st.one_of(st.floats(-2.0, 2.0), signed_powers(-3.0, 308.0))))
     qs = np.array(sorted(draw(st.sets(st.floats(0.06, 1.0), min_size=1, max_size=30))))
     t = draw(st.one_of(st.just(0.0), signed_powers(-300.0, 13.0)))
-    chunk_bytes = draw(st.one_of(st.integers(1, 8).map(lambda k: k * 16 * (n + 1) ** 2), st.just(dynamics._CHUNK_BYTES)))
+    chunk_bytes = draw(st.one_of(st.integers(1, 8).map(lambda k: k * 16 * (n + 1) ** 2), st.just(dynamics._SLICE_BYTES)))
     return InitialState(kind="fock", fock_n=n), params, qs, t, chunk_bytes
 
 
@@ -273,7 +273,7 @@ class TestStackedSweep:
     # the phases of q 0.5 to 0.9 keep no digits, and the block of q 1 overflows
     @example(
         (InitialState(kind="fock", fock_n=10), SystemParams(gamma=3.3e307), np.array([0.06, 0.3, 0.5, 0.7, 0.9, 1.0]),
-         1e-300, dynamics._CHUNK_BYTES)
+         1e-300, dynamics._SLICE_BYTES)
     )
     def test_sweep_fails_as_its_first_failing_q(self, case):
         # The sweep gives each q the bits of a one-point evolve, or fails
@@ -286,7 +286,7 @@ class TestStackedSweep:
             except (ValueError, ConvergenceError) as exc:
                 failure = exc
                 break
-        with mock.patch.object(dynamics, "_CHUNK_BYTES", chunk_bytes):
+        with mock.patch.object(dynamics, "_SLICE_BYTES", chunk_bytes):
             if failure is None:
                 assert run_sweep_q(init, params, qs, t).s_field.tobytes() == np.array(rows).tobytes()
             else:
@@ -302,12 +302,12 @@ class TestStackedSweep:
         eigh = np.linalg.eigh
         # (chunk budget, the most blocks a stack solves, the stacks solved)
         cases = (
-            # 7 blocks of 6 x 6 a chunk, at 16 bytes an entry for the real
-            # dense block and its real eigenvectors: 28 chunks of 7 and one of 4
+            # 7 blocks of 6 x 6 a chunk, at 16 bytes an entry for the complex
+            # copy of the eigenvectors: 28 chunks of 7 and one of 4
             (7 * 16 * 6**2, 200, [7] * 28 + [4]),
             # one chunk of 200 whose stacks of more than 16 blocks fail: it is
             # halved, lower q first, into 8 eighths of 25, each solved as 12 and 13
-            (dynamics._CHUNK_BYTES, 16, [12, 13] * 8),
+            (dynamics._SLICE_BYTES, 16, [12, 13] * 8),
         )
         for chunk_bytes, most, solved in cases:
             calls = []
@@ -319,21 +319,21 @@ class TestStackedSweep:
                 return eigh(a)
 
             monkeypatch.setattr(np.linalg, "eigh", counted)
-            monkeypatch.setattr(dynamics, "_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setattr(dynamics, "_SLICE_BYTES", chunk_bytes)
             chunked = run_sweep_q(init, params, qs, 1.3).s_field
             assert calls == solved
             assert chunked.tobytes() == whole.tobytes()
 
-    def test_memory_bounded_by_q_chunks(self, monkeypatch):
-        # Unchunked, the 1,000 blocks of N = 40 make (1000, 41, 41) real
-        # dense-block and eigenvector stacks of 25.6 budgets of 1 MiB
-        # together, and a measured peak of 41; the budget cuts chunks to
-        # 38 q, and the peak to 1.6 budgets.
-        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 2**20)
+    def test_memory_bounded_by_q_chunks(self):
+        # Unchunked, the 1,000 blocks of N = 40 make a (1000, 41, 41)
+        # complex eigenvector copy of 51 _SLICE_BYTES; the budget cuts
+        # chunks to 19 q, and the peak to 1.7 _SLICE_BYTES (0.85 MiB).
+        # Chunks of the 8 MiB series budget took it to 12.7 MiB.
         init, params = InitialState(kind="fock", fock_n=40), SystemParams(chi=0.01, gamma=-0.7)
         qs = q_grid(0.5, 1.0, 1000)
         s_field, peak = traced_peak(lambda: run_sweep_q(init, params, qs, 1.0).s_field)
-        assert peak < 4 * 2**20
+        assert dynamics._SLICE_BYTES // (16 * 41**2) == 19
+        assert peak < 2.5 * dynamics._SLICE_BYTES
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(41) + 1e-12))
 
 
@@ -621,6 +621,18 @@ class TestCsv:
         assert peak < 1.5 * rows * len(SERIES_COLUMNS) * 8
         np.testing.assert_allclose(back.t, t, rtol=1e-11, atol=0)
         np.testing.assert_allclose(back.s_field, s_field, rtol=1e-11, atol=0)
+
+    def test_write_streams_the_table(self, tmp_path, rng):
+        # The columns of a 28,001-row series are stacked one formatting
+        # block at a time: the write peaks at 0.59 times the 1.07 MiB table,
+        # where stacking the whole table first took it to 1.52.
+        rows = 28_001
+        t = np.linspace(0.0, 1400.0, rows)
+        series = EntropySeries(t, t, 3.0 * rng.random(rows), 3.0 * rng.random(rows), rng.random(rows))
+        path = tmp_path / "s.csv"
+        _, peak = traced_peak(lambda: series.write_csv(str(path)))
+        assert peak < 0.75 * rows * len(SERIES_COLUMNS) * 8
+        assert path.read_text() == reference_csv(SERIES_COLUMNS, (t, t, series.s_field, series.s_atom, series.purity_field))
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "gaps.csv"

@@ -35,6 +35,13 @@ EDGE_CALLS = (
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.99", "--initial", "coherent", "--steps", "2049",
       "--out", f"{OUT}/coherent-2049.csv"),),
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.7", "--fock-n", "200", "--out", f"{OUT}/fock200.csv"),),
+    # a one-block chunk is propagated in parts of at most 512 KiB: at N = 512
+    # parts of about 60 of its 1,022 samples, the last chunk of one sample;
+    # at N = 40 three of 533, where parts of 799 would leave one sample
+    (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.7", "--fock-n", "512", "--steps", "2045",
+      "--out", f"{OUT}/fock512-2045.csv"),),
+    (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.7", "--fock-n", "40", "--steps", "1599",
+      "--out", f"{OUT}/fock40-1599.csv"),),
     # a coherent state on 47 levels, and its dips written to stdout
     (
         ("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.9", "--initial", "coherent", "--alpha-sq", "3",
@@ -50,6 +57,9 @@ EDGE_CALLS = (
     (("evolve", "--gamma", "1e-300", "--q", "1", "--initial", "coherent", "--steps", "5",
       "--out", f"{OUT}/coherent-gamma-tiny.csv"),),
     (("sweep-q", "--gamma", "1", "--fock-n", "40", "--q-steps", "1000", "--out", f"{OUT}/sweep-fock40.csv"),),
+    # one q per chunk: the complex eigenvector copy of one 201 x 201 block
+    # already passes the 512 KiB cap
+    (("sweep-q", "--gamma", "1", "--fock-n", "200", "--q-steps", "50", "--out", f"{OUT}/sweep-fock200.csv"),),
     (("sweep-q", "--gamma", "1", "--initial", "coherent", "--alpha-sq", "1", "--t", "3", "--q-steps", "40",
       "--out", f"{OUT}/sweep-coherent.csv"),),
     (("find-optimal-q", GAMMA_BS, "--initial", "coherent", "--alpha-sq", "1", "--q-steps", "30",
