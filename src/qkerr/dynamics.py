@@ -16,15 +16,17 @@ time, a state on one block (every Fock state) has its blocks for all q
 built as one stack from one bracket table, solved in one LAPACK call and
 propagated by the same kernel (_single_block_sweep).  The state is pure,
 so both reduced modes share one Schmidt spectrum: S_field, S_atom and the
-purity all come from it.  On one block, whatever N, _SLICE_BYTES caps
-every array a series forms beside the block's spectrum and the complex
-copy of its eigenvectors, and every array a sweep forms: a series chunk
-is propagated and scored in parts of (part, N + 1) complex amplitudes,
-each part's phase factors scaled in one array and its spectrum squared
-over its amplitudes, and a sweep's chunk of q is cut to fit its stacks
-under the cap.  On several blocks a chunk's amplitudes stay packed, block
-beside block, and only a slice of them at a time is laid out as dense
-tables for the reduction.  README gives the measured peaks.
+purity all come from it.  Two budgets split the work, each on an array
+that is formed.  On one block, whatever N, _SLICE_BYTES caps every array
+a series forms beside the block's spectrum and the complex copy of its
+eigenvectors, and every array a sweep forms: a series is propagated and
+scored in parts of (part, N + 1) complex amplitudes, each part's phase
+factors scaled in one array and its spectrum squared over its
+amplitudes, and a sweep's grid of q is halved until its stacks fit the
+cap.  On several blocks a series is propagated in chunks whose
+amplitudes stay packed, block beside block, within _CHUNK_BYTES, and
+only a slice of them at a time, within _SLICE_BYTES, is laid out as
+dense tables for the reduction.  README gives the measured peaks.
 dense_reference_evolve is a brute-force propagator for cross-checks: it
 diagonalizes _lattice_hamiltonian, the Hamiltonian of the whole lattice
 as one matrix.
@@ -47,23 +49,18 @@ _NORM_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
 # Largest phase error, in radians, that rounding max|lambda| |t| may leave.
 _PHASE_TOL = 1e-3
-# Most samples entropy_series evolves per chunk, fewer where the chunk's
-# (chunk, dim, dim) complex tables on several blocks, or its (chunk, N + 1)
-# amplitudes on one, would pass _CHUNK_BYTES.  Neither is formed whole:
-# these two only place the chunk boundaries, which decide where a
-# one-sample chunk falls, and with it the bits of BLAS's matrix-vector
-# product.  On several blocks a chunk's packed amplitudes (_propagate)
-# take about half its tables' bytes.
-_CHUNK_SAMPLES = 2048
-_CHUNK_BYTES = 8 * 2**20
+# Cap on the bytes of a multi-block chunk's packed (chunk, sum(N + 1))
+# complex amplitudes, the array _propagate forms.
+_CHUNK_BYTES = 2 * 2**20
 # Cap on the bytes of each array that a one-block part, a multi-block
 # reduction slice or a sweep chunk forms: the part's (part, N + 1) complex
 # amplitudes, the slice's (slice, dim, dim) complex amplitude tables, their
 # conjugate and rho_field, and the chunk's (q, N + 1, N + 1) complex
 # eigenvector copy.  Where the least they can hold (two samples, one
-# sample, one q) passes the cap, they hold that.  Near-equal parts of two
-# or more samples, the Gram product, eigvalsh and the stacked eigh act
-# sample by sample or matrix by matrix, so the cap moves no bit.
+# sample, one q) passes either cap, they hold that.  Near-equal parts of
+# two or more samples (_parts), the Gram product, eigvalsh and the stacked
+# eigh act sample by sample or matrix by matrix, so neither cap moves a
+# bit.
 _SLICE_BYTES = 2**19
 # the dense reference evolver is meant for cross-checks at test scale
 DENSE_REFERENCE_N_CAP = 20
@@ -164,34 +161,27 @@ def _single_block_sweep(
     take half as much each.  The stacks set the peak: the phases,
     amplitudes and spectra of a chunk are (q, N + 1) arrays, the spectra
     computed in place.
-    Each q keeps the bits a one-sample entropy_series gives it.  A chunk
-    that fails is run again as its two halves, lower q first, until a
-    single q fails; its error is raised again with "q=<q>: " in front, so
-    the sweep fails as the one-point run_evolve of that q does.
+    qs runs whole when its copy fits _SLICE_BYTES or it holds a single q.
+    Otherwise, and whenever it fails, it runs as its two halves, lower q
+    first.  Each q keeps the bits a one-sample entropy_series gives it.  A
+    single q that fails raises its error again with "q=<q>: " in front, so
+    the sweep fails as the one-point run_evolve of its first failing q
+    does.  A q outside (0, 1] is rejected by build_block unprefixed, since
+    that message names it.
     """
     _check_log_base(log_base)
     (n_total,) = state.occupied_blocks()
-    step = max(1, _SLICE_BYTES // (16 * (n_total + 1) ** 2))
-    return np.concatenate([_sweep_chunk(state, params, qs[i : i + step], times, log_base) for i in range(0, qs.size, step)])
-
-
-def _sweep_chunk(
-    state: TwoModeState, params: SystemParams, qs: np.ndarray, times: np.ndarray, log_base: float
-) -> np.ndarray:
-    """Field entropies of one chunk qs of _single_block_sweep, halved on
-    failure as its docstring says.  A q outside (0, 1] is rejected by
-    build_block unprefixed, since that message names it."""
-    (n_total,) = state.occupied_blocks()
-    diag, offdiag = build_block(params, n_total, qs)
-    try:
-        spectra = eigh_tridiagonal(diag, offdiag)
-        spec = _block_spectra(_block_amplitudes(state, {n_total: spectra}, n_total)(times)[0])
-        return _entropy_of_spectra(spec, log_base)
-    except (ValueError, ConvergenceError) as exc:
-        if qs.size == 1:
-            raise type(exc)(f"q={qs[0]:g}: {exc}") from exc
+    if qs.size == 1 or 16 * qs.size * (n_total + 1) ** 2 <= _SLICE_BYTES:
+        diag, offdiag = build_block(params, n_total, qs)
+        try:
+            spectra = eigh_tridiagonal(diag, offdiag)
+            spec = _block_spectra(_block_amplitudes(state, {n_total: spectra}, n_total)(times)[0])
+            return _entropy_of_spectra(spec, log_base)
+        except (ValueError, ConvergenceError) as exc:
+            if qs.size == 1:
+                raise type(exc)(f"q={qs[0]:g}: {exc}") from exc
     half = qs.size // 2
-    return np.concatenate([_sweep_chunk(state, params, part, times, log_base) for part in (qs[:half], qs[half:])])
+    return np.concatenate([_single_block_sweep(state, params, part, times, log_base) for part in (qs[:half], qs[half:])])
 
 
 def _block_amplitudes(
@@ -262,16 +252,16 @@ def entropy_series(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Field entropy, atom entropy, and field purity along a time grid.
 
-    Evolves in chunks of at most _CHUNK_SAMPLES samples, fewer where the
-    dense (chunk, dim, dim) tables, or on one block the amplitudes, would
-    pass _CHUNK_BYTES.  Each chunk yields only its Schmidt spectrum: on one
-    block N (every Fock state) the reductions are diagonal, with
-    p_n = |psi(n, N - n; t)|^2, and the chunk is propagated and scored in
-    the fewest near-equal parts of at most _SLICE_BYTES of amplitudes
-    (_chunk_parts); on several blocks it is eigvalsh of the rho_field
-    stack, formed from the packed amplitudes one slice of dense tables at
-    a time (_SLICE_BYTES).  The state is pure, so S_field, S_atom (equal to
-    it bit for bit) and the purity sum p^2 all come from that one spectrum.
+    Only the Schmidt spectrum is formed.  On one block N (every Fock state)
+    the reductions are diagonal, with p_n = |psi(n, N - n; t)|^2, and the
+    grid is propagated and scored in parts of at most _SLICE_BYTES of
+    (part, N + 1) amplitudes.  On several blocks it is eigvalsh of the
+    rho_field stack: the grid is propagated in chunks of at most
+    _CHUNK_BYTES of packed amplitudes (_propagate), each laid out as dense
+    tables one slice at a time (_SLICE_BYTES).  Parts and chunks are the
+    fewest near-equal ones the cap allows (_parts).  The state is pure, so
+    S_field, S_atom (equal to it bit for bit) and the purity sum p^2 all
+    come from that one spectrum.
     """
     _check_log_base(log_base)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -280,45 +270,45 @@ def entropy_series(
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     blocks = state.occupied_blocks()
-    dim = state.n_max + 1
-    single = len(blocks) == 1
-    row_bytes = 16 * (blocks[0] + 1) if single else 16 * dim**2
-    step = max(1, min(_CHUNK_SAMPLES, _CHUNK_BYTES // row_bytes))
-    # samples in a one-block part, and in a multi-block slice of tables
-    most = max(1, _SLICE_BYTES // row_bytes)
-    if not single:
+    if len(blocks) == 1:
+        propagate = _block_amplitudes(state, cache, blocks[0])
+        most = _SLICE_BYTES // (16 * (blocks[0] + 1))
+
+        def spectra(t: np.ndarray) -> np.ndarray:
+            return _block_spectra(propagate(t))
+
+    else:
+        dim = state.n_max + 1
+        most = _CHUNK_BYTES // (16 * sum(n + 1 for n in blocks))
         # the flat site n * dim + m of each packed column, and one zeroed
         # buffer of dense tables that every slice rewrites at those sites
         m = np.concatenate([np.arange(n + 1) for n in blocks])
         sites = (np.repeat(blocks, [n + 1 for n in blocks]) - m) * dim + m
-        tables = np.zeros((min(most, step, times.size), dim, dim), dtype=complex)
+        tables = np.zeros((min(max(1, _SLICE_BYTES // (16 * dim**2)), times.size), dim, dim), dtype=complex)
+
+        def spectra(t: np.ndarray) -> np.ndarray:
+            return _field_spectra(_propagate(state, cache, t), tables, sites)
+
     s_field = np.empty(times.size)
     purity_field = np.empty(times.size)
-    if single:
-        propagate = _block_amplitudes(state, cache, blocks[0])
-    for sl in _chunk_parts(times.size, step, most if single else step):
-        if single:
-            spec = _block_spectra(propagate(times[sl]))
-        else:
-            spec = _field_spectra(_propagate(state, cache, times[sl]), tables, sites)
+    for sl in _parts(times.size, most):
+        spec = spectra(times[sl])
         s_field[sl] = _entropy_of_spectra(spec, log_base)
         purity_field[sl] = (spec**2).sum(axis=1)
-        # not kept alive while the next chunk propagates
+        # not kept alive while the next part propagates
         del spec
     return s_field, s_field.copy(), purity_field
 
 
-def _chunk_parts(size: int, step: int, most: int):
-    """Slices of range(size): chunks of step samples, the last one shorter,
-    each split into the fewest near-equal parts of at most most samples,
-    but never into parts of one sample (more than most when most < 3): BLAS
+def _parts(size: int, most: int):
+    """Slices that cut range(size) into the fewest near-equal parts of at
+    most most samples, none for an empty grid, but never a part of one
+    sample from a longer grid (so more than most when most < 3): BLAS
     would propagate a one-sample part as a matrix-vector product, with
-    other bits than the rest of its chunk."""
-    for start in range(0, size, step):
-        n = min(step, size - start)
-        parts = max(1, min(-(-n // most), n // 2))
-        for i in range(parts):
-            yield slice(start + n * i // parts, start + n * (i + 1) // parts)
+    other bits than the rest of the grid."""
+    parts = min(-(-size // max(most, 1)), max(1, size // 2))
+    for i in range(parts):
+        yield slice(size * i // parts, size * (i + 1) // parts)
 
 
 def _block_spectra(a: np.ndarray) -> np.ndarray:

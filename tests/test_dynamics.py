@@ -455,13 +455,13 @@ class TestEntropySeries:
     @pytest.mark.parametrize("n, samples", [(200, 14_001), (512, 2_045)])
     def test_single_block_memory_bounded_by_block_amplitudes(self, n, samples):
         # A Fock state needs only (part, N + 1) amplitude arrays, and its
-        # chunks of up to 2,048 samples (1,022 at N = 512, the last one of
-        # one sample) are propagated in parts of at most _SLICE_BYTES.  A
-        # part peaks at its phase factors and V's product with them, next
-        # to the complex copy of V and the three output columns: measured
-        # 1.82 MiB at N = 200 and 5.03 MiB at N = 512.  The bound allows
-        # half a part more, and fails when a part keeps three alive at once;
-        # whole chunks of amplitudes took N = 200 to 13.4 MiB.
+        # grid is propagated in parts of at most _SLICE_BYTES (at N = 512,
+        # 33 parts of 61 or 62 samples).  A part peaks at its phase factors
+        # and V's product with them, next to the complex copy of V and the
+        # three output columns: measured 1.86 MiB at N = 200 and 5.04 MiB
+        # at N = 512.  The bound allows half a part more, and fails when a
+        # part keeps three alive at once; whole chunks of amplitudes took
+        # N = 200 to 13.4 MiB.
         state = prepare_fock(n)
         cache = build_spectral_cache(SystemParams(chi=0.01, q=0.7), state.occupied_blocks())
         times = np.linspace(0.0, 700.0, samples)
@@ -471,16 +471,19 @@ class TestEntropySeries:
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(n + 1) + 1e-12))
 
     def test_multi_block_memory_bounded_by_chunk_bytes(self, rng):
-        # At n_max = 60 a 2048-sample (chunk, dim, dim) complex table is
-        # 122 MB, 14.5 times _CHUNK_BYTES; the budget cuts chunks to 140
-        # samples.  Their packed amplitudes take 0.51 budgets, and the
-        # reduction's 8-sample slices of psi, its conjugate and rho_field
-        # 0.17: measured peak 0.71 _CHUNK_BYTES, bound with a 0.09 margin.
+        # At n_max = 60 a sample's packed amplitudes take 16 * 1,891 bytes,
+        # so the budget cuts the 3,000 samples into 44 chunks of 68 or 69
+        # (0.98 _CHUNK_BYTES).  The reduction's 8-sample slices of psi, its
+        # conjugate and rho_field take 2.7 _SLICE_BYTES: measured peak
+        # 3.63 MB, bound by one budget and four slices (4.19 MB), which
+        # chunks of 140 samples sized by their (chunk, dim, dim) tables
+        # pass (5.96 MB).
         state = random_triangle_state(rng, 60)
+        assert dynamics._CHUNK_BYTES // (16 * 1891) == 69
         cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(61))
         times = np.linspace(0.0, 40.0, 3000)
         (s_field, s_atom, _), peak = traced_peak(lambda: entropy_series(state, cache, times))
-        assert peak < 0.8 * dynamics._CHUNK_BYTES
+        assert peak < dynamics._CHUNK_BYTES + 4 * dynamics._SLICE_BYTES
         assert np.array_equal(s_field, s_atom)
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(61) + 1e-12))
 
@@ -488,28 +491,64 @@ class TestEntropySeries:
         # Every chunk of two or more samples goes through the same BLAS
         # matrix products, so the series is exactly the same.
         def series(chunk):
-            monkeypatch.setattr(dynamics, "_CHUNK_SAMPLES", chunk)
+            width = sum(n + 1 for n in state.occupied_blocks())
+            monkeypatch.setattr(dynamics, "_CHUNK_BYTES", chunk * 16 * width)
             return entropy_series(state, cache, times)
 
         state = random_triangle_state(rng, 4)
         cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(5))
         times = np.linspace(0.0, 10.0, 57)
         b = series(2048)
-        for chunk in (3, 5, 10, 19, 30):
+        # 8 leaves no one-sample chunk (57 = 7 * 8 + 1): the grid is cut
+        # into eight near-equal ones
+        for chunk in (3, 5, 8, 10, 19, 30):
             for x, y in zip(series(chunk), b):
                 assert np.array_equal(x, y)
-        # A one-sample chunk (57 = 7 * 8 + 1) makes numpy call BLAS's
-        # matrix-vector product instead, which may round differently.
-        for x, y in zip(series(8), b):
-            np.testing.assert_allclose(x, y, atol=1e-14)
-        # n_max 60: the byte budget cuts 2048 to 140 samples a chunk.
+        # n_max 60: the byte budget cuts the grid to 69 samples a chunk.
+        monkeypatch.undo()
+        assert dynamics._CHUNK_BYTES // (16 * 1891) == 69
         state = random_triangle_state(rng, 60)
-        assert dynamics._CHUNK_BYTES // (16 * 61**2) == 140
         cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(61))
         times = np.linspace(0.0, 40.0, 300)
-        b = series(2048)
-        for x, y in zip(series(64), b):
-            assert np.array_equal(x, y)
+        b = entropy_series(state, cache, times)
+        for chunk in (64, 2048):
+            for x, y in zip(series(chunk), b):
+                assert np.array_equal(x, y)
+
+    @given(
+        state=st.one_of(
+            st.integers(min_value=0, max_value=40).map(prepare_fock),
+            st.tuples(st.floats(min_value=0.01, max_value=1.0), st.floats(min_value=0.8, max_value=1.0)).map(
+                lambda a: prepare_coherent(*a)
+            ),
+        ),
+        q=st.floats(min_value=0.5, max_value=1.0),
+        samples=st.integers(min_value=4, max_value=400),
+        split=st.floats(min_value=0.0, max_value=1.0),
+    )
+    # grids whose last sample fell in a one-sample chunk when chunks were
+    # 2,048 samples, or 237 on 47 levels
+    @example(state=prepare_fock(5), q=0.7, samples=2049, split=0.5)
+    @example(state=prepare_fock(40), q=0.7, samples=2049, split=0.5)
+    @example(state=prepare_coherent(0.5, 1.0), q=1.0, samples=2049, split=0.5)
+    @example(state=prepare_coherent(3.0, 0.9), q=0.9, samples=712, split=0.5)
+    @settings(max_examples=40, deadline=None)
+    def test_grid_split_moves_no_bit(self, state, q, samples, split):
+        # A grid cut into two sub-grids of two or more samples each gives
+        # the bits of the whole grid, on one block and on several: no
+        # sample of either is propagated as a one-sample product.
+        cache = build_spectral_cache(SystemParams(chi=0.01, gamma=1.0, q=q), state.occupied_blocks())
+        times = np.linspace(0.0, 50.0, samples)
+        cut = 2 + round(split * (samples - 4))
+        whole = entropy_series(state, cache, times)
+        for w, a, b in zip(whole, entropy_series(state, cache, times[:cut]), entropy_series(state, cache, times[cut:])):
+            assert w.tobytes() == np.concatenate([a, b]).tobytes()
+
+    @pytest.mark.parametrize("state", [prepare_fock(5), prepare_coherent(0.5, 1.0)], ids=["one-block", "multi-block"])
+    def test_empty_grid(self, state):
+        cache = build_spectral_cache(SystemParams(chi=0.01, q=0.9), state.occupied_blocks())
+        for column in entropy_series(state, cache, []):
+            assert column.shape == (0,) and column.dtype == float
 
     @given(
         n_total=st.integers(min_value=0, max_value=60),
@@ -534,11 +573,11 @@ class TestEntropySeries:
         cache = build_spectral_cache(SystemParams(chi=chi, gamma=gamma, q=q), [n_total])
         times = np.linspace(-3.0, 60.0, samples)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dynamics, "_CHUNK_SAMPLES", chunk)
+            mp.setattr(dynamics, "_SLICE_BYTES", chunk * 16 * (n_total + 1))
             s_field, _, purity = entropy_series(state, cache, times)
         want_s, want_p = [], []
-        for lo in range(0, samples, chunk):
-            a = dynamics._block_amplitudes(state, cache, n_total)(times[lo : lo + chunk])
+        for sl in dynamics._parts(samples, chunk):
+            a = dynamics._block_amplitudes(state, cache, n_total)(times[sl])
             spec = (a.real**2 + a.imag**2)[:, ::-1]
             want_s.append(dynamics._entropy_of_spectra(spec, 2.0))
             want_p.append((spec**2).sum(axis=1))
@@ -556,11 +595,11 @@ class TestEntropySeries:
     )
     @settings(max_examples=60, deadline=None)
     def test_part_cap_moves_no_bit(self, n_total, seed, gamma, chunk, chunks, last, data):
-        # A one-block chunk is propagated in the fewest near-equal parts of
+        # A one-block grid is propagated in the fewest near-equal parts of
         # at most _SLICE_BYTES, so none holds one sample: any cap from three
-        # samples' worth to a whole chunk gives the bits of whole chunks.
-        # The grid's last chunk may hold one sample (last 1), which no cap
-        # splits.
+        # samples' worth to a whole grid gives the bits of one whole part.
+        # The grid's length may leave a one-sample remainder at a cap of
+        # chunk samples (last 1), which the near-equal parts absorb.
         if seed is None:
             state = prepare_fock(n_total)
         else:
@@ -571,8 +610,7 @@ class TestEntropySeries:
         most = data.draw(st.integers(min_value=3, max_value=chunk))
         cap = most * row_bytes + data.draw(st.integers(min_value=0, max_value=row_bytes - 1))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dynamics, "_CHUNK_SAMPLES", chunk)
-            mp.setattr(dynamics, "_SLICE_BYTES", chunk * row_bytes)
+            mp.setattr(dynamics, "_SLICE_BYTES", times.size * row_bytes)
             want = entropy_series(state, cache, times)
             mp.setattr(dynamics, "_SLICE_BYTES", cap)
             for a, b in zip(entropy_series(state, cache, times), want):
@@ -580,22 +618,23 @@ class TestEntropySeries:
 
     @given(
         size=st.integers(min_value=0, max_value=200),
-        step=st.integers(min_value=1, max_value=60),
-        most=st.integers(min_value=1, max_value=70),
+        most=st.integers(min_value=0, max_value=70),
     )
-    def test_chunk_parts(self, size, step, most):
-        # Parts tile each chunk in order, in the fewest near-equal pieces of
-        # at most most samples, but none of one sample from a longer chunk.
-        parts = list(dynamics._chunk_parts(size, step, most))
+    def test_chunk_parts(self, size, most):
+        # Parts tile the grid in order, in the fewest near-equal pieces of
+        # at most most samples, but none of one sample from a longer grid,
+        # and none at all from an empty one.
+        parts = list(dynamics._parts(size, most))
         assert [i for sl in parts for i in range(sl.start, sl.stop)] == list(range(size))
-        for start in range(0, size, step):
-            n = min(step, size - start)
-            sizes = [sl.stop - sl.start for sl in parts if start <= sl.start < start + n]
+        sizes = [sl.stop - sl.start for sl in parts]
+        if size == 0:
+            assert sizes == []
+        elif size == 1:
+            assert sizes == [1]
+        else:
             assert max(sizes) - min(sizes) <= 1
-            if n == 1:
-                assert sizes == [1]
-            elif most >= 3:
-                assert len(sizes) == -(-n // most) and max(sizes) <= most and min(sizes) >= 2
+            if most >= 3:
+                assert len(sizes) == -(-size // most) and max(sizes) <= most and min(sizes) >= 2
             else:
                 assert min(sizes) >= 2
 
@@ -609,11 +648,13 @@ class TestEntropySeries:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        monkeypatch.setattr(dynamics, "_CHUNK_SAMPLES", 8)
+        # 8 samples of packed amplitudes on blocks 0 to 4: 57 samples make
+        # eight near-equal chunks
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 8 * 16 * 15)
         state = random_triangle_state(rng, 4)
         cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(5))
         s_field, s_atom, _ = entropy_series(state, cache, np.linspace(0.0, 10.0, 57))
-        assert calls == [(8, 5, 5)] * 7 + [(1, 5, 5)]
+        assert calls == [(7, 5, 5)] * 7 + [(8, 5, 5)]
         assert np.array_equal(s_field, s_atom)
 
     def test_q_continuity_toward_unity(self):
@@ -706,7 +747,7 @@ class TestPackedChunks:
         times = np.linspace(-5.0, 40.0, samples)
         table_bytes = 16 * (state.n_max + 1) ** 2
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dynamics, "_CHUNK_SAMPLES", chunk)
+            mp.setattr(dynamics, "_CHUNK_BYTES", chunk * 16 * sum(n + 1 for n in state.occupied_blocks()))
             want = entropy_series(state, cache, times)
             for cap in (1, few * table_bytes, chunk * table_bytes):
                 mp.setattr(dynamics, "_SLICE_BYTES", cap)

@@ -303,8 +303,9 @@ class TestStackedSweep:
         # (chunk budget, the most blocks a stack solves, the stacks solved)
         cases = (
             # 7 blocks of 6 x 6 a chunk, at 16 bytes an entry for the complex
-            # copy of the eigenvectors: 28 chunks of 7 and one of 4
-            (7 * 16 * 6**2, 200, [7] * 28 + [4]),
+            # copy of the eigenvectors: 200 q are halved, lower q first, into
+            # 8 eighths of 25, each run as 6, 6, 6 and 7
+            (7 * 16 * 6**2, 200, [6, 6, 6, 7] * 8),
             # one chunk of 200 whose stacks of more than 16 blocks fail: it is
             # halved, lower q first, into 8 eighths of 25, each solved as 12 and 13
             (dynamics._SLICE_BYTES, 16, [12, 13] * 8),
@@ -326,8 +327,9 @@ class TestStackedSweep:
 
     def test_memory_bounded_by_q_chunks(self):
         # Unchunked, the 1,000 blocks of N = 40 make a (1000, 41, 41)
-        # complex eigenvector copy of 51 _SLICE_BYTES; the budget cuts
-        # chunks to 19 q, and the peak to 1.7 _SLICE_BYTES (0.85 MiB).
+        # complex eigenvector copy of 51 _SLICE_BYTES; the budget fits 19 q,
+        # so halving cuts the grid to chunks of 15 and 16 q, and the peak to
+        # 1.4 _SLICE_BYTES (0.71 MiB).
         # Chunks of the 8 MiB series budget took it to 12.7 MiB.
         init, params = InitialState(kind="fock", fock_n=40), SystemParams(chi=0.01, gamma=-0.7)
         qs = q_grid(0.5, 1.0, 1000)

@@ -29,25 +29,32 @@ GAMMA_BS = "--gamma=-0.7853981633974483"
 # that share one directory (a revivals call reads the CSV written before
 # it).  A comment gives the exit code of a call that does not exit 0.
 EDGE_CALLS = (
-    # the last of the 2,048-sample chunks holds one sample
+    # grids whose last sample fell in a one-sample chunk when chunks held
+    # 2,048 samples: now 3 parts of 683 at N = 40, and 2 chunks of 1,024
+    # and 1,025 on 11 coherent levels
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.7", "--fock-n", "40", "--steps", "2049",
       "--out", f"{OUT}/fock40-2049.csv"),),
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.99", "--initial", "coherent", "--steps", "2049",
       "--out", f"{OUT}/coherent-2049.csv"),),
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.7", "--fock-n", "200", "--out", f"{OUT}/fock200.csv"),),
-    # a one-block chunk is propagated in parts of at most 512 KiB: at N = 512
-    # parts of about 60 of its 1,022 samples, the last chunk of one sample;
-    # at N = 40 three of 533, where parts of 799 would leave one sample
+    # a one-block grid is propagated in the fewest near-equal parts of at
+    # most 512 KiB: at N = 512 33 parts of 61 or 62 samples; at N = 40 three
+    # of 533, where parts of 799 would leave one sample
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.7", "--fock-n", "512", "--steps", "2045",
       "--out", f"{OUT}/fock512-2045.csv"),),
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.7", "--fock-n", "40", "--steps", "1599",
       "--out", f"{OUT}/fock40-1599.csv"),),
-    # a coherent state on 47 levels, and its dips written to stdout
+    # a coherent state on 47 levels in 18 chunks of 111 or 112 samples, and
+    # its dips written to stdout
     (
         ("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.9", "--initial", "coherent", "--alpha-sq", "3",
          "--steps", "2001", "--out", f"{OUT}/coherent47.csv"),
         ("revivals", f"{OUT}/coherent47.csv", "--chi", "0.01"),
     ),
+    # 712 samples on 47 levels: 7 chunks of 101 or 102, where chunks of 237
+    # sized by dense tables left one sample
+    (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.9", "--initial", "coherent", "--alpha-sq", "3",
+      "--steps", "712", "--out", f"{OUT}/coherent47-712.csv"),),
     (("evolve", "--gamma", "1", "--q", "0.9", "--initial", "coherent", "--alpha-sq", "1e-300",
       "--out", f"{OUT}/coherent-tiny.csv"),),
     (("evolve", "--gamma", "1", "--q", "0.9", "--initial", "coherent", "--alpha-sq", "0",
@@ -56,9 +63,10 @@ EDGE_CALLS = (
     (("evolve", "--gamma", "1e-300", "--q", "1", "--steps", "5", "--out", f"{OUT}/fock-gamma-tiny.csv"),),
     (("evolve", "--gamma", "1e-300", "--q", "1", "--initial", "coherent", "--steps", "5",
       "--out", f"{OUT}/coherent-gamma-tiny.csv"),),
+    # 1,000 q halved, lower q first, to chunks of 15 and 16
     (("sweep-q", "--gamma", "1", "--fock-n", "40", "--q-steps", "1000", "--out", f"{OUT}/sweep-fock40.csv"),),
-    # one q per chunk: the complex eigenvector copy of one 201 x 201 block
-    # already passes the 512 KiB cap
+    # halved to one q per chunk: the complex eigenvector copy of one
+    # 201 x 201 block already passes the 512 KiB cap
     (("sweep-q", "--gamma", "1", "--fock-n", "200", "--q-steps", "50", "--out", f"{OUT}/sweep-fock200.csv"),),
     (("sweep-q", "--gamma", "1", "--initial", "coherent", "--alpha-sq", "1", "--t", "3", "--q-steps", "40",
       "--out", f"{OUT}/sweep-coherent.csv"),),
