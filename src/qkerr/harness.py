@@ -6,8 +6,9 @@ initial state, build the per-block spectra once, evaluate the entropy on a
 grid, and serialize.  A q grid of a Fock state, which does not depend on
 q, builds the state once and solves every q's block in one stacked
 eigensolve; a coherent state is rebuilt at each q.  Every q evaluation
-goes through run_sweep_q: a step of the optimal-q refinement is a
-one-point sweep.  All CSV is written with 12 significant digits and
+goes through an evaluator (_q_evaluator) prepared once per sweep and once
+per optimal-q refinement, so a refinement step of a Fock state solves one
+q on the state its evaluator built.  All CSV is written with 12 significant digits and
 ``\\n`` newlines so repeated runs are byte-identical: the series, sweep
 and revival-dip tables all go through one block-formatted writer, which
 stacks the columns one block of rows at a time and replaces the target
@@ -311,10 +312,29 @@ def _check_gamma_t(params: SystemParams, times: np.ndarray) -> None:
         raise ValueError("gamma * t must be finite at every sample")
 
 
-def _entropy_at(initial: InitialState, params: SystemParams, q: float, t: float, log_base: float) -> float:
-    """Field-mode entropy at time t with params.q replaced by q: a
-    one-point run_sweep_q."""
-    return float(run_sweep_q(initial, params, [q], t, log_base).s_field[0])
+def _q_evaluator(
+    initial: InitialState, params: SystemParams, t: float, log_base: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The function qs -> field-mode entropy at time t for each q of the
+    strictly increasing 1-d array qs, with params.q replaced by it.
+
+    gamma * t is checked here, once.  A Fock state does not depend on q:
+    it is built here, once, and each grid is solved as one stack
+    (_single_block_sweep).  A coherent state, whose truncation depends on
+    q, is built and solved by run_evolve at each q.
+    """
+    times = np.array([float(t)])
+    _check_gamma_t(params, times)
+    if initial.kind == "coherent":
+        return lambda qs: np.array([run_evolve(initial, replace(params, q=float(q)), times, log_base).s_field[0] for q in qs])
+    state = initial.build(params.q)  # a number state ignores q
+    return lambda qs: _single_block_sweep(state, params, qs, times, log_base)
+
+
+def _entropy_at(evaluate: Callable[[np.ndarray], np.ndarray], q: float) -> float:
+    """Field-mode entropy at q from a search's evaluator (_q_evaluator):
+    one step of the optimal-q refinement, a one-q solve."""
+    return float(evaluate(np.array([q]))[0])
 
 
 def run_sweep_q(
@@ -328,20 +348,15 @@ def run_sweep_q(
 
     qs must be a non-empty, strictly increasing 1-d array (see q_grid).
     params.q is replaced by each grid point in turn; its own value is not
-    used.  A Fock state is built once and the blocks of all grid points are
+    used.  The grid is checked here and evaluated by one _q_evaluator: a
+    Fock state is built once and the blocks of all grid points are
     diagonalized in one stacked eigensolve; a coherent state, whose
     truncation depends on q, is rebuilt and solved at each grid point.
     """
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 1 or qs.size == 0 or not np.all(np.diff(qs) > 0):
         raise ValueError("q grid must be a non-empty, strictly increasing 1-d array")
-    times = np.array([float(t)])
-    if initial.kind == "coherent":
-        s_field = np.array([run_evolve(initial, replace(params, q=float(q)), times, log_base).s_field[0] for q in qs])
-    else:
-        _check_gamma_t(params, times)
-        s_field = _single_block_sweep(initial.build(float(qs[0])), params, qs, times, log_base)
-    return SweepResult(q=qs, s_field=s_field)
+    return SweepResult(q=qs, s_field=_q_evaluator(initial, params, t, log_base)(qs))
 
 
 def _parabolic_peak(f, qs, ss):
@@ -396,19 +411,22 @@ def find_optimal_q(
 ) -> OptimalQResult:
     """Locate the deformation that maximizes the fixed-time entropy.
 
-    Coarse scan over the grid qs (checked by run_sweep_q) followed by
-    parabolic refinement when the best coarse point is interior, down to a
-    bracket of REFINE_TOL; a boundary best is returned as-is.  Ties on the
-    coarse grid resolve toward smaller q.  params.q is replaced at every
-    point evaluated; its own value is not used.
+    Coarse scan over the grid qs (a run_sweep_q, which checks it)
+    followed by parabolic refinement when the best coarse point is
+    interior, down to a bracket of REFINE_TOL; a boundary best is returned
+    as-is.  The refinement prepares one _q_evaluator, so a number state is
+    built once for all its steps, and each step is an _entropy_at on it.
+    Ties on the coarse grid resolve toward smaller q.  params.q is
+    replaced at every point evaluated; its own value is not used.
     """
     scan = run_sweep_q(initial, params, qs, t, log_base=log_base)
     best = int(np.argmax(scan.s_field))
     q_star, s_star = float(scan.q[best]), float(scan.s_field[best])
     if 0 < best < scan.q.size - 1:
         around = slice(best - 1, best + 2)
+        evaluate = _q_evaluator(initial, params, t, log_base)
         q_star, s_star = _parabolic_peak(
-            lambda q: _entropy_at(initial, params, q, t, log_base),
+            lambda q: _entropy_at(evaluate, q),
             scan.q[around].tolist(),
             scan.s_field[around].tolist(),
         )

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qkerr import dynamics
+from qkerr import dynamics, harness
 from qkerr.blocks import SystemParams
 from qkerr.cli import main as cli_main
 from qkerr.exceptions import ConvergenceError
@@ -409,6 +409,33 @@ class TestFindOptimalQ:
         result = find_optimal_q(init, SystemParams(omega=1.0, chi=0.0, gamma=1.0), q_grid(0.5, 1.0, 10), 1.0)
         assert result.q_star == 0.5
         assert result.s_star == 0.0
+
+    def test_refinement_builds_its_state_once(self, monkeypatch):
+        # The scan builds the number state once, and the refinement once
+        # more for all its steps: each step is one one-q stacked eigensolve.
+        builds, steps, eigh_shapes = [], [], []
+        build, entropy_at, eigh = InitialState.build, harness._entropy_at, np.linalg.eigh
+
+        def counted_build(self, q):
+            builds.append(q)
+            return build(self, q)
+
+        def counted_entropy_at(*args):
+            steps.append(args)
+            return entropy_at(*args)
+
+        def counted_eigh(a):
+            eigh_shapes.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(InitialState, "build", counted_build)
+        monkeypatch.setattr(harness, "_entropy_at", counted_entropy_at)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        params = SystemParams(gamma=-math.pi / 4.0)
+        find_optimal_q(InitialState(kind="fock", fock_n=5), params, q_grid(0.5, 1.0, 200), 1.0)
+        assert len(steps) >= 2
+        assert len(builds) <= 2
+        assert eigh_shapes == [(200, 6, 6)] + [(1, 6, 6)] * len(steps)
 
     @settings(max_examples=100, deadline=None)
     @given(fock_optimal_q_cases())

@@ -68,8 +68,11 @@ def test_tracer_records_small_runs(tmp_path, capsys):
     metrics = tracer.metrics(0.0)
     assert [name for name, metric in metrics.items() if metric.get("absent")] == []
     # the coarse scan is one stacked sweep; the traced _entropy_at sees the
-    # 9 one-point evaluations of the refinement
+    # 9 one-q steps of the refinement
     assert metrics["harness.find_optimal_q.entropy_evals"]["value"] == 9
+    # one state per evolve and per sweep, and two for the search (its scan
+    # and its refinement), however many steps the refinement takes
+    assert metrics["harness.state_build.calls"]["value"] <= 5
 
 
 def test_tracer_counts_block_rows(tmp_path):

@@ -72,6 +72,13 @@ EDGE_CALLS = (
       "--out", f"{OUT}/sweep-coherent.csv"),),
     (("find-optimal-q", GAMMA_BS, "--initial", "coherent", "--alpha-sq", "1", "--q-steps", "30",
       "--out", f"{OUT}/optimal-coherent.csv"),),
+    # a scan of 900 q halved to chunks of 14 and 15, then a refinement on
+    # the one N = 40 state its evaluator builds
+    (("find-optimal-q", GAMMA_BS, "--t", "1", "--fock-n", "40", "--q-steps", "900",
+      "--out", f"{OUT}/optimal-fock40.csv"),),
+    # the refinement's evaluator scores in nats too
+    (("find-optimal-q", GAMMA_BS, "--t", "1", "--fock-n", "10", "--log-base", "e",
+      "--out", f"{OUT}/optimal-nats.csv"),),
     # couplings near the float limit: a Fock sweep fails a phase check
     # first (exit 3), a coherent one an overflowed block (exit 2), and
     # gamma 1e308 overflows at every q (exit 2)
