@@ -16,17 +16,19 @@ time, a state on one block (every Fock state) has its blocks for all q
 built as one stack from one bracket table, solved in one LAPACK call and
 propagated by the same kernel (_single_block_sweep).  The state is pure,
 so both reduced modes share one Schmidt spectrum: S_field, S_atom and the
-purity all come from it.  Two budgets split the work, each on an array
-that is formed.  On one block, whatever N, _SLICE_BYTES caps every array
-a series forms beside the block's spectrum and the complex copy of its
-eigenvectors, and every array a sweep forms: a series is propagated and
-scored in parts of (part, N + 1) complex amplitudes, each part's phase
-factors scaled in one array and its spectrum squared over its
-amplitudes, and a sweep's grid of q is halved until its stacks fit the
-cap.  On several blocks a series is propagated in chunks whose
-amplitudes stay packed, block beside block, within _CHUNK_BYTES, and
-only a slice of them at a time, within _SLICE_BYTES, is laid out as
-dense tables for the reduction.  README gives the measured peaks.
+purity all come from it.  One budget, _SLICE_BYTES, caps every array a
+series or a sweep forms beside the spectra and the complex copies of
+their eigenvectors.  A series is cut once into parts sized by its widest
+per-sample array: the (part, N + 1) amplitudes on one block, the
+(part, dim, dim) amplitude tables, their conjugate and rho_field on
+several, each allocated once and rewritten by every part.  One kernel,
+_block_amplitudes, is prepared per series, sweep chunk or _propagate
+call: it checks the phases over the whole grid and sets the blocks'
+eigenvalues, V^T a(0) and complex V side by side.  Each part's phase
+factors are then formed, exponentiated and scaled over all blocks in one
+array, and each block's V takes one product with its rows.  A sweep's
+grid of q is halved until its stacks fit the cap.  README gives the
+measured peaks.
 dense_reference_evolve is a brute-force propagator for cross-checks: it
 diagonalizes _lattice_hamiltonian, the Hamiltonian of the whole lattice
 as one matrix.
@@ -49,18 +51,16 @@ _NORM_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
 # Largest phase error, in radians, that rounding max|lambda| |t| may leave.
 _PHASE_TOL = 1e-3
-# Cap on the bytes of a multi-block chunk's packed (chunk, sum(N + 1))
-# complex amplitudes, the array _propagate forms.
-_CHUNK_BYTES = 2 * 2**20
-# Cap on the bytes of each array that a one-block part, a multi-block
-# reduction slice or a sweep chunk forms: the part's (part, N + 1) complex
-# amplitudes, the slice's (slice, dim, dim) complex amplitude tables, their
-# conjugate and rho_field, and the chunk's (q, N + 1, N + 1) complex
-# eigenvector copy.  Where the least they can hold (two samples, one
-# sample, one q) passes either cap, they hold that.  Near-equal parts of
+# The one memory budget: the bytes of each array that a series part or a
+# sweep chunk forms.  A part holds at most _SLICE_BYTES of its widest
+# per-sample array, the (part, N + 1) complex amplitudes on one block or
+# each of the (part, dim, dim) complex amplitude tables, their conjugate
+# and rho_field on several (the packed (sum(N + 1), part) phases and
+# amplitudes are smaller); a chunk's (q, N + 1, N + 1) complex
+# eigenvector copy stays under it.  Where the least they can hold (two
+# samples, one q) passes the cap, they hold that.  Near-equal parts of
 # two or more samples (_parts), the Gram product, eigvalsh and the stacked
-# eigh act sample by sample or matrix by matrix, so neither cap moves a
-# bit.
+# eigh act sample by sample or matrix by matrix, so the cap moves no bit.
 _SLICE_BYTES = 2**19
 # the dense reference evolver is meant for cross-checks at test scale
 DENSE_REFERENCE_N_CAP = 20
@@ -175,7 +175,7 @@ def _single_block_sweep(
         diag, offdiag = build_block(params, n_total, qs)
         try:
             spectra = eigh_tridiagonal(diag, offdiag)
-            spec = _block_spectra(_block_amplitudes(state, {n_total: spectra}, n_total)(times)[0])
+            spec = _block_spectra(_block_amplitudes(state, {n_total: spectra}, (n_total,), times)(times)[..., 0])
             return _entropy_of_spectra(spec, log_base)
         except (ValueError, ConvergenceError) as exc:
             if qs.size == 1:
@@ -185,33 +185,33 @@ def _single_block_sweep(
 
 
 def _block_amplitudes(
-    state: TwoModeState, cache: dict[int, Spectrum], n_total: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The function times -> amplitudes a_m(t) = psi(N - m, m; t) of block N,
-    shape (len(times), N + 1), or (len(times), ..., N + 1) when cache[N]
-    holds a stack of spectra.
+    state: TwoModeState, cache: dict[int, Spectrum], blocks: tuple[int, ...], times: np.ndarray
+) -> Callable[..., np.ndarray]:
+    """The function (t, phases=None, amps=None) -> amplitudes of the given
+    blocks at the times t, a part of the grid times: packed side by side
+    in ascending N, each block's a_m = psi(N - m, m) in ascending m, shape
+    (sum(N + 1), len(t)), or (..., N + 1, len(t)) when the one block's
+    cache entry holds a stack of spectra.  It fills phases and amps, when
+    given, as arrays of that shape, or forms them, and returns amps.
 
-    V^T a(0) and the complex copy of V that its product with the phases
-    reads are made here, once for every call of the function: a one-block
-    series calls it once per part.  The copy gives the bits of the real V,
-    which numpy would copy to complex on each product.  V^T a(0) is taken
-    from the real V: the copy's product with a(0) has other bits.
+    Prepared here, once for every part: the phase check over the whole
+    grid, which names the first failing block; the blocks' eigenvalues and
+    V^T a(0) side by side; and the complex copy of each V that its product
+    with the phases reads.  The copy gives the bits of the real V, which
+    numpy would copy to complex on each product.  V^T a(0) is taken from
+    the real V: the copy's product with a(0) has other bits.
     """
-    if n_total not in cache:
-        raise ValueError(
-            f"spectral cache has no spectrum for block N={n_total}, "
-            "where the state has weight"
-        )
-    vals, vecs = cache[n_total]
-    ms = np.arange(n_total + 1)
-    a0 = state.amplitudes[n_total - ms, ms]
-    coeffs = (np.swapaxes(vecs, -1, -2) @ a0)[..., None]
-    vecs = vecs.astype(complex)
-
-    def amplitudes(times: np.ndarray) -> np.ndarray:
-        # A phase lambda*t is rounded by about |lambda t| eps rad: past
-        # _PHASE_TOL, and at inf or NaN, it has lost its digits.
-        t_max = float(np.abs(times).max())
+    for n_total in blocks:
+        if n_total not in cache:
+            raise ValueError(
+                f"spectral cache has no spectrum for block N={n_total}, "
+                "where the state has weight"
+            )
+    spectra = [cache[n_total] for n_total in blocks]
+    # A phase lambda*t is rounded by about |lambda t| eps rad: past
+    # _PHASE_TOL, and at inf or NaN, it has lost its digits.
+    t_max = float(np.abs(times).max(initial=0.0))
+    for n_total, (vals, _) in zip(blocks, spectra):
         with np.errstate(over="ignore", invalid="ignore"):
             phase_err = np.abs(vals).max() * t_max * sys.float_info.epsilon
         if not phase_err <= _PHASE_TOL:
@@ -219,13 +219,27 @@ def _block_amplitudes(
                 f"phase lambda*t overflows on block N={n_total} at |t| = {t_max:g} "
                 f"({phase_err:.1e} rad of rounding)"
             )
-        # exp(-i lambda t) V^T a(0) in one array, exponentiated and scaled in place
-        phases = -1j * vals[..., None] * times
+    a0 = [state.amplitudes[n_total - np.arange(n_total + 1), np.arange(n_total + 1)] for n_total in blocks]
+    coeffs = np.concatenate([np.swapaxes(vecs, -1, -2) @ a for (_, vecs), a in zip(spectra, a0)], axis=-1)[..., None]
+    vals = np.concatenate([vals for vals, _ in spectra], axis=-1)[..., None]
+    a0 = np.concatenate(a0)[:, None]
+    vecs = [vecs.astype(complex) for _, vecs in spectra]
+
+    def amplitudes(t: np.ndarray, phases: np.ndarray | None = None, amps: np.ndarray | None = None) -> np.ndarray:
+        # exp(-i lambda t) V^T a(0) of every block in one array, scaled in
+        # place, but a lone number out of place: numpy multiplies a lone
+        # number in place in the other order, which has other bits
+        phases = np.multiply(-1j * vals, t, out=phases)
         np.exp(phases, out=phases)
-        phases *= coeffs
-        amps = np.moveaxis(vecs @ phases, -1, 0)
+        phases = np.multiply(phases, coeffs, out=phases if phases.size > 1 else None)
+        amps = np.empty_like(phases) if amps is None else amps
+        col = 0
+        for n_total, block_vecs in zip(blocks, vecs):
+            rows = slice(col, col + n_total + 1)
+            np.matmul(block_vecs, phases[..., rows, :], out=amps[..., rows, :])
+            col = rows.stop
         # U(0) is the identity: V V^T would leave roundoff on the empty levels.
-        amps[times == 0] = a0
+        amps[..., t == 0] = a0
         return amps
 
     return amplitudes
@@ -233,15 +247,10 @@ def _block_amplitudes(
 
 def _propagate(state: TwoModeState, cache: dict[int, Spectrum], times: np.ndarray) -> np.ndarray:
     """Amplitudes of the occupied blocks at each time, packed side by side
-    in ascending N, each block's psi(N - m, m) in ascending m as
-    _block_amplitudes gives them: shape (len(times), sum(N + 1))."""
-    blocks = state.occupied_blocks()
-    packed = np.empty((times.size, sum(n + 1 for n in blocks)), dtype=complex)
-    col = 0
-    for n_total in blocks:
-        packed[:, col : col + n_total + 1] = _block_amplitudes(state, cache, n_total)(times)
-        col += n_total + 1
-    return packed
+    in ascending N, each block's psi(N - m, m) in ascending m: the
+    transpose of _block_amplitudes on the whole grid as one part, shape
+    (len(times), sum(N + 1))."""
+    return _block_amplitudes(state, cache, state.occupied_blocks(), times)(times).T
 
 
 def entropy_series(
@@ -253,15 +262,16 @@ def entropy_series(
     """Field entropy, atom entropy, and field purity along a time grid.
 
     Only the Schmidt spectrum is formed.  On one block N (every Fock state)
-    the reductions are diagonal, with p_n = |psi(n, N - n; t)|^2, and the
-    grid is propagated and scored in parts of at most _SLICE_BYTES of
-    (part, N + 1) amplitudes.  On several blocks it is eigvalsh of the
-    rho_field stack: the grid is propagated in chunks of at most
-    _CHUNK_BYTES of packed amplitudes (_propagate), each laid out as dense
-    tables one slice at a time (_SLICE_BYTES).  Parts and chunks are the
-    fewest near-equal ones the cap allows (_parts).  The state is pure, so
-    S_field, S_atom (equal to it bit for bit) and the purity sum p^2 all
-    come from that one spectrum.
+    the reductions are diagonal, with p_n = |psi(n, N - n; t)|^2; on
+    several it is eigvalsh of rho_field = psi psi^dagger, whose tables
+    take the packed amplitudes at their flat sites.  The grid is cut once
+    into the fewest near-equal parts (_parts) within _SLICE_BYTES of the
+    widest per-sample array, (N + 1) amplitudes or a (dim, dim) table.  On
+    several blocks every array a part fills, its packed phases and
+    amplitudes, tables, conjugate and rho_field, is allocated once, for
+    the longest part.  The state is pure, so S_field, S_atom (equal to it
+    bit for bit) and the purity sum p^2 all come from that one spectrum.
+    A LAPACK failure is raised as ConvergenceError.
     """
     _check_log_base(log_base)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -270,28 +280,39 @@ def entropy_series(
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     blocks = state.occupied_blocks()
-    if len(blocks) == 1:
-        propagate = _block_amplitudes(state, cache, blocks[0])
-        most = _SLICE_BYTES // (16 * (blocks[0] + 1))
+    dim = state.n_max + 1
+    single = len(blocks) == 1
+    cap = _SLICE_BYTES // (16 * (blocks[0] + 1 if single else dim**2))
+    most = max((sl.stop - sl.start for sl in _parts(times.size, cap)), default=0)
+    propagate = _block_amplitudes(state, cache, blocks, times)
+    if single:
 
         def spectra(t: np.ndarray) -> np.ndarray:
-            return _block_spectra(propagate(t))
+            return _block_spectra(propagate(t).T)
 
     else:
-        dim = state.n_max + 1
-        most = _CHUNK_BYTES // (16 * sum(n + 1 for n in blocks))
-        # the flat site n * dim + m of each packed column, and one zeroed
-        # buffer of dense tables that every slice rewrites at those sites
+        # the flat site n * dim + m of each packed row, and one zeroed
+        # buffer of dense tables that every part rewrites at those sites
         m = np.concatenate([np.arange(n + 1) for n in blocks])
         sites = (np.repeat(blocks, [n + 1 for n in blocks]) - m) * dim + m
-        tables = np.zeros((min(max(1, _SLICE_BYTES // (16 * dim**2)), times.size), dim, dim), dtype=complex)
+        packed = np.empty((2, sites.size * most), dtype=complex)
+        tables = np.zeros((most, dim, dim), dtype=complex)
+        conj, rho = np.empty_like(tables), np.empty_like(tables)
 
         def spectra(t: np.ndarray) -> np.ndarray:
-            return _field_spectra(_propagate(state, cache, t), tables, sites)
+            n = t.size
+            phases, amps = packed[:, : sites.size * n].reshape(2, sites.size, n)
+            psi = tables[:n]
+            psi.reshape(n, -1).T[sites] = propagate(t, phases, amps)
+            gram = np.matmul(psi, np.conjugate(psi, out=conj[:n]).transpose(0, 2, 1), out=rho[:n])
+            try:
+                return np.linalg.eigvalsh(gram)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"eigensolve failed on the field density matrix (dim {dim}): {exc}") from exc
 
     s_field = np.empty(times.size)
     purity_field = np.empty(times.size)
-    for sl in _parts(times.size, most):
+    for sl in _parts(times.size, cap):
         spec = spectra(times[sl])
         s_field[sl] = _entropy_of_spectra(spec, log_base)
         purity_field[sl] = (spec**2).sum(axis=1)
@@ -319,23 +340,6 @@ def _block_spectra(a: np.ndarray) -> np.ndarray:
     spec = np.square(a.real)
     spec += np.square(a.imag, out=a.imag)
     return spec[:, ::-1]
-
-
-def _field_spectra(packed: np.ndarray, tables: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """Eigenvalues of rho_field = psi psi^dagger for each row of packed
-    amplitudes, laid out at the flat sites of the (slice, dim, dim) buffer
-    tables, len(tables) rows at a time.  A LAPACK failure is raised as
-    ConvergenceError."""
-    spec = np.empty((len(packed), tables.shape[1]))
-    for lo in range(0, len(packed), len(tables)):
-        rows = packed[lo : lo + len(tables)]
-        psi = tables[: len(rows)]
-        psi.reshape(len(rows), -1)[:, sites] = rows
-        try:
-            spec[lo : lo + len(rows)] = np.linalg.eigvalsh(psi @ psi.conj().transpose(0, 2, 1))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigensolve failed on the field density matrix (dim {psi.shape[1]}): {exc}") from exc
-    return spec
 
 
 def _lattice_hamiltonian(params: SystemParams, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,9 +17,9 @@ The engine is checked against references it shares no code with:
     probability is P = gamma^2 sin^2(Omega t) / Omega^2,
     Omega = sqrt(gamma^2 + delta^2/4).
 
-Engine amplitudes come from dynamics._propagate, the batched propagator
-behind entropy_series, unpacked into dense tables by
-conftest.propagated_tables.
+Engine amplitudes come from dynamics._propagate, the propagation kernel
+of entropy_series run on the whole grid as one part, unpacked into dense
+tables by conftest.propagated_tables.
 """
 
 import math
@@ -448,6 +448,27 @@ class TestEntropySeries:
         with pytest.raises(ConvergenceError, match="overflows"):
             entropy_series(state, cache, np.array([0.0, 1e308]))
 
+    @pytest.mark.parametrize("multi_block", [False, True])
+    def test_phase_check_runs_once_over_the_grid(self, rng, monkeypatch, multi_block):
+        # The phases are checked over the whole grid before any part is
+        # propagated, so the message names the grid's largest |t|, not the
+        # end of the first part that fails (8.16e12 here).
+        state = random_triangle_state(rng, 3) if multi_block else prepare_fock(3)
+        cache = build_spectral_cache(SystemParams(gamma=1.0), range(4))
+        calls = []
+        kernel = dynamics._block_amplitudes
+
+        def counting(*args):
+            amplitudes = kernel(*args)
+            return lambda *part: calls.append(part) or amplitudes(*part)
+
+        monkeypatch.setattr(dynamics, "_block_amplitudes", counting)
+        # parts of 5 samples: 5 tables of 4 x 4, or 5 rows of 4 amplitudes
+        monkeypatch.setattr(dynamics, "_SLICE_BYTES", 5 * 16 * (16 if multi_block else 4))
+        with pytest.raises(ConvergenceError, match=r"overflows on block N=\d at \|t\| = 1e\+14 \("):
+            entropy_series(state, cache, np.linspace(0.0, 1e14, 50))
+        assert calls == []
+
     def test_nan_spectrum_rejected(self):
         with pytest.raises(ValueError, match="eigenvalue nan"):
             dynamics._entropy_of_spectra(np.array([[1.0, 0.0], [np.nan, 0.5]]), 2.0)
@@ -471,48 +492,55 @@ class TestEntropySeries:
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(n + 1) + 1e-12))
 
     def test_multi_block_memory_bounded_by_chunk_bytes(self, rng):
-        # At n_max = 60 a sample's packed amplitudes take 16 * 1,891 bytes,
-        # so the budget cuts the 3,000 samples into 44 chunks of 68 or 69
-        # (0.98 _CHUNK_BYTES).  The reduction's 8-sample slices of psi, its
-        # conjugate and rho_field take 2.7 _SLICE_BYTES: measured peak
-        # 3.63 MB, bound by one budget and four slices (4.19 MB), which
-        # chunks of 140 samples sized by their (chunk, dim, dim) tables
-        # pass (5.96 MB).
+        # At n_max = 60 a sample's table takes 16 * 61**2 bytes, so the
+        # budget cuts the 3,000 samples into 375 parts of 8 (0.91
+        # _SLICE_BYTES a table).  A part's three tables (psi, its conjugate
+        # and rho_field) are allocated once, next to the prepared arrays:
+        # the complex copy of every block's V (twice the cache's
+        # eigenvector bytes), the packed phases and amplitudes of one part,
+        # and the eigenvalues, V^T a(0) and a(0) of 1,891 levels.  numpy
+        # broadcasts the phase product through two buffers of
+        # np.getbufsize() entries.  With the output columns and 128 KiB for
+        # index arrays and Python objects that bounds the peak at 3.71 MB
+        # (measured 3.61 MB, 3.63 MB on a first call); the bound of one
+        # 2 MiB packed chunk and four slices of tables was 4.19 MB.
         state = random_triangle_state(rng, 60)
-        assert dynamics._CHUNK_BYTES // (16 * 1891) == 69
+        part = dynamics._SLICE_BYTES // (16 * 61**2)
+        assert part == 8
         cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(61))
         times = np.linspace(0.0, 40.0, 3000)
         (s_field, s_atom, _), peak = traced_peak(lambda: entropy_series(state, cache, times))
-        assert peak < dynamics._CHUNK_BYTES + 4 * dynamics._SLICE_BYTES
+        tables = 3 * 16 * part * 61**2
+        prepared = 16 * sum((n + 1) ** 2 for n in range(61)) + 16 * 1891 * (2 * part + 3)
+        assert peak < tables + prepared + 2 * 16 * np.getbufsize() + 3 * 8 * times.size + 2**17
         assert np.array_equal(s_field, s_atom)
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(61) + 1e-12))
 
     def test_chunking_invariant(self, rng, monkeypatch):
-        # Every chunk of two or more samples goes through the same BLAS
+        # Every part of two or more samples goes through the same BLAS
         # matrix products, so the series is exactly the same.
-        def series(chunk):
-            width = sum(n + 1 for n in state.occupied_blocks())
-            monkeypatch.setattr(dynamics, "_CHUNK_BYTES", chunk * 16 * width)
+        def series(part):
+            monkeypatch.setattr(dynamics, "_SLICE_BYTES", part * 16 * (state.n_max + 1) ** 2)
             return entropy_series(state, cache, times)
 
         state = random_triangle_state(rng, 4)
         cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(5))
         times = np.linspace(0.0, 10.0, 57)
         b = series(2048)
-        # 8 leaves no one-sample chunk (57 = 7 * 8 + 1): the grid is cut
+        # 8 leaves no one-sample part (57 = 7 * 8 + 1): the grid is cut
         # into eight near-equal ones
-        for chunk in (3, 5, 8, 10, 19, 30):
-            for x, y in zip(series(chunk), b):
+        for part in (3, 5, 8, 10, 19, 30):
+            for x, y in zip(series(part), b):
                 assert np.array_equal(x, y)
-        # n_max 60: the byte budget cuts the grid to 69 samples a chunk.
+        # n_max 60: the byte budget cuts the grid to 8 samples a part.
         monkeypatch.undo()
-        assert dynamics._CHUNK_BYTES // (16 * 1891) == 69
+        assert dynamics._SLICE_BYTES // (16 * 61**2) == 8
         state = random_triangle_state(rng, 60)
         cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(61))
         times = np.linspace(0.0, 40.0, 300)
         b = entropy_series(state, cache, times)
-        for chunk in (64, 2048):
-            for x, y in zip(series(chunk), b):
+        for part in (64, 2048):
+            for x, y in zip(series(part), b):
                 assert np.array_equal(x, y)
 
     @given(
@@ -577,7 +605,7 @@ class TestEntropySeries:
             s_field, _, purity = entropy_series(state, cache, times)
         want_s, want_p = [], []
         for sl in dynamics._parts(samples, chunk):
-            a = dynamics._block_amplitudes(state, cache, n_total)(times[sl])
+            a = dynamics._block_amplitudes(state, cache, (n_total,), times)(times[sl]).T
             spec = (a.real**2 + a.imag**2)[:, ::-1]
             want_s.append(dynamics._entropy_of_spectra(spec, 2.0))
             want_p.append((spec**2).sum(axis=1))
@@ -639,7 +667,8 @@ class TestEntropySeries:
                 assert min(sizes) >= 2
 
     def test_one_eigvalsh_call_per_multi_block_chunk(self, rng, monkeypatch):
-        # The field spectrum alone gives S_field and S_atom (Schmidt).
+        # The field spectrum alone gives S_field and S_atom (Schmidt), one
+        # eigvalsh call per part.
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -648,9 +677,8 @@ class TestEntropySeries:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        # 8 samples of packed amplitudes on blocks 0 to 4: 57 samples make
-        # eight near-equal chunks
-        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 8 * 16 * 15)
+        # 8 samples of 5 x 5 tables: 57 samples make eight near-equal parts
+        monkeypatch.setattr(dynamics, "_SLICE_BYTES", 8 * 16 * 25)
         state = random_triangle_state(rng, 4)
         cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(5))
         s_field, s_atom, _ = entropy_series(state, cache, np.linspace(0.0, 10.0, 57))
@@ -701,6 +729,12 @@ class TestSchmidtSpectrum:
         assert_series_matches_oracle(state, cache, np.array(times))
 
 
+def block_by_block(state: TwoModeState, cache, times: np.ndarray) -> np.ndarray:
+    """Each occupied block's _block_amplitudes, prepared for that block
+    alone, packed side by side: shape (sum(N + 1), len(times))."""
+    return np.concatenate([dynamics._block_amplitudes(state, cache, (n,), times)(times) for n in state.occupied_blocks()])
+
+
 def scattered_tables(state: TwoModeState, cache, times: np.ndarray) -> np.ndarray:
     """Each occupied block's _block_amplitudes scattered straight into
     zeroed dense (len(times), dim, dim) tables."""
@@ -708,7 +742,7 @@ def scattered_tables(state: TwoModeState, cache, times: np.ndarray) -> np.ndarra
     psi = np.zeros((times.size, dim, dim), dtype=complex)
     for n_total in state.occupied_blocks():
         ms = np.arange(n_total + 1)
-        psi[:, n_total - ms, ms] = dynamics._block_amplitudes(state, cache, n_total)(times)
+        psi[:, n_total - ms, ms] = dynamics._block_amplitudes(state, cache, (n_total,), times)(times).T
     return psi
 
 
@@ -719,15 +753,46 @@ class TestPackedChunks:
         chi=st.floats(min_value=0.0, max_value=0.1),
         gamma=st.floats(min_value=-1.5, max_value=1.5),
         times=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=12),
+        part=st.integers(min_value=1, max_value=6),
+    )
+    # one sample with block 0 occupied: block 0 alone is a lone number,
+    # which numpy multiplies in place in the other order
+    @example(
+        drawn=(random_triangle_state(np.random.default_rng(1), 1), {0, 1}),
+        q=1.0, chi=0.0, gamma=0.0, times=[0.5], part=1,
     )
     @settings(max_examples=40, deadline=None)
-    def test_packed_blocks_unpack_to_scattered_tables(self, drawn, q, chi, gamma, times):
+    def test_packed_blocks_unpack_to_scattered_tables(self, drawn, q, chi, gamma, times, part):
         state, _ = drawn
         cache = build_spectral_cache(SystemParams(chi=chi, gamma=gamma, q=q), state.occupied_blocks())
         times = np.array(times)
         packed = _propagate(state, cache, times)
         assert packed.shape == (times.size, sum(n + 1 for n in state.occupied_blocks()))
         assert propagated_tables(state, cache, times).tobytes() == scattered_tables(state, cache, times).tobytes()
+        # The series' own parts, propagated over all blocks at once into
+        # its reused buffers, with a zero time placed among them, give each
+        # block's amplitudes from a kernel prepared for that block alone.
+        recorded = []
+        kernel = dynamics._block_amplitudes
+
+        def recording(*args):
+            amplitudes = kernel(*args)
+
+            def record(t, *buffers):
+                amps = amplitudes(t, *buffers)
+                recorded.append((t.copy(), amps.copy()))
+                return amps
+
+            return record
+
+        grid = np.insert(times, times.size // 2, 0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_block_amplitudes", recording)
+            mp.setattr(dynamics, "_SLICE_BYTES", part * 16 * (state.n_max + 1) ** 2)
+            entropy_series(state, cache, grid)
+        assert np.concatenate([t for t, _ in recorded]).tobytes() == grid.tobytes()
+        for t, amps in recorded:
+            assert amps.tobytes() == block_by_block(state, cache, t).tobytes()
 
     @given(
         drawn=block_supported_states(min_blocks=2),
@@ -740,14 +805,15 @@ class TestPackedChunks:
     )
     @settings(max_examples=40, deadline=None)
     def test_slice_cap_moves_no_bit(self, drawn, q, chi, gamma, samples, chunk, few):
-        # The reduction lays out a chunk's tables a slice at a time; a slice
-        # of one sample, of a few, or of the whole chunk gives the same bits.
+        # The grid is propagated and reduced a part at a time; parts held
+        # to two or three samples by a cap below one table, parts of a few
+        # samples or of chunk samples give the bits of the whole grid.
         state, _ = drawn
         cache = build_spectral_cache(SystemParams(chi=chi, gamma=gamma, q=q), state.occupied_blocks())
         times = np.linspace(-5.0, 40.0, samples)
         table_bytes = 16 * (state.n_max + 1) ** 2
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dynamics, "_CHUNK_BYTES", chunk * 16 * sum(n + 1 for n in state.occupied_blocks()))
+            mp.setattr(dynamics, "_SLICE_BYTES", samples * table_bytes)
             want = entropy_series(state, cache, times)
             for cap in (1, few * table_bytes, chunk * table_bytes):
                 mp.setattr(dynamics, "_SLICE_BYTES", cap)

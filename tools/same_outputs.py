@@ -30,8 +30,8 @@ GAMMA_BS = "--gamma=-0.7853981633974483"
 # it).  A comment gives the exit code of a call that does not exit 0.
 EDGE_CALLS = (
     # grids whose last sample fell in a one-sample chunk when chunks held
-    # 2,048 samples: now 3 parts of 683 at N = 40, and 2 chunks of 1,024
-    # and 1,025 on 11 coherent levels
+    # 2,048 samples: now 3 parts of 683 at N = 40, and 8 parts of 256 or
+    # 257 on 11 coherent levels
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.7", "--fock-n", "40", "--steps", "2049",
       "--out", f"{OUT}/fock40-2049.csv"),),
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.99", "--initial", "coherent", "--steps", "2049",
@@ -44,17 +44,21 @@ EDGE_CALLS = (
       "--out", f"{OUT}/fock512-2045.csv"),),
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.7", "--fock-n", "40", "--steps", "1599",
       "--out", f"{OUT}/fock40-1599.csv"),),
-    # a coherent state on 47 levels in 18 chunks of 111 or 112 samples, and
+    # a coherent state on 47 levels in 143 parts of 13 or 14 samples, and
     # its dips written to stdout
     (
         ("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.9", "--initial", "coherent", "--alpha-sq", "3",
          "--steps", "2001", "--out", f"{OUT}/coherent47.csv"),
         ("revivals", f"{OUT}/coherent47.csv", "--chi", "0.01"),
     ),
-    # 712 samples on 47 levels: 7 chunks of 101 or 102, where chunks of 237
+    # 712 samples on 47 levels: 51 parts of 13 or 14, where chunks of 237
     # sized by dense tables left one sample
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.9", "--initial", "coherent", "--alpha-sq", "3",
       "--steps", "712", "--out", f"{OUT}/coherent47-712.csv"),),
+    # 2,701 samples on 11 levels, one more than ten parts of 270: 11 parts
+    # of 245 or 246
+    (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "1", "--initial", "coherent", "--steps", "2701",
+      "--out", f"{OUT}/coherent-2701.csv"),),
     (("evolve", "--gamma", "1", "--q", "0.9", "--initial", "coherent", "--alpha-sq", "1e-300",
       "--out", f"{OUT}/coherent-tiny.csv"),),
     (("evolve", "--gamma", "1", "--q", "0.9", "--initial", "coherent", "--alpha-sq", "0",
@@ -63,6 +67,10 @@ EDGE_CALLS = (
     (("evolve", "--gamma", "1e-300", "--q", "1", "--steps", "5", "--out", f"{OUT}/fock-gamma-tiny.csv"),),
     (("evolve", "--gamma", "1e-300", "--q", "1", "--initial", "coherent", "--steps", "5",
       "--out", f"{OUT}/coherent-gamma-tiny.csv"),),
+    # the phase check runs once over the grid of 19 parts, before any part
+    # is propagated, and names its largest |t|
+    (("evolve", "--gamma", "1e-300", "--q", "1", "--initial", "coherent", "--steps", "5000",
+      "--out", f"{OUT}/coherent-gamma-tiny-5000.csv"),),
     # 1,000 q halved, lower q first, to chunks of 15 and 16
     (("sweep-q", "--gamma", "1", "--fock-n", "40", "--q-steps", "1000", "--out", f"{OUT}/sweep-fock40.csv"),),
     # halved to one q per chunk: the complex eigenvector copy of one
