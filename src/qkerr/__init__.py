@@ -34,7 +34,7 @@ from .harness import (
     run_sweep_q,
     time_grid,
 )
-from .qalgebra import box_n, bracket_radius, coherent_amplitudes
+from .qalgebra import bracket_radius, coherent_amplitudes
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "SystemParams",
     "TruncationError",
     "TwoModeState",
-    "box_n",
     "bracket_radius",
     "build_block",
     "build_spectral_cache",

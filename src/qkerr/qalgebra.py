@@ -7,11 +7,12 @@ integer (bracket) is
     [n] = (1 - q^(2n)) / (1 - q^2),   0 < q <= 1,
 
 which reduces to n at q = 1 and saturates at 1/(1 - q^2) for q < 1.
-The block Hamiltonian takes its couplings from the bracket (a table of
-them for a stack of q in bracket_table), and the deformed coherent state
-its amplitudes c_n = alpha^n / sqrt([n]!), with the truncation chosen
-from the same weights (coherent_amplitudes, which takes the intensity
-alpha_sq = |alpha|^2 and checks its whole rule).
+The engine reads every bracket from bracket_table: the block Hamiltonian
+its couplings, for a stack of q, and the deformed coherent state its
+amplitudes c_n = alpha^n / sqrt([n]!), from one row per q, with the
+truncation chosen from the same weights (coherent_amplitudes, which takes
+the intensity alpha_sq = |alpha|^2 and checks its whole rule).  The
+scalar box_n is the reference the tests check that table against.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ def bracket_radius(q: float) -> float:
 
 
 def box_n(n: int, q: float) -> float:
-    """Deformed integer [n] = (1 - q^(2n)) / (1 - q^2).
+    """Deformed integer [n] = (1 - q^(2n)) / (1 - q^2): the scalar
+    reference that bracket_table, the engine's one bracket, is checked
+    against.
 
     Evaluated through expm1/log so that the cancellation in both numerator
     and denominator stays benign arbitrarily close to q = 1; the naive
@@ -70,7 +73,9 @@ def box_n(n: int, q: float) -> float:
 
 def bracket_table(qs, n_max: int) -> np.ndarray:
     """Brackets [0]..[n_max] for each q of the 1-d sequence qs, shape
-    (len(qs), n_max + 1), each entry with the bits of box_n(n, q).
+    (len(qs), n_max + 1): the engine's one bracket, read by every block,
+    the dense reference and the coherent walk, each entry with the bits of
+    the scalar reference box_n(n, q).
 
     Each q is checked by check_deformation, in order.  The exponentials
     are the scalar math.expm1 of box_n: numpy's expm1 is a different
@@ -112,7 +117,8 @@ def coherent_amplitudes(alpha_sq: float, q: float, *, tail_tol: float = TAIL_TOL
     normalizable, and tail_tol must lie in (0, 1).
 
     Walks c_n = alpha^n / sqrt([n]!) and the unnormalized weights
-    w_n = alpha_sq^n / [n]! up from n = 0 and stops at the first n_max
+    w_n = alpha_sq^n / [n]! up from n = 0, on one row of bracket_table,
+    [0]..[COHERENT_N_CAP + 2], and stops at the first n_max
     whose omitted tail, bounded geometrically, is at most tail_tol times
     the retained weight.  The truncated vector is normalized numerically
     (the closed-form deformed-exponential prefactor does not normalize,
@@ -133,19 +139,19 @@ def coherent_amplitudes(alpha_sq: float, q: float, *, tail_tol: float = TAIL_TOL
             f"range [0, {radius:g}) for q={q:g}"
         )
     alpha = math.sqrt(alpha_sq)
+    # the last test, at n_max = COHERENT_N_CAP, reads [n_max + 2]
+    brackets = bracket_table([q], COHERENT_N_CAP + 2)[0].tolist()
     # one spare slot: a failed test at n_max = COHERENT_N_CAP still writes c_{n_max + 1}
     amps = np.zeros(COHERENT_N_CAP + 2, dtype=complex)
     amps[0] = 1.0
     weight = 1.0
     retained = 1.0
-    bracket = box_n(1, q)
     for n_max in range(COHERENT_N_CAP + 1):
-        weight_next = weight * alpha_sq / bracket
+        weight_next = weight * alpha_sq / brackets[n_max + 1]
         # The term ratio alpha_sq / [k + 1] falls with k, so below one it
         # bounds the omitted tail sum_{k > n_max} w_k by a geometric series.
         # Only there can the weights fall, so a weight at 0 gives a tail of 0.
-        bracket_next = box_n(n_max + 2, q)
-        ratio = alpha_sq / bracket_next
+        ratio = alpha_sq / brackets[n_max + 2]
         if ratio >= 1.0:
             tail = math.inf
         else:
@@ -153,10 +159,9 @@ def coherent_amplitudes(alpha_sq: float, q: float, *, tail_tol: float = TAIL_TOL
         if tail <= tail_tol * retained:
             kept = amps[: n_max + 1]
             return kept / np.linalg.norm(kept)
-        amps[n_max + 1] = amps[n_max] * alpha / math.sqrt(bracket)
+        amps[n_max + 1] = amps[n_max] * alpha / math.sqrt(brackets[n_max + 1])
         weight = weight_next
         retained += weight
-        bracket = bracket_next
         if retained == math.inf:
             raise TruncationError(
                 f"coherent weights overflow at n={n_max + 1} before the tail falls to "

@@ -297,6 +297,13 @@ def _outcome(fn, *args, **kwargs):
 @example((-0.0, 0.06, 1e-10))
 @example((0.5, 1.0, 5e-324))
 @example((0.01, 0.06, 5e-324))
+# Walks to the end of the bracket row: at alpha_sq 450, q 1 and at 1.9,
+# q 0.7 the last test, at the 512-level cap, reads [514] and fails
+# (TruncationError), where a row one entry short raises IndexError; at
+# alpha_sq 800, q 1 the retained weight overflows at n = 448.
+@example((450.0, 1.0, 1e-10))
+@example((1.9, 0.7, 1e-10))
+@example((800.0, 1.0, 1e-10))
 def test_one_walk_matches_two_pass(case):
     alpha_sq, q, tail_tol = case
     one = _outcome(coherent_amplitudes, alpha_sq, q, tail_tol=tail_tol)

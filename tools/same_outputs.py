@@ -63,6 +63,21 @@ EDGE_CALLS = (
       "--out", f"{OUT}/coherent-tiny.csv"),),
     (("evolve", "--gamma", "1", "--q", "0.9", "--initial", "coherent", "--alpha-sq", "0",
       "--out", f"{OUT}/coherent-vacuum.csv"),),
+    # the coherent walk to the end of its bracket row, exit 3: at the
+    # 512-level cap, whose last test reads [514] (q 1, and q 0.7 near its
+    # radius 1.96), and at the retained weight's overflow at n = 448
+    (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "1", "--initial", "coherent", "--alpha-sq", "450",
+      "--steps", "201", "--out", f"{OUT}/coherent-cap.csv"),),
+    (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "1", "--initial", "coherent", "--alpha-sq", "800",
+      "--steps", "201", "--out", f"{OUT}/coherent-overflow.csv"),),
+    (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.7", "--initial", "coherent", "--alpha-sq", "1.9",
+      "--steps", "201", "--out", f"{OUT}/coherent-near-radius.csv"),),
+    # long walks that succeed: 88 levels near the q 0.7 radius, and 64 at
+    # q 0.9 with the tail cut at 1e-14
+    (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.7", "--initial", "coherent", "--alpha-sq", "1.5",
+      "--steps", "201", "--out", f"{OUT}/coherent88.csv"),),
+    (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.9", "--initial", "coherent", "--alpha-sq", "3",
+      "--tail-tol", "1e-14", "--steps", "201", "--out", f"{OUT}/coherent64.csv"),),
     # phases without digits: exit 3
     (("evolve", "--gamma", "1e-300", "--q", "1", "--steps", "5", "--out", f"{OUT}/fock-gamma-tiny.csv"),),
     (("evolve", "--gamma", "1e-300", "--q", "1", "--initial", "coherent", "--steps", "5",
