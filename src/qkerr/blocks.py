@@ -93,16 +93,14 @@ def build_block(params: SystemParams, n_total: int, qs=None) -> BlockMatrix:
     # brackets[:, k] = [k] for k = 0..n_total+1
     brackets = bracket_table([params.q] if qs is None else qs, n_total + 1)
     m = np.arange(n_total + 1)
-    field_n = n_total - m
-    mm = np.arange(1, n_total + 1)
     # Huge couplings overflow to inf silently: eigh_tridiagonal rejects it.
     with np.errstate(over="ignore"):
         diag = (
-            0.5 * (brackets[:, field_n] + brackets[:, field_n + 1])
+            0.5 * (brackets[:, n_total::-1] + brackets[:, n_total + 1 : 0 : -1])
             + params.omega * (m + 0.5)
             + params.chi * m * (m - 1)
         )
-        offdiag = params.gamma * np.sqrt(mm) * np.sqrt(brackets[:, n_total - mm + 1])
+        offdiag = params.gamma * np.sqrt(m[1:]) * np.sqrt(brackets[:, n_total:0:-1])
     return BlockMatrix(diag[0], offdiag[0]) if qs is None else BlockMatrix(diag, offdiag)
 
 
@@ -110,15 +108,16 @@ def tridiagonal_dense(diag, offdiag) -> np.ndarray:
     """Dense symmetric matrix with diagonal diag and couplings offdiag, or
     the stack of them for diag of shape (..., n) and offdiag (..., n - 1).
 
-    The entries are placed, not summed; adding 0.0 turns -0.0 into 0.0, as
-    summing np.diag matrices would, so the matrix is the same bit for bit.
+    The entries are placed, in strided views of each flattened matrix, not
+    summed; adding 0.0 turns -0.0 into 0.0, as summing np.diag matrices
+    would, so the matrix is the same bit for bit.
     """
     diag, offdiag = np.asarray(diag, dtype=float), np.asarray(offdiag, dtype=float)
     n = diag.shape[-1]
     dense = np.zeros(diag.shape + (n,))
-    i = np.arange(n)
-    dense[..., i, i] = diag + 0.0
-    dense[..., i[:-1], i[1:]] = dense[..., i[1:], i[:-1]] = offdiag + 0.0
+    flat = dense.reshape(diag.shape[:-1] + (n * n,))
+    flat[..., :: n + 1] = diag + 0.0
+    flat[..., 1 :: n + 1] = flat[..., n :: n + 1] = offdiag + 0.0
     return dense
 
 
@@ -141,10 +140,11 @@ def eigh_tridiagonal(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
     e = np.asarray(offdiag, dtype=float)
     if e.shape != d.shape[:-1] + (n - 1,):
         raise ValueError(f"offdiag must have length {n - 1}, got shape {e.shape}")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+    dense = tridiagonal_dense(d, e)
+    if not np.isfinite(dense).all():
         raise ValueError("tridiagonal entries must be finite")
     try:
-        vals, vecs = np.linalg.eigh(tridiagonal_dense(d, e))
+        vals, vecs = np.linalg.eigh(dense)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolve failed on block N={n - 1}: {exc}") from exc
     return vals, vecs

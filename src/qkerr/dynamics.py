@@ -9,34 +9,23 @@ n + m = N: with a_m = psi(N - m, m) and the block spectrum (V, lambda),
     a(t) = V diag(exp(-i lambda t)) V^T a(0),
 
 so one diagonalization per block serves every requested time (a(0) itself
-at t = 0), and only the blocks where the state has weight, found once
-when it is built, need one.  entropy_series is the one path from a state
-to entropies and purities along a time grid.  Across a q grid at one
-time, a state on one block (every Fock state) has its blocks for all q
-built as one stack from one bracket table, solved in one LAPACK call and
-propagated by the same kernel (_single_block_sweep).  The state is pure,
-so both reduced modes share one Schmidt spectrum: S_field, S_atom and the
-purity all come from it.  One budget, _SLICE_BYTES, caps every array a
-series or a sweep forms beside the spectra and the complex copies of
-their eigenvectors.  A series is cut once into parts sized by its widest
-per-sample array: the (part, N + 1) amplitudes on one block, the
-(part, dim, dim) amplitude tables, their conjugate and rho_field on
-several, each allocated once and rewritten by every part.  One kernel,
-_block_amplitudes, is prepared per series, sweep chunk or _propagate
-call: it checks the phases over the whole grid and sets the blocks'
-eigenvalues, V^T a(0) and complex V side by side.  Each part's phase
-factors are then formed, exponentiated and scaled over all blocks in one
-array, and each block's V takes one product with its rows.  A sweep's
-grid of q is halved until its stacks fit the cap.  README gives the
-measured peaks.
-dense_reference_evolve is a brute-force propagator for cross-checks: it
-diagonalizes _lattice_hamiltonian, the Hamiltonian of the whole lattice
-as one matrix.
+at t = 0), and only the blocks where the state has weight need one.
+entropy_series turns a state and its spectra into entropies and purities,
+for a time series and for each q of a q sweep (_q_sweep), which solves
+block N of a chunk of q in one stacked LAPACK call.  The state is pure,
+so S_field, S_atom and the purity all come from one Schmidt spectrum.
+One budget, _SLICE_BYTES, sizes the parts of a series and the chunks of a
+sweep, and one kernel, _block_amplitudes, prepared once per series,
+propagates each part.  README gives the measured peaks.
+dense_reference_evolve, a brute-force propagator for cross-checks,
+diagonalizes _lattice_hamiltonian, the whole lattice's Hamiltonian.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -51,15 +40,13 @@ _NORM_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-10
 # Largest phase error, in radians, that rounding max|lambda| |t| may leave.
 _PHASE_TOL = 1e-3
-# The one memory budget: the bytes of each array that a series part or a
-# sweep chunk forms.  A part holds at most _SLICE_BYTES of its widest
-# per-sample array, the (part, N + 1) complex amplitudes on one block or
-# each of the (part, dim, dim) complex amplitude tables, their conjugate
-# and rho_field on several (the packed (sum(N + 1), part) phases and
-# amplitudes are smaller); a chunk's (q, N + 1, N + 1) complex
-# eigenvector copy stays under it.  Where the least they can hold (two
-# samples, one q) passes the cap, they hold that.  Near-equal parts of
-# two or more samples (_parts), the Gram product, eigvalsh and the stacked
+# The one memory budget.  A series part holds at most _SLICE_BYTES of its
+# widest per-sample array: the (part, N + 1) complex amplitudes on one
+# block, or each of the (part, dim, dim) complex amplitude tables, their
+# conjugate and rho_field on several.  A sweep chunk's states count their
+# complex eigenvector copies (TwoModeState._held) against it.  Where the
+# least they can hold (two samples, one q) passes the cap, they hold that.
+# Near-equal parts (_parts), the Gram product, eigvalsh and the stacked
 # eigh act sample by sample or matrix by matrix, so the cap moves no bit.
 _SLICE_BYTES = 2**19
 # the dense reference evolver is meant for cross-checks at test scale
@@ -75,7 +62,8 @@ class TwoModeState:
 
     amplitudes[n, m] is the coefficient of |n field quanta; m atomic
     quanta>; entries beyond the triangle must be exactly zero.  The blocks
-    N = n + m that hold weight are found once, here.
+    N = n + m that hold weight, and _held, the 16 (N + 1)^2 bytes of their
+    complex eigenvector copies that a q sweep counts, are found once, here.
     """
 
     n_max: int
@@ -99,6 +87,7 @@ class TwoModeState:
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "_blocks", tuple(int(n) for n in blocks))
+        object.__setattr__(self, "_held", 16 * int(((blocks + 1) ** 2).sum()))
 
     def occupied_blocks(self) -> tuple[int, ...]:
         """Ascending total excitations N = n + m that hold nonzero weight."""
@@ -144,44 +133,67 @@ def build_spectral_cache(params: SystemParams, blocks: Iterable[int]) -> dict[in
     return {n_total: eigh_tridiagonal(*build_block(params, n_total)) for n_total in sorted({int(n) for n in blocks})}
 
 
-def _single_block_sweep(
-    state: TwoModeState, params: SystemParams, qs: np.ndarray, times: np.ndarray, log_base: float
+def _q_sweep(
+    state_at: Callable[[float], TwoModeState], params: SystemParams, qs: np.ndarray, times: np.ndarray, log_base: float
 ) -> np.ndarray:
-    """Field entropy at the one time of times, shape (1,), of a state on one
-    block N (every Fock state) for each deformation in qs, with params.q
-    replaced by it.
+    """Field entropy at the one time of times, shape (1,), of the state
+    state_at(q) for each deformation q in qs, with params.q replaced by q.
 
-    The blocks N of a chunk of q are built in one build_block call, solved
-    in one eigh_tridiagonal call and propagated in one _block_amplitudes
-    call.  _block_amplitudes makes a complex copy of the eigenvector stack
-    for its product with the phases: two real products on the real and
-    imaginary parts would avoid it, but do not give the same bits.  That
-    copy, 16 bytes an entry, stays under _SLICE_BYTES, and the real
-    dense-block stack and the real eigenvector stack LAPACK returns for it
-    take half as much each.  The stacks set the peak: the phases,
-    amplitudes and spectra of a chunk are (q, N + 1) arrays, the spectra
-    computed in place.
-    qs runs whole when its copy fits _SLICE_BYTES or it holds a single q.
-    Otherwise, and whenever it fails, it runs as its two halves, lower q
-    first.  Each q keeps the bits a one-sample entropy_series gives it.  A
-    single q that fails raises its error again with "q=<q>: " in front, so
-    the sweep fails as the one-point run_evolve of its first failing q
-    does.  A q outside (0, 1] is rejected by build_block unprefixed, since
-    that message names it.
+    A chunk of qs (_sweep_chunk) runs whole when it holds one q or its
+    states' _held bytes fit _SLICE_BYTES, and state_at builds them, once
+    per q and in order, only while they do.  Otherwise, and whenever it
+    fails, it runs as its two halves, lower q first.  A lone q whose solve
+    fails raises its error again with "q=<q>: " in front (a failed
+    state_at names its q), so the sweep fails as the one-point run_evolve
+    of its first failing q.
     """
-    _check_log_base(log_base)
-    (n_total,) = state.occupied_blocks()
-    if qs.size == 1 or 16 * qs.size * (n_total + 1) ** 2 <= _SLICE_BYTES:
-        diag, offdiag = build_block(params, n_total, qs)
+    s_field = np.empty(qs.size)
+    # the chunks left, the lowest last, and the states built for the first q left
+    chunks, states = [(0, qs.size)], []
+    while chunks:
+        lo, hi = chunks.pop()
+        held = sum(state._held for state in states[: hi - lo])
         try:
-            spectra = eigh_tridiagonal(diag, offdiag)
-            spec = _block_spectra(_block_amplitudes(state, {n_total: spectra}, (n_total,), times)(times)[..., 0])
-            return _entropy_of_spectra(spec, log_base)
+            for q in qs[lo + len(states) : hi].tolist():
+                if held > _SLICE_BYTES:
+                    break
+                states.append(state_at(q))
+                held += states[-1]._held
+            if held <= _SLICE_BYTES or hi - lo == 1:
+                _sweep_chunk(s_field[lo:hi], states[: hi - lo], params, qs[lo:hi], times, log_base)
+                del states[: hi - lo]
+                continue
         except (ValueError, ConvergenceError) as exc:
-            if qs.size == 1:
-                raise type(exc)(f"q={qs[0]:g}: {exc}") from exc
-    half = qs.size // 2
-    return np.concatenate([_single_block_sweep(state, params, part, times, log_base) for part in (qs[:half], qs[half:])])
+            if hi - lo == 1 and states:
+                raise type(exc)(f"q={qs[lo]:g}: {exc}") from exc
+            if hi - lo == 1:
+                raise
+        chunks += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
+    return s_field
+
+
+def _sweep_chunk(
+    s_field: np.ndarray, states: list[TwoModeState], params: SystemParams, qs: np.ndarray, times: np.ndarray, log_base: float
+) -> None:
+    """Field entropy at the one time of times of states[i] at qs[i], into
+    s_field[i]: block N of the q whose states occupy it built in one
+    build_block call and solved in one eigh_tridiagonal call, and each run
+    of q that share one state object (a number state) scored by
+    entropy_series on its rows of those stacks, a lone q on the unstacked
+    rows a one-point run_evolve solves, so each q keeps that run's bits."""
+    starts = [0, *itertools.compress(range(1, len(states)), map(operator.is_not, states[1:], states))]
+    runs = list(zip(starts, [*starts[1:], len(states)]))
+    caches: dict[int, dict[int, Spectrum]] = {a: {} for a, _ in runs}
+    for n_total in sorted({n for a, _ in runs for n in states[a].occupied_blocks()}):
+        members = [(a, b) for a, b in runs if n_total in states[a].occupied_blocks()]
+        block_qs = [qs[a:b] for a, b in members]
+        vals, vecs = eigh_tridiagonal(*build_block(params, n_total, block_qs[0] if len(members) == 1 else np.concatenate(block_qs)))
+        for (a, b), row in zip(members, itertools.accumulate((b - a for a, b in members), initial=0)):
+            key = row if b - a == 1 else slice(row, row + b - a)
+            caches[a][n_total] = (vals[key], vecs[key])
+    for a, b in runs:
+        # handed over, so entropy_series frees the real eigenvectors
+        s_field[a:b] = entropy_series(states[a], caches.pop(a), times, log_base)[0][..., 0]
 
 
 def _block_amplitudes(
@@ -195,11 +207,9 @@ def _block_amplitudes(
     given, as arrays of that shape, or forms them, and returns amps.
 
     Prepared here, once for every part: the phase check over the whole
-    grid, which names the first failing block; the blocks' eigenvalues and
-    V^T a(0) side by side; and the complex copy of each V that its product
-    with the phases reads.  The copy gives the bits of the real V, which
-    numpy would copy to complex on each product.  V^T a(0) is taken from
-    the real V: the copy's product with a(0) has other bits.
+    grid, which names the first failing block; the blocks' rates -i lambda
+    and V^T a(0) (from the real V, for its bits) side by side; and the
+    complex copy of each V, with the bits numpy's own copy gives.
     """
     for n_total in blocks:
         if n_total not in cache:
@@ -209,27 +219,28 @@ def _block_amplitudes(
             )
     spectra = [cache[n_total] for n_total in blocks]
     # A phase lambda*t is rounded by about |lambda t| eps rad: past
-    # _PHASE_TOL, and at inf or NaN, it has lost its digits.
+    # _PHASE_TOL, and at inf or NaN, it has lost its digits.  Python floats
+    # overflow to inf without a warning.
     t_max = float(np.abs(times).max(initial=0.0))
     for n_total, (vals, _) in zip(blocks, spectra):
-        with np.errstate(over="ignore", invalid="ignore"):
-            phase_err = np.abs(vals).max() * t_max * sys.float_info.epsilon
+        phase_err = float(np.abs(vals).max()) * t_max * sys.float_info.epsilon
         if not phase_err <= _PHASE_TOL:
             raise ConvergenceError(
                 f"phase lambda*t overflows on block N={n_total} at |t| = {t_max:g} "
                 f"({phase_err:.1e} rad of rounding)"
             )
-    a0 = [state.amplitudes[n_total - np.arange(n_total + 1), np.arange(n_total + 1)] for n_total in blocks]
-    coeffs = np.concatenate([np.swapaxes(vecs, -1, -2) @ a for (_, vecs), a in zip(spectra, a0)], axis=-1)[..., None]
-    vals = np.concatenate([vals for vals, _ in spectra], axis=-1)[..., None]
-    a0 = np.concatenate(a0)[:, None]
+    a0 = [state.amplitudes[n_total::-1, : n_total + 1].diagonal().copy() for n_total in blocks]
+    join = (lambda arrays: arrays[0]) if len(blocks) == 1 else (lambda arrays: np.concatenate(arrays, axis=-1))
+    coeffs = join([np.swapaxes(vecs, -1, -2) @ a for (_, vecs), a in zip(spectra, a0)])[..., None]
+    rates = -1j * join([vals for vals, _ in spectra])[..., None]
+    a0 = join(a0)[:, None]
     vecs = [vecs.astype(complex) for _, vecs in spectra]
 
     def amplitudes(t: np.ndarray, phases: np.ndarray | None = None, amps: np.ndarray | None = None) -> np.ndarray:
         # exp(-i lambda t) V^T a(0) of every block in one array, scaled in
         # place, but a lone number out of place: numpy multiplies a lone
         # number in place in the other order, which has other bits
-        phases = np.multiply(-1j * vals, t, out=phases)
+        phases = np.multiply(rates, t, out=phases)
         np.exp(phases, out=phases)
         phases = np.multiply(phases, coeffs, out=phases if phases.size > 1 else None)
         amps = np.empty_like(phases) if amps is None else amps
@@ -254,45 +265,45 @@ def _propagate(state: TwoModeState, cache: dict[int, Spectrum], times: np.ndarra
 
 
 def entropy_series(
-    state: TwoModeState,
-    cache: dict[int, Spectrum],
-    times,
-    log_base: float = 2.0,
+    state: TwoModeState, cache: dict[int, Spectrum], times, log_base: float = 2.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Field entropy, atom entropy, and field purity along a time grid.
 
     Only the Schmidt spectrum is formed.  On one block N (every Fock state)
-    the reductions are diagonal, with p_n = |psi(n, N - n; t)|^2; on
-    several it is eigvalsh of rho_field = psi psi^dagger, whose tables
-    take the packed amplitudes at their flat sites.  The grid is cut once
-    into the fewest near-equal parts (_parts) within _SLICE_BYTES of the
-    widest per-sample array, (N + 1) amplitudes or a (dim, dim) table.  On
-    several blocks every array a part fills, its packed phases and
-    amplitudes, tables, conjugate and rho_field, is allocated once, for
-    the longest part.  The state is pure, so S_field, S_atom (equal to it
-    bit for bit) and the purity sum p^2 all come from that one spectrum.
-    A LAPACK failure is raised as ConvergenceError.
+    the reductions are diagonal, with p_n = |psi(n, N - n; t)|^2, and a
+    stack of spectra in the block's cache entry leads each result with its
+    axes.  On several it is eigvalsh of rho_field = psi psi^dagger, whose
+    tables take the packed amplitudes at their flat sites.  The grid is
+    cut once into the fewest near-equal parts (_parts) within _SLICE_BYTES
+    of the widest per-sample array, (N + 1) amplitudes or a (dim, dim)
+    table, and every array a part fills is allocated once.  The state is
+    pure, so S_field, S_atom (equal to it bit for bit) and the purity sum
+    p^2 all come from that one spectrum.  A LAPACK failure is raised as
+    ConvergenceError.
     """
     _check_log_base(log_base)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1:
         raise ValueError("times must be one-dimensional")
-    if not np.all(np.isfinite(times)):
+    if not np.isfinite(times).all():
         raise ValueError("times must be finite")
     blocks = state.occupied_blocks()
     dim = state.n_max + 1
     single = len(blocks) == 1
-    cap = _SLICE_BYTES // (16 * (blocks[0] + 1 if single else dim**2))
-    most = max((sl.stop - sl.start for sl in _parts(times.size, cap)), default=0)
     propagate = _block_amplitudes(state, cache, blocks, times)
+    lead = cache[blocks[0]][0].shape[:-1] if single else ()
+    # the kernel keeps what it reads: a cache handed over is freed here
+    del cache
+    cap = _SLICE_BYTES // (16 * (math.prod(lead) * (blocks[0] + 1) if single else dim**2))
     if single:
 
         def spectra(t: np.ndarray) -> np.ndarray:
-            return _block_spectra(propagate(t).T)
+            return _block_spectra(np.swapaxes(propagate(t), -1, -2))
 
     else:
         # the flat site n * dim + m of each packed row, and one zeroed
         # buffer of dense tables that every part rewrites at those sites
+        most = max((sl.stop - sl.start for sl in _parts(times.size, cap)), default=0)
         m = np.concatenate([np.arange(n + 1) for n in blocks])
         sites = (np.repeat(blocks, [n + 1 for n in blocks]) - m) * dim + m
         packed = np.empty((2, sites.size * most), dtype=complex)
@@ -310,12 +321,12 @@ def entropy_series(
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(f"eigensolve failed on the field density matrix (dim {dim}): {exc}") from exc
 
-    s_field = np.empty(times.size)
-    purity_field = np.empty(times.size)
+    s_field = np.empty(lead + times.shape)
+    purity_field = np.empty_like(s_field)
     for sl in _parts(times.size, cap):
         spec = spectra(times[sl])
-        s_field[sl] = _entropy_of_spectra(spec, log_base)
-        purity_field[sl] = (spec**2).sum(axis=1)
+        s_field[..., sl] = _entropy_of_spectra(spec, log_base)
+        purity_field[..., sl] = (spec**2).sum(axis=-1)
         # not kept alive while the next part propagates
         del spec
     return s_field, s_field.copy(), purity_field
@@ -339,7 +350,7 @@ def _block_spectra(a: np.ndarray) -> np.ndarray:
     as a view: the entropy and purity sums read that layout."""
     spec = np.square(a.real)
     spec += np.square(a.imag, out=a.imag)
-    return spec[:, ::-1]
+    return spec[..., ::-1]
 
 
 def _lattice_hamiltonian(params: SystemParams, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -401,11 +412,11 @@ def _entropy_of_spectra(vals: np.ndarray, log_base: float) -> np.ndarray:
             f"density matrix has eigenvalue {floor:.3e}, not >= {_EIGENVALUE_FLOOR:g}; "
             "upstream state is inconsistent"
         )
-    vals = np.clip(vals, 0.0, None)
+    vals = np.maximum(vals, 0.0)
     terms = np.where(vals > 0.0, vals, 1.0)
     np.log(terms, out=terms)
     terms *= vals
-    return np.maximum(-terms.sum(axis=-1) / math.log(log_base), 0.0)
+    return np.maximum(terms.sum(axis=-1) / -math.log(log_base), 0.0)
 
 
 def _check_log_base(log_base: float) -> None:

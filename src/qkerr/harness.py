@@ -3,21 +3,19 @@ search, and revival-dip detection, with deterministic CSV output.
 
 Everything here is a thin orchestration layer over dynamics: build the
 initial state, build the per-block spectra once, evaluate the entropy on a
-grid, and serialize.  A q grid of a Fock state, which does not depend on
-q, builds the state once and solves every q's block in one stacked
-eigensolve; a coherent state is rebuilt at each q.  Every q evaluation
-goes through an evaluator (_q_evaluator) prepared once per sweep and once
-per optimal-q refinement, so a refinement step of a Fock state solves one
-q on the state its evaluator built.  All CSV is written with 12 significant digits and
-``\\n`` newlines so repeated runs are byte-identical: the series, sweep
-and revival-dip tables all go through one block-formatted writer, which
-stacks the columns one block of rows at a time and replaces the target
-only once the whole table is written, and a series is
-read back by streaming the open file to ``np.loadtxt`` behind the header,
-width, emptiness and time-order checks, its columns left as views of the
-one parsed table.  The drivers take the physics as one ``SystemParams``
-and explicit grids (the CLI holds the default time grids); the q drivers
-replace its ``q`` at each grid point.
+grid, and serialize.  Every q evaluation, a sweep or an optimal-q
+refinement step, goes through an evaluator (_q_evaluator) that hands
+dynamics._q_sweep one state per q: a Fock state, which does not depend on
+q, built once, or a coherent state built at each q.  All CSV is written
+with 12 significant digits and ``\\n`` newlines so repeated runs are
+byte-identical: the series, sweep and revival-dip tables all go through
+one block-formatted writer, which stacks the columns one block of rows at
+a time and replaces the target only once the whole table is written, and a
+series is read back by streaming the open file to ``np.loadtxt`` behind
+the header, width, emptiness and time-order checks, its columns left as
+views of the one parsed table.  The drivers take the physics as one
+``SystemParams`` and explicit grids (the CLI holds the default time
+grids); the q drivers replace its ``q`` at each grid point.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import itertools
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
@@ -34,7 +32,8 @@ import numpy as np
 from .blocks import SystemParams
 from .dynamics import (
     TwoModeState,
-    _single_block_sweep,
+    _check_log_base,
+    _q_sweep,
     build_spectral_cache,
     entropy_series,
     prepare_coherent,
@@ -318,17 +317,15 @@ def _q_evaluator(
     """The function qs -> field-mode entropy at time t for each q of the
     strictly increasing 1-d array qs, with params.q replaced by it.
 
-    gamma * t is checked here, once.  A Fock state does not depend on q:
-    it is built here, once, and each grid is solved as one stack
-    (_single_block_sweep).  A coherent state, whose truncation depends on
-    q, is built and solved by run_evolve at each q.
+    gamma * t and log_base are checked here, once.  dynamics._q_sweep
+    scores each grid on one state per q: a Fock state, which does not
+    depend on q, is built here once, a coherent state at each q.
     """
     times = np.array([float(t)])
     _check_gamma_t(params, times)
-    if initial.kind == "coherent":
-        return lambda qs: np.array([run_evolve(initial, replace(params, q=float(q)), times, log_base).s_field[0] for q in qs])
-    state = initial.build(params.q)  # a number state ignores q
-    return lambda qs: _single_block_sweep(state, params, qs, times, log_base)
+    state_at = (lambda q, state=initial.build(params.q): state) if initial.kind == "fock" else initial.build
+    _check_log_base(log_base)
+    return lambda qs: _q_sweep(state_at, params, qs, times, log_base)
 
 
 def _entropy_at(evaluate: Callable[[np.ndarray], np.ndarray], q: float) -> float:
@@ -338,20 +335,14 @@ def _entropy_at(evaluate: Callable[[np.ndarray], np.ndarray], q: float) -> float
 
 
 def run_sweep_q(
-    initial: InitialState,
-    params: SystemParams,
-    qs: np.ndarray,
-    t: float,
-    log_base: float = 2.0,
+    initial: InitialState, params: SystemParams, qs: np.ndarray, t: float, log_base: float = 2.0
 ) -> SweepResult:
     """Field-mode entropy at fixed time t across a deformation grid.
 
     qs must be a non-empty, strictly increasing 1-d array (see q_grid).
     params.q is replaced by each grid point in turn; its own value is not
-    used.  The grid is checked here and evaluated by one _q_evaluator: a
-    Fock state is built once and the blocks of all grid points are
-    diagonalized in one stacked eigensolve; a coherent state, whose
-    truncation depends on q, is rebuilt and solved at each grid point.
+    used.  The grid is checked here and scored by one _q_evaluator, which
+    solves each block of a chunk of grid points in one stacked eigensolve.
     """
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 1 or qs.size == 0 or not np.all(np.diff(qs) > 0):
@@ -403,11 +394,7 @@ def _parabolic_peak(f, qs, ss):
 
 
 def find_optimal_q(
-    initial: InitialState,
-    params: SystemParams,
-    qs: np.ndarray,
-    t: float,
-    log_base: float = 2.0,
+    initial: InitialState, params: SystemParams, qs: np.ndarray, t: float, log_base: float = 2.0
 ) -> OptimalQResult:
     """Locate the deformation that maximizes the fixed-time entropy.
 

@@ -77,22 +77,24 @@ def bracket_table(qs, n_max: int) -> np.ndarray:
     the dense reference and the coherent walk, each entry with the bits of
     the scalar reference box_n(n, q).
 
-    Each q is checked by check_deformation, in order.  The exponentials
-    are the scalar math.expm1 of box_n: numpy's expm1 is a different
-    implementation and can differ from it in the last bit.
+    The first q outside (0, 1] is rejected by check_deformation.  The
+    logarithms and exponentials are the scalar math.log and math.expm1 of
+    box_n: numpy's can differ from them in the last bit.
     """
     n_max = _check_count(n_max, "n_max")
     if np.ndim(qs) != 1:
         raise ValueError(f"qs must be a 1-d sequence, got shape {np.shape(qs)}")
-    log_q2 = np.array([2.0 * math.log(check_deformation(q)) for q in qs])
+    qs = np.asarray(qs, dtype=float)
+    for q in qs[~((qs > 0.0) & (qs <= 1.0))][:1].tolist():
+        check_deformation(q)
+    log_q2 = 2.0 * np.array(list(map(math.log, qs.tolist())))
     ns = np.arange(n_max + 1)
     exponents = np.multiply.outer(log_q2, ns)
     table = np.fromiter(map(math.expm1, exponents.ravel().tolist()), float, exponents.size)
     table = table.reshape(exponents.shape)
-    # q = 1, the one q with log q = 0, has [n] = n
-    undeformed = log_q2 == 0.0
-    table[~undeformed] /= np.array([math.expm1(x) for x in log_q2[~undeformed].tolist()])[:, None]
-    table[undeformed] = ns
+    # q = 1, the one q with log q = 0, has [n] = n: its zeros divide by 1
+    table /= np.array([math.expm1(x) or 1.0 for x in log_q2.tolist()])[:, None]
+    table[log_q2 == 0.0] = ns
     return table
 
 

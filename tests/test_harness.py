@@ -36,6 +36,7 @@ from qkerr.harness import (
     run_sweep_q,
     time_grid,
 )
+from qkerr.qalgebra import bracket_radius
 
 from conftest import traced_peak
 
@@ -190,16 +191,29 @@ class TestSweep:
 
 
 @st.composite
-def fock_sweep_cases(draw):
-    """A Fock state with N <= 40, random physics, a strictly increasing q
-    grid, and a time t that may be 0 or negative."""
-    init = InitialState(kind="fock", fock_n=draw(st.integers(0, 40)))
+def sweep_initials(draw, q_min, fock_n, past):
+    """A Fock state with N <= fock_n, or a coherent state cut at a tail of
+    1e-6 whose intensity runs from 0 to 0.7 of the radius 1/(1 - q^2) of
+    q_min, the grid's lowest q, scaled to a radius of at most 3, or, when
+    past, also from that radius to 1.3 times it.  Between 0.7 and 1 of the
+    radius the cut falls hundreds of levels up, too large for a test."""
+    if draw(st.booleans()):
+        return InitialState(kind="fock", fock_n=draw(st.integers(0, fock_n)))
+    fraction = draw(st.one_of(st.floats(0.0, 0.7), st.floats(1.0, 1.3)) if past else st.floats(0.0, 0.7))
+    return InitialState(kind="coherent", alpha_sq=fraction * min(bracket_radius(q_min), 3.0), tail_tol=1e-6)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A Fock state with N <= 40 or a coherent state inside the radius
+    (sweep_initials), random physics, a strictly increasing q grid, and a
+    time t that may be 0 or negative."""
+    qs = np.array(sorted(draw(st.sets(st.floats(0.06, 1.0), min_size=1, max_size=8))))
     params = SystemParams(
         omega=draw(st.floats(0.1, 5.0)), chi=draw(st.floats(0.0, 0.1)), gamma=draw(st.floats(-2.0, 2.0))
     )
-    qs = np.array(sorted(draw(st.sets(st.floats(0.06, 1.0), min_size=1, max_size=8))))
     t = draw(st.one_of(st.just(0.0), st.floats(-20.0, 20.0)))
-    return init, params, qs, t
+    return draw(sweep_initials(qs[0], 40, past=False)), params, qs, t
 
 
 def signed_powers(lo, hi):
@@ -209,24 +223,28 @@ def signed_powers(lo, hi):
 
 @st.composite
 def edge_sweep_cases(draw):
-    """A Fock state with N <= 11, |gamma| up to 1e308, |t| up to 1e13, a
-    strictly increasing q grid, and a chunk budget from one block up to
-    the default."""
-    n = draw(st.integers(0, 11))
+    """A Fock state with N <= 11 or a coherent state (sweep_initials),
+    |gamma| up to 1e308, |t| up to 1e13, a strictly increasing q grid, and
+    a chunk budget from one block of up to 12 levels to the default."""
     params = SystemParams(chi=draw(st.floats(0.0, 0.1)), gamma=draw(st.one_of(st.floats(-2.0, 2.0), signed_powers(-3.0, 308.0))))
     qs = np.array(sorted(draw(st.sets(st.floats(0.06, 1.0), min_size=1, max_size=30))))
     t = draw(st.one_of(st.just(0.0), signed_powers(-300.0, 13.0)))
+    n = draw(st.integers(0, 11))
     chunk_bytes = draw(st.one_of(st.integers(1, 8).map(lambda k: k * 16 * (n + 1) ** 2), st.just(dynamics._SLICE_BYTES)))
-    return InitialState(kind="fock", fock_n=n), params, qs, t, chunk_bytes
+    return draw(sweep_initials(qs[0], 11, past=True)), params, qs, t, chunk_bytes
 
 
 class TestStackedSweep:
-    """A Fock sweep builds its state once and solves the blocks of every q
-    in one stacked eigensolve, with the bits a one-sample evolve gives."""
+    """A sweep solves each block of the q of a chunk whose states occupy it
+    in one stacked eigensolve, and gives each q the bits a one-sample
+    evolve gives; a Fock sweep builds its state once."""
 
     @settings(max_examples=60, deadline=None)
-    @given(fock_sweep_cases())
+    @given(sweep_cases())
     @example((InitialState(kind="fock", fock_n=5), SystemParams(chi=0.01, gamma=-0.7), np.array([0.5, 1.0]), 0.0))
+    # vacuum states, each on block 0 alone, solved in one stack of 3
+    @example((InitialState(kind="coherent", alpha_sq=0.0), SystemParams(gamma=-0.7), np.array([0.5, 0.7, 1.0]), 2.0))
+    @example((InitialState(kind="coherent", alpha_sq=1.0), SystemParams(chi=0.01), q_grid(0.5, 1.0, 7), 3.0))
     def test_sweep_equals_evolve_bit_for_bit(self, case):
         init, params, qs, t = case
         sweep = run_sweep_q(init, params, qs, t)
@@ -266,6 +284,31 @@ class TestStackedSweep:
         run_sweep_q(InitialState(kind="fock", fock_n=5), SystemParams(gamma=-0.7), q_grid(0.5, 1.0, 200), 1.0)
         assert shapes == [(200, 6)]
 
+    def test_coherent_blocks_built_and_solved_once_per_chunk(self, monkeypatch):
+        # At alpha_sq 1 the 200 q hold 81 levels at q 0.5 down to 13 at q 1,
+        # 7,002 blocks in all, which one run_evolve per q built and solved
+        # in 7,002 build_block and 7,002 eigh calls.  Chunks of 1 to 25 q
+        # stack each block's q into one call of each: 5,087 of them.
+        builds, solves = [], []
+        build_block, eigh = dynamics.build_block, np.linalg.eigh
+
+        def counted_build(*args):
+            block = build_block(*args)
+            builds.append(block.diag.shape)
+            return block
+
+        def counted_eigh(a):
+            solves.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(dynamics, "build_block", counted_build)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        run_sweep_q(InitialState(kind="coherent", alpha_sq=1.0), SystemParams(), q_grid(0.5, 1.0, 200), 3.0)
+        assert len(builds) == 5087
+        assert [shape[:-1] for shape in solves] == builds
+        assert sum(rows for rows, _ in builds) == 7002
+        assert max(rows for rows, _ in builds) == 25
+
     @settings(max_examples=100, deadline=None)
     @given(edge_sweep_cases())
     # the phases of q 0.949749 and above keep no digits
@@ -275,9 +318,15 @@ class TestStackedSweep:
         (InitialState(kind="fock", fock_n=10), SystemParams(gamma=3.3e307), np.array([0.06, 0.3, 0.5, 0.7, 0.9, 1.0]),
          1e-300, dynamics._SLICE_BYTES)
     )
+    # q 0.85 and 0.875 lie inside an intensity of 5.2: their walks fail
+    @example(
+        (InitialState(kind="coherent", alpha_sq=5.2), SystemParams(), q_grid(0.85, 0.95, 5), 1.0, dynamics._SLICE_BYTES)
+    )
+    # every coherent block overflows, and one q runs per chunk
+    @example((InitialState(kind="coherent", alpha_sq=1.0), SystemParams(gamma=6e307), q_grid(0.5, 1.0, 9), 1.0, 16))
     def test_sweep_fails_as_its_first_failing_q(self, case):
         # The sweep gives each q the bits of a one-point evolve, or fails
-        # as the evolve of the first q that fails.
+        # as the evolve of the first q that fails, in its walk or its solve.
         init, params, qs, t, chunk_bytes = case
         rows, failure = [], None
         for q in qs:
@@ -294,6 +343,30 @@ class TestStackedSweep:
                     run_sweep_q(init, params, qs, t)
                 assert type(info.value) is type(failure)
                 assert str(info.value) == str(failure)
+
+    @pytest.mark.parametrize(
+        ("gamma", "message"),
+        (
+            # q 0.5 and 0.6 solve, 0.7 fails its walk: nothing runs past it
+            (1.0, "walk failed at q=0.7"),
+            # every solve fails: the first q's, before any walk fails
+            (1e308, "q=0.5: phase lambda*t overflows on block N=3 at |t| = 1 (inf rad of rounding)"),
+        ),
+    )
+    def test_walks_and_solves_fail_in_q_order(self, gamma, message):
+        state, walked = dynamics.prepare_fock(3), []
+
+        def state_at(q):
+            walked.append(q)
+            if q >= 0.7:
+                raise ValueError(f"walk failed at q={q:g}")
+            return state
+
+        qs = np.array([0.5, 0.6, 0.7, 0.8])
+        with pytest.raises((ValueError, ConvergenceError)) as info:
+            dynamics._q_sweep(state_at, SystemParams(gamma=gamma), qs, np.array([1.0]), 2.0)
+        assert str(info.value) == message
+        assert max(walked) <= 0.7
 
     def test_chunks_keep_the_bits(self, monkeypatch):
         init, params = InitialState(kind="fock", fock_n=5), SystemParams(chi=0.01, gamma=-0.7)
@@ -333,10 +406,42 @@ class TestStackedSweep:
         # Chunks of the 8 MiB series budget took it to 12.7 MiB.
         init, params = InitialState(kind="fock", fock_n=40), SystemParams(chi=0.01, gamma=-0.7)
         qs = q_grid(0.5, 1.0, 1000)
+        # numpy's once-per-process allocations, made before tracing
+        run_sweep_q(init, params, qs[-1:], 1.0)
         s_field, peak = traced_peak(lambda: run_sweep_q(init, params, qs, 1.0).s_field)
         assert dynamics._SLICE_BYTES // (16 * 41**2) == 19
         assert peak < 2.5 * dynamics._SLICE_BYTES
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(41) + 1e-12))
+
+    @pytest.mark.parametrize(
+        ("alpha_sq", "qs"),
+        (
+            # 81 levels at q 0.5; chunks of 1 to 25 q
+            (1.0, q_grid(0.5, 1.0, 200)),
+            # 121 levels at q 0.99: every q runs alone
+            (30.0, q_grid(0.99, 1.0, 60)),
+        ),
+    )
+    def test_coherent_memory_bounded_by_its_largest_q(self, alpha_sq, qs):
+        # The peak is the lowest q's own: its complex eigenvector copies,
+        # the real eigenvectors under them (half as many bytes) and its
+        # tables.  A run_evolve per q peaked at 1.81 and 1.70 times the
+        # copies, and this sweep at 1.62 and 1.58.  numpy's once-per-process
+        # allocations are made before tracing.
+        init = InitialState(kind="coherent", alpha_sq=alpha_sq)
+        run_sweep_q(init, SystemParams(), qs[-1:], 3.0)
+        _, peak = traced_peak(lambda: run_sweep_q(init, SystemParams(), qs, 3.0))
+        assert peak < 1.7 * init.build(qs[0])._held
+
+    def test_coherent_memory_does_not_grow_with_q(self):
+        # 13 to 16 levels a q: the states built and not yet scored, and a
+        # chunk's real eigenvectors, stay within _SLICE_BYTES, whatever the
+        # grid (peaks of 0.55 and 0.71 MiB, with chunks of up to 25 and 32 q)
+        init = InitialState(kind="coherent", alpha_sq=1.0)
+        run_sweep_q(init, SystemParams(), np.array([1.0]), 3.0)
+        for size in (200, 1000):
+            _, peak = traced_peak(lambda: run_sweep_q(init, SystemParams(), q_grid(0.9, 1.0, size), 3.0))
+            assert peak < 2 * dynamics._SLICE_BYTES
 
 
 @st.composite

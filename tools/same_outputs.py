@@ -120,6 +120,25 @@ EDGE_CALLS = (
       "--q-max", "0.95", "--q-steps", "5", "--out", f"{OUT}/sweep-coherent-radius.csv"),),
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.7", "--log-base", "e", "--out", f"{OUT}/fock-nats.csv"),),
     (("sweep-q", "--gamma", "1", "--initial", "coherent", "--t", "0", "--out", f"{OUT}/sweep-coherent-t0.csv"),),
+    # the default 200 coherent q at alpha_sq 1 hold 81 levels at q 0.5 down
+    # to 13 at q 1: chunks of 1 to 25 q, each block of a chunk in one
+    # stacked solve, each q scored on its own rows; then the same scan as
+    # the search's coarse grid, whose best q is its lowest
+    (("sweep-q", "--gamma", "1", "--initial", "coherent", "--alpha-sq", "1", "--t", "3",
+      "--out", f"{OUT}/sweep-coherent-200.csv"),),
+    (("find-optimal-q", "--gamma", "1", "--initial", "coherent", "--alpha-sq", "1", "--t", "3",
+      "--out", f"{OUT}/optimal-coherent-200.csv"),),
+    # the vacuum: each q has its own state on block 0 alone, and the 200 q
+    # are solved in one stack of 200 and scored one by one
+    (("sweep-q", "--gamma", "1", "--initial", "coherent", "--alpha-sq", "0", "--t", "3",
+      "--out", f"{OUT}/sweep-coherent-vacuum.csv"),),
+    # 71 to 121 levels: each state alone passes the 512 KiB budget, so each
+    # of the 60 chunks holds one q
+    (("sweep-q", "--gamma", "1", "--initial", "coherent", "--alpha-sq", "30", "--q-min", "0.99", "--q-max", "1",
+      "--q-steps", "60", "--t", "3", "--out", f"{OUT}/sweep-coherent-30.csv"),),
+    # a coherent sweep scored in nats
+    (("sweep-q", "--gamma", "1", "--initial", "coherent", "--alpha-sq", "1", "--t", "3", "--log-base", "e",
+      "--q-steps", "40", "--out", f"{OUT}/sweep-coherent-nats.csv"),),
 )
 
 
