@@ -191,6 +191,8 @@ def _sweep_chunk(
         for (a, b), row in zip(members, itertools.accumulate((b - a for a, b in members), initial=0)):
             key = row if b - a == 1 else slice(row, row + b - a)
             caches[a][n_total] = (vals[key], vecs[key])
+    # the caches' views own the stacks from here
+    del vals, vecs
     for a, b in runs:
         # handed over, so entropy_series frees the real eigenvectors
         s_field[a:b] = entropy_series(states[a], caches.pop(a), times, log_base)[0][..., 0]
@@ -207,9 +209,11 @@ def _block_amplitudes(
     given, as arrays of that shape, or forms them, and returns amps.
 
     Prepared here, once for every part: the phase check over the whole
-    grid, which names the first failing block; the blocks' rates -i lambda
-    and V^T a(0) (from the real V, for its bits) side by side; and the
-    complex copy of each V, with the bits numpy's own copy gives.
+    grid, which names the first failing block; then each block, taken out
+    of cache, gives its rates -i lambda, its V^T a(0) (from the real V,
+    for its bits) and the complex copy of V, with the bits numpy's own
+    copy gives.  So cache is emptied, and the real V of a cache no caller
+    holds is freed once it is copied.
     """
     for n_total in blocks:
         if n_total not in cache:
@@ -217,24 +221,26 @@ def _block_amplitudes(
                 f"spectral cache has no spectrum for block N={n_total}, "
                 "where the state has weight"
             )
-    spectra = [cache[n_total] for n_total in blocks]
     # A phase lambda*t is rounded by about |lambda t| eps rad: past
     # _PHASE_TOL, and at inf or NaN, it has lost its digits.  Python floats
     # overflow to inf without a warning.
     t_max = float(np.abs(times).max(initial=0.0))
-    for n_total, (vals, _) in zip(blocks, spectra):
-        phase_err = float(np.abs(vals).max()) * t_max * sys.float_info.epsilon
+    for n_total in blocks:
+        phase_err = float(np.abs(cache[n_total][0]).max()) * t_max * sys.float_info.epsilon
         if not phase_err <= _PHASE_TOL:
             raise ConvergenceError(
                 f"phase lambda*t overflows on block N={n_total} at |t| = {t_max:g} "
                 f"({phase_err:.1e} rad of rounding)"
             )
     a0 = [state.amplitudes[n_total::-1, : n_total + 1].diagonal().copy() for n_total in blocks]
+    # block by block: a real V that cache alone held dies once copied
+    rates, coeffs, vecs = zip(
+        *[(vals, np.swapaxes(real, -1, -2) @ a, real.astype(complex)) for (vals, real), a in zip(map(cache.pop, blocks), a0)]
+    )
     join = (lambda arrays: arrays[0]) if len(blocks) == 1 else (lambda arrays: np.concatenate(arrays, axis=-1))
-    coeffs = join([np.swapaxes(vecs, -1, -2) @ a for (_, vecs), a in zip(spectra, a0)])[..., None]
-    rates = -1j * join([vals for vals, _ in spectra])[..., None]
+    coeffs = join(coeffs)[..., None]
+    rates = -1j * join(rates)[..., None]
     a0 = join(a0)[:, None]
-    vecs = [vecs.astype(complex) for _, vecs in spectra]
 
     def amplitudes(t: np.ndarray, phases: np.ndarray | None = None, amps: np.ndarray | None = None) -> np.ndarray:
         # exp(-i lambda t) V^T a(0) of every block in one array, scaled in
@@ -260,8 +266,9 @@ def _propagate(state: TwoModeState, cache: dict[int, Spectrum], times: np.ndarra
     """Amplitudes of the occupied blocks at each time, packed side by side
     in ascending N, each block's psi(N - m, m) in ascending m: the
     transpose of _block_amplitudes on the whole grid as one part, shape
-    (len(times), sum(N + 1))."""
-    return _block_amplitudes(state, cache, state.occupied_blocks(), times)(times).T
+    (len(times), sum(N + 1)).  The kernel empties a shallow copy of cache,
+    so the caller's dict keeps its blocks."""
+    return _block_amplitudes(state, dict(cache), state.occupied_blocks(), times)(times).T
 
 
 def entropy_series(
@@ -280,6 +287,11 @@ def entropy_series(
     pure, so S_field, S_atom (equal to it bit for bit) and the purity sum
     p^2 all come from that one spectrum.  A LAPACK failure is raised as
     ConvergenceError.
+
+    The kernel (_block_amplitudes) empties a shallow copy of cache, so a
+    caller's dict keeps its blocks, and a cache handed over, which no
+    caller holds, loses each block's real eigenvectors once the kernel has
+    copied them.
     """
     _check_log_base(log_base)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -290,10 +302,11 @@ def entropy_series(
     blocks = state.occupied_blocks()
     dim = state.n_max + 1
     single = len(blocks) == 1
+    # rebound to the copy the kernel empties, so a cache handed over loses
+    # its last reference here; a missing block is left to the kernel's check
+    cache = dict(cache)
+    lead = cache[blocks[0]][0].shape[:-1] if single and blocks[0] in cache else ()
     propagate = _block_amplitudes(state, cache, blocks, times)
-    lead = cache[blocks[0]][0].shape[:-1] if single else ()
-    # the kernel keeps what it reads: a cache handed over is freed here
-    del cache
     cap = _SLICE_BYTES // (16 * (math.prod(lead) * (blocks[0] + 1) if single else dim**2))
     if single:
 

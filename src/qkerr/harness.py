@@ -284,26 +284,21 @@ def run_evolve(
     """Evolve the prepared state across a time grid and record entropies.
 
     The spectra of the blocks where the state has weight are diagonalized
-    once and reused for every sample.  gamma * t must be finite.  A
-    ValueError or ConvergenceError from the spectra or the series is raised
-    again as the same class with "q=<params.q>: " in front, so a failure
-    names its q once (a failed coherent walk already names it).
+    once, reused for every sample, and handed over to entropy_series, so
+    each block's real eigenvectors are freed once the series has copied
+    them.  gamma * t must be finite.  A ValueError or ConvergenceError
+    from the spectra or the series is raised again as the same class with
+    "q=<params.q>: " in front, so a failure names its q once (a failed
+    coherent walk already names it).
     """
     times = np.asarray(times, dtype=float)
     _check_gamma_t(params, times)
     state = initial.build(params.q)
     try:
-        cache = build_spectral_cache(params, state.occupied_blocks())
-        s_field, s_atom, purity_field = entropy_series(state, cache, times, log_base=log_base)
+        series = entropy_series(state, build_spectral_cache(params, state.occupied_blocks()), times, log_base=log_base)
     except (ValueError, ConvergenceError) as exc:
         raise type(exc)(f"q={params.q:g}: {exc}") from exc
-    return EntropySeries(
-        t=times,
-        gamma_t=params.gamma * times,
-        s_field=s_field,
-        s_atom=s_atom,
-        purity_field=purity_field,
-    )
+    return EntropySeries(times, params.gamma * times, *series)
 
 
 def _check_gamma_t(params: SystemParams, times: np.ndarray) -> None:

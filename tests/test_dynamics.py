@@ -42,6 +42,7 @@ from qkerr.dynamics import (
     prepare_fock,
 )
 from qkerr.exceptions import ConvergenceError
+from qkerr.harness import InitialState, run_evolve
 
 from conftest import load_bench, propagated_tables, random_triangle_state, traced_peak
 
@@ -355,6 +356,21 @@ class TestEntropy:
         assert series_at_zero(state)[2] == pytest.approx(float((np.abs(rho_atom) ** 2).sum()), abs=1e-12)
 
 
+def handed_over_bound(dim: int, samples: int) -> int:
+    """Traced bytes a multi-block series on dim levels may peak at when its
+    cache is handed over: one complex copy of every block's V, a part's
+    three (part, dim, dim) tables, its packed phases and amplitudes, the
+    rates, V^T a(0) and a(0) of every level, the two int64 index arrays
+    over the levels, numpy's two broadcast buffers, the output columns and
+    128 KiB for Python objects."""
+    table = 16 * dim**2
+    part = max(dynamics._SLICE_BYTES // table, 2)
+    levels = dim * (dim + 1) // 2
+    eigenvectors = 16 * sum(n**2 for n in range(1, dim + 1))
+    prepared = eigenvectors + 16 * levels * (2 * part + 3) + 2 * 8 * levels
+    return prepared + 3 * part * table + 2 * 16 * np.getbufsize() + 3 * 8 * samples + 2**17
+
+
 def random_block_state(rng: np.random.Generator, n_max: int, n_total: int) -> TwoModeState:
     """Random normalized complex state on the single block n + m = n_total."""
     ms = np.arange(n_total + 1)
@@ -516,6 +532,52 @@ class TestEntropySeries:
         assert np.array_equal(s_field, s_atom)
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(61) + 1e-12))
 
+    def test_handed_over_cache_freed_as_copied(self, rng):
+        # A cache built in the traced call and handed over dies block by
+        # block as the kernel copies it, so the series peaks at the terms
+        # of test_multi_block_memory_bounded_by_chunk_bytes, with the two
+        # index arrays of 7,381 levels that live through the series (m and
+        # sites) counted apart: measured 12.21 MB against a bound of
+        # 12.31 MB.  A kernel that holds every block's real V while it
+        # copies them peaks at both, 14.82 MB.
+        state = random_triangle_state(rng, 120)
+        params = SystemParams(chi=0.02, q=0.8)
+        times = np.linspace(0.0, 40.0, 64)
+        entropy_series(state, build_spectral_cache(params, range(121)), times[:2])
+        (s_field, _, _), peak = traced_peak(lambda: entropy_series(state, build_spectral_cache(params, range(121)), times))
+        assert peak < handed_over_bound(121, times.size)
+        assert np.all((s_field >= 0.0) & (s_field <= math.log2(121) + 1e-12))
+
+    def test_run_evolve_hands_its_cache_over(self):
+        # run_evolve binds no cache: at alpha_sq 100 (171 levels, 26.9 MB
+        # of complex eigenvector copies) the run peaks at the bound above
+        # plus the state's own table, measured 32.36 MB against 32.46 MB.
+        # Holding the cache through the series, as a bound name does, adds
+        # its 13.5 MB of real eigenvectors: 45.97 MB.
+        initial, params = InitialState("coherent", alpha_sq=100.0), SystemParams(chi=0.01, q=1.0)
+        times = np.linspace(0.0, 5.0, 8)
+        run_evolve(initial, params, times[:2])
+        series, peak = traced_peak(lambda: run_evolve(initial, params, times))
+        dim = prepare_coherent(100.0, 1.0).n_max + 1
+        assert dim == 171
+        assert peak < handed_over_bound(dim, times.size) + 16 * dim**2
+        assert np.all((series.s_field >= 0.0) & (series.s_field <= math.log2(dim) + 1e-12))
+
+    @pytest.mark.parametrize("multi_block", [False, True])
+    def test_caller_cache_unchanged(self, rng, multi_block):
+        # entropy_series and _propagate empty copies: the caller's dict
+        # keeps its keys, its array objects and their bytes.
+        state = random_triangle_state(rng, 5) if multi_block else prepare_fock(5)
+        cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(7))
+        before = {n: (spectrum, [a.tobytes() for a in spectrum]) for n, spectrum in cache.items()}
+        entropy_series(state, cache, np.linspace(0.0, 3.0, 5))
+        _propagate(state, cache, np.linspace(0.0, 3.0, 5))
+        assert list(cache) == list(before)
+        for n, (vals, vecs) in cache.items():
+            (want_vals, want_vecs), want_bytes = before[n]
+            assert vals is want_vals and vecs is want_vecs
+            assert [vals.tobytes(), vecs.tobytes()] == want_bytes
+
     def test_chunking_invariant(self, rng, monkeypatch):
         # Every part of two or more samples goes through the same BLAS
         # matrix products, so the series is exactly the same.
@@ -605,7 +667,7 @@ class TestEntropySeries:
             s_field, _, purity = entropy_series(state, cache, times)
         want_s, want_p = [], []
         for sl in dynamics._parts(samples, chunk):
-            a = dynamics._block_amplitudes(state, cache, (n_total,), times)(times[sl]).T
+            a = dynamics._block_amplitudes(state, dict(cache), (n_total,), times)(times[sl]).T
             spec = (a.real**2 + a.imag**2)[:, ::-1]
             want_s.append(dynamics._entropy_of_spectra(spec, 2.0))
             want_p.append((spec**2).sum(axis=1))
@@ -768,7 +830,7 @@ class TestPackedChunks:
         times = np.array(times)
         packed = _propagate(state, cache, times)
         assert packed.shape == (times.size, sum(n + 1 for n in state.occupied_blocks()))
-        assert propagated_tables(state, cache, times).tobytes() == scattered_tables(state, cache, times).tobytes()
+        assert propagated_tables(state, cache, times).tobytes() == scattered_tables(state, dict(cache), times).tobytes()
         # The series' own parts, propagated over all blocks at once into
         # its reused buffers, with a zero time placed among them, give each
         # block's amplitudes from a kernel prepared for that block alone.
@@ -792,7 +854,7 @@ class TestPackedChunks:
             entropy_series(state, cache, grid)
         assert np.concatenate([t for t, _ in recorded]).tobytes() == grid.tobytes()
         for t, amps in recorded:
-            assert amps.tobytes() == block_by_block(state, cache, t).tobytes()
+            assert amps.tobytes() == block_by_block(state, dict(cache), t).tobytes()
 
     @given(
         drawn=block_supported_states(min_blocks=2),

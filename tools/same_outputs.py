@@ -139,6 +139,14 @@ EDGE_CALLS = (
     # a coherent sweep scored in nats
     (("sweep-q", "--gamma", "1", "--initial", "coherent", "--alpha-sq", "1", "--t", "3", "--log-base", "e",
       "--q-steps", "40", "--out", f"{OUT}/sweep-coherent-nats.csv"),),
+    # a coherent series on 171 levels, whose handed-over cache loses each
+    # block's real eigenvectors as the kernel copies them: 13.5 MB real
+    # beside 26.9 MB of complex copies
+    (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "1", "--initial", "coherent", "--alpha-sq", "100",
+      "--steps", "201", "--out", f"{OUT}/coherent171.csv"),),
+    # the same on 72 levels, where a part holds 6 samples
+    (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "1", "--initial", "coherent", "--alpha-sq", "30",
+      "--steps", "201", "--out", f"{OUT}/coherent72.csv"),),
 )
 
 
