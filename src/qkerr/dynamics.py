@@ -43,9 +43,9 @@ _PHASE_TOL = 1e-3
 # The one memory budget.  A series part holds at most _SLICE_BYTES of its
 # widest per-sample array: the (part, N + 1) complex amplitudes on one
 # block, or each of the (part, dim, dim) complex amplitude tables, their
-# conjugate and rho_field on several.  A sweep chunk's states count their
-# complex eigenvector copies (TwoModeState._held) against it.  Where the
-# least they can hold (two samples, one q) passes the cap, they hold that.
+# conjugate and rho_field on several.  A sweep chunk's states count
+# TwoModeState._held against it.  Where the least they can hold (two
+# samples, one q) passes the cap, they hold that.
 # Near-equal parts (_parts), the Gram product, eigvalsh and the stacked
 # eigh act sample by sample or matrix by matrix, so the cap moves no bit.
 _SLICE_BYTES = 2**19
@@ -62,8 +62,10 @@ class TwoModeState:
 
     amplitudes[n, m] is the coefficient of |n field quanta; m atomic
     quanta>; entries beyond the triangle must be exactly zero.  The blocks
-    N = n + m that hold weight, and _held, the 16 (N + 1)^2 bytes of their
-    complex eigenvector copies that a q sweep counts, are found once, here.
+    N = n + m that hold weight, and _held, the 16 (N + 1)^2 bytes a block
+    that a q sweep counts, are found once, here.  _held is exact for a
+    lone block, whose eigenvectors the kernel copies to complex, and twice
+    the real eigenvectors that several blocks hold.
     """
 
     n_max: int
@@ -194,7 +196,7 @@ def _sweep_chunk(
     # the caches' views own the stacks from here
     del vals, vecs
     for a, b in runs:
-        # handed over, so entropy_series frees the real eigenvectors
+        # handed over, so the series holds each eigenvector table once
         s_field[a:b] = entropy_series(states[a], caches.pop(a), times, log_base)[0][..., 0]
 
 
@@ -209,11 +211,13 @@ def _block_amplitudes(
     given, as arrays of that shape, or forms them, and returns amps.
 
     Prepared here, once for every part: the phase check over the whole
-    grid, which names the first failing block; then each block, taken out
-    of cache, gives its rates -i lambda, its V^T a(0) (from the real V,
-    for its bits) and the complex copy of V, with the bits numpy's own
-    copy gives.  So cache is emptied, and the real V of a cache no caller
-    holds is freed once it is copied.
+    grid, which names the first failing block; then each block's rates
+    -i lambda and V^T a(0), from the real V, for its bits.  cache is only
+    read.  A lone block's V, which every part reads, is copied to complex
+    once, and the kernel keeps only the copy, so the real V of a cache no
+    caller holds dies with the cache.  Several blocks keep the cache's
+    real V, and numpy casts each block as a part multiplies by it, with
+    the bits of the complex copy.
     """
     for n_total in blocks:
         if n_total not in cache:
@@ -233,10 +237,9 @@ def _block_amplitudes(
                 f"({phase_err:.1e} rad of rounding)"
             )
     a0 = [state.amplitudes[n_total::-1, : n_total + 1].diagonal().copy() for n_total in blocks]
-    # block by block: a real V that cache alone held dies once copied
-    rates, coeffs, vecs = zip(
-        *[(vals, np.swapaxes(real, -1, -2) @ a, real.astype(complex)) for (vals, real), a in zip(map(cache.pop, blocks), a0)]
-    )
+    rates, vecs = zip(*(cache[n_total] for n_total in blocks))
+    coeffs = [np.swapaxes(real, -1, -2) @ a for real, a in zip(vecs, a0)]
+    vecs = (vecs[0].astype(complex),) if len(blocks) == 1 else vecs
     join = (lambda arrays: arrays[0]) if len(blocks) == 1 else (lambda arrays: np.concatenate(arrays, axis=-1))
     coeffs = join(coeffs)[..., None]
     rates = -1j * join(rates)[..., None]
@@ -266,9 +269,8 @@ def _propagate(state: TwoModeState, cache: dict[int, Spectrum], times: np.ndarra
     """Amplitudes of the occupied blocks at each time, packed side by side
     in ascending N, each block's psi(N - m, m) in ascending m: the
     transpose of _block_amplitudes on the whole grid as one part, shape
-    (len(times), sum(N + 1)).  The kernel empties a shallow copy of cache,
-    so the caller's dict keeps its blocks."""
-    return _block_amplitudes(state, dict(cache), state.occupied_blocks(), times)(times).T
+    (len(times), sum(N + 1)).  The kernel only reads cache."""
+    return _block_amplitudes(state, cache, state.occupied_blocks(), times)(times).T
 
 
 def entropy_series(
@@ -288,10 +290,12 @@ def entropy_series(
     p^2 all come from that one spectrum.  A LAPACK failure is raised as
     ConvergenceError.
 
-    The kernel (_block_amplitudes) empties a shallow copy of cache, so a
-    caller's dict keeps its blocks, and a cache handed over, which no
-    caller holds, loses each block's real eigenvectors once the kernel has
-    copied them.
+    The kernel (_block_amplitudes) only reads cache, and the series drops
+    its own reference once the kernel is prepared.  So a caller's dict
+    keeps its blocks, and a cache handed over, which no caller holds,
+    dies there: a lone block's real eigenvectors once the kernel has
+    copied them to complex, while several blocks' stay, uncopied, for the
+    series.
     """
     _check_log_base(log_base)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -302,11 +306,11 @@ def entropy_series(
     blocks = state.occupied_blocks()
     dim = state.n_max + 1
     single = len(blocks) == 1
-    # rebound to the copy the kernel empties, so a cache handed over loses
-    # its last reference here; a missing block is left to the kernel's check
-    cache = dict(cache)
+    # a missing block is left to the kernel's check
     lead = cache[blocks[0]][0].shape[:-1] if single and blocks[0] in cache else ()
     propagate = _block_amplitudes(state, cache, blocks, times)
+    # a cache handed over loses its last reference here
+    del cache
     cap = _SLICE_BYTES // (16 * (math.prod(lead) * (blocks[0] + 1) if single else dim**2))
     if single:
 

@@ -285,11 +285,12 @@ def run_evolve(
 
     The spectra of the blocks where the state has weight are diagonalized
     once, reused for every sample, and handed over to entropy_series, so
-    each block's real eigenvectors are freed once the series has copied
-    them.  gamma * t must be finite.  A ValueError or ConvergenceError
-    from the spectra or the series is raised again as the same class with
-    "q=<params.q>: " in front, so a failure names its q once (a failed
-    coherent walk already names it).
+    the series holds them once: a lone block's real eigenvectors are freed
+    once the kernel has copied them to complex, and several blocks' are
+    multiplied as they are.  gamma * t must be finite.  A ValueError or
+    ConvergenceError from the spectra or the series is raised again as
+    the same class with "q=<params.q>: " in front, so a failure names its
+    q once (a failed coherent walk already names it).
     """
     times = np.asarray(times, dtype=float)
     _check_gamma_t(params, times)

@@ -6,6 +6,10 @@ the atomic mode with the Rabi probability
 
     p(t) = gamma^2 sin^2(Omega t) / Omega^2,  Omega = sqrt(gamma^2 + (omega - 1)^2 / 4).
 
+*   Block N is a spin-N/2 rotation: its N + 1 levels are equally spaced
+    by 2 Omega = sqrt((omega - 1)^2 + 4 gamma^2), N up to the cap, from
+    build_block and eigh_tridiagonal alone and as the q = 1 row of a
+    stacked solve with other q.
 *   A number state |N, 0> keeps the Schmidt distribution Binomial(N, p(t)),
     so S_field is that distribution's Shannon entropy.  N runs to the
     512-quanta cap: from N = 181 on, the one-block path's complex copy of V
@@ -24,7 +28,9 @@ the atomic mode with the Rabi probability
 Tolerances come from an error model, not from the observed gaps.  The
 tridiagonal eigensolver is backward stable: its (V, lambda) are exact for
 H + E with ||E|| <= n eps ||H|| on n levels, and V is orthogonal to n eps.
-So V e^{-i lambda t} V^T a(0) lies within 2 n eps Lambda |t| + 4 n eps of
+So each eigenvalue lies within n eps ||H|| of the exact one (Weyl), and
+build_block's entries, each rounded by at most 3 eps, move it by at most
+3 eps ||H|| more (level_error).  V e^{-i lambda t} V^T a(0) lies within 2 n eps Lambda |t| + 4 n eps of
 e^{-iHt} a(0), Lambda = max |lambda|, counting the phase rounding
 eps |lambda t|, V's orthogonality and the two products.  The binomial
 reference rounds its angle Omega t, with N Omega <= Lambda, and its
@@ -47,7 +53,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkerr import dynamics
-from qkerr.blocks import SystemParams, build_block
+from qkerr.blocks import SystemParams, build_block, eigh_tridiagonal
 from qkerr.dynamics import build_spectral_cache, entropy_series, prepare_coherent, prepare_fock
 from qkerr.harness import InitialState, run_evolve, run_sweep_q
 
@@ -103,9 +109,39 @@ def sum_rounding(d: int) -> float:
     return (d + 2) * EPS * math.log2(max(d, 2))
 
 
+def level_error(levels: int, lam: float) -> float:
+    """How far an eigenvalue of a block of levels levels whose largest
+    |eigenvalue| is at most lam may lie from the exact one: the
+    eigensolver's backward error and the rounding of the block's entries."""
+    return (levels + 3) * EPS * lam
+
+
 fock_n = st.integers(min_value=0, max_value=512)
 omegas = st.floats(min_value=0.1, max_value=3.0)
 gammas = st.floats(min_value=-2.0, max_value=2.0)
+
+
+@given(
+    n=fock_n,
+    omega=omegas,
+    gamma=gammas,
+    q_min=st.floats(min_value=0.5, max_value=0.999),
+    q_steps=st.integers(min_value=2, max_value=4),
+)
+@example(n=512, omega=1.0, gamma=0.7, q_min=0.9, q_steps=3)
+@example(n=300, omega=1.3, gamma=-2.0, q_min=0.5, q_steps=2)
+@example(n=5, omega=1.0, gamma=0.0, q_min=0.9, q_steps=2)
+@settings(max_examples=25, deadline=None)
+def test_block_levels_equally_spaced(n, omega, gamma, q_min, q_steps):
+    # Two levels each within level_error of the exact ones, and the
+    # spacing's own rounding (a square root of a sum: 3 eps).
+    params = SystemParams(omega=omega, chi=0.0, gamma=gamma, q=1.0)
+    spacing = math.sqrt((omega - 1.0) ** 2 + 4.0 * gamma**2)
+    tol = 2.0 * level_error(n + 1, spectral_radius(params, [n])) + 3.0 * EPS * spacing
+    alone = eigh_tridiagonal(*build_block(params, n))[0]
+    stacked = eigh_tridiagonal(*build_block(params, n, np.linspace(q_min, 1.0, q_steps)))[0]
+    for vals in (alone, stacked[-1]):
+        assert np.abs(np.diff(vals) - spacing).max(initial=0.0) <= tol
 
 
 @given(

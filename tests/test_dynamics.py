@@ -30,7 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkerr import dynamics
-from qkerr.blocks import SystemParams
+from qkerr.blocks import SystemParams, build_block, eigh_tridiagonal
 from qkerr.dynamics import (
     DENSE_REFERENCE_N_CAP,
     TwoModeState,
@@ -358,15 +358,16 @@ class TestEntropy:
 
 def handed_over_bound(dim: int, samples: int) -> int:
     """Traced bytes a multi-block series on dim levels may peak at when its
-    cache is handed over: one complex copy of every block's V, a part's
-    three (part, dim, dim) tables, its packed phases and amplitudes, the
-    rates, V^T a(0) and a(0) of every level, the two int64 index arrays
-    over the levels, numpy's two broadcast buffers, the output columns and
-    128 KiB for Python objects."""
+    cache is handed over: the cache's real eigenvectors of every block and
+    the complex cast of the largest, which numpy makes as a part
+    multiplies by it, a part's three (part, dim, dim) tables, its packed
+    phases and amplitudes, the rates, V^T a(0) and a(0) of every level,
+    the two int64 index arrays over the levels, numpy's two broadcast
+    buffers, the output columns and 128 KiB for Python objects."""
     table = 16 * dim**2
     part = max(dynamics._SLICE_BYTES // table, 2)
     levels = dim * (dim + 1) // 2
-    eigenvectors = 16 * sum(n**2 for n in range(1, dim + 1))
+    eigenvectors = 8 * sum(n**2 for n in range(1, dim + 1)) + table
     prepared = eigenvectors + 16 * levels * (2 * part + 3) + 2 * 8 * levels
     return prepared + 3 * part * table + 2 * 16 * np.getbufsize() + 3 * 8 * samples + 2**17
 
@@ -512,14 +513,15 @@ class TestEntropySeries:
         # budget cuts the 3,000 samples into 375 parts of 8 (0.91
         # _SLICE_BYTES a table).  A part's three tables (psi, its conjugate
         # and rho_field) are allocated once, next to the prepared arrays:
-        # the complex copy of every block's V (twice the cache's
-        # eigenvector bytes), the packed phases and amplitudes of one part,
-        # and the eigenvalues, V^T a(0) and a(0) of 1,891 levels.  numpy
+        # the packed phases and amplitudes of one part, and the
+        # eigenvalues, V^T a(0) and a(0) of 1,891 levels.  The kernel
+        # multiplies by the caller's real V, untraced, through numpy's
+        # complex cast of one block at a time, at most 61 x 61.  numpy
         # broadcasts the phase product through two buffers of
         # np.getbufsize() entries.  With the output columns and 128 KiB for
-        # index arrays and Python objects that bounds the peak at 3.71 MB
-        # (measured 3.61 MB, 3.63 MB on a first call); the bound of one
-        # 2 MiB packed chunk and four slices of tables was 4.19 MB.
+        # index arrays and Python objects that bounds the peak at 2.53 MB
+        # (measured 2.35 MB).  A kernel that keeps a complex copy of every
+        # block's V peaks at 3.61 MB.
         state = random_triangle_state(rng, 60)
         part = dynamics._SLICE_BYTES // (16 * 61**2)
         assert part == 8
@@ -527,19 +529,21 @@ class TestEntropySeries:
         times = np.linspace(0.0, 40.0, 3000)
         (s_field, s_atom, _), peak = traced_peak(lambda: entropy_series(state, cache, times))
         tables = 3 * 16 * part * 61**2
-        prepared = 16 * sum((n + 1) ** 2 for n in range(61)) + 16 * 1891 * (2 * part + 3)
+        prepared = 16 * 61**2 + 16 * 1891 * (2 * part + 3)
         assert peak < tables + prepared + 2 * 16 * np.getbufsize() + 3 * 8 * times.size + 2**17
         assert np.array_equal(s_field, s_atom)
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(61) + 1e-12))
 
     def test_handed_over_cache_freed_as_copied(self, rng):
-        # A cache built in the traced call and handed over dies block by
-        # block as the kernel copies it, so the series peaks at the terms
-        # of test_multi_block_memory_bounded_by_chunk_bytes, with the two
-        # index arrays of 7,381 levels that live through the series (m and
-        # sites) counted apart: measured 12.21 MB against a bound of
-        # 12.31 MB.  A kernel that holds every block's real V while it
-        # copies them peaks at both, 14.82 MB.
+        # A cache built in the traced call and handed over keeps only its
+        # real eigenvectors, which the kernel multiplies by, so the series
+        # peaks at the terms of
+        # test_multi_block_memory_bounded_by_chunk_bytes with those
+        # eigenvectors traced and the two index arrays of 7,381 levels
+        # that live through the series (m and sites) counted apart:
+        # measured 7.42 MB against a bound of 7.76 MB.  A kernel that
+        # copies every block's V to complex peaks at 12.21 MB, and one
+        # that also holds the real V while it copies them at 14.82 MB.
         state = random_triangle_state(rng, 120)
         params = SystemParams(chi=0.02, q=0.8)
         times = np.linspace(0.0, 40.0, 64)
@@ -549,11 +553,12 @@ class TestEntropySeries:
         assert np.all((s_field >= 0.0) & (s_field <= math.log2(121) + 1e-12))
 
     def test_run_evolve_hands_its_cache_over(self):
-        # run_evolve binds no cache: at alpha_sq 100 (171 levels, 26.9 MB
-        # of complex eigenvector copies) the run peaks at the bound above
-        # plus the state's own table, measured 32.36 MB against 32.46 MB.
-        # Holding the cache through the series, as a bound name does, adds
-        # its 13.5 MB of real eigenvectors: 45.97 MB.
+        # At alpha_sq 100 (171 levels, 13.4 MB of real eigenvectors) the
+        # run peaks at the bound above plus the state's own table,
+        # measured 19.11 MB against 19.47 MB.  A kernel that copies every
+        # block's V to complex adds 26.9 MB of copies and peaks at
+        # 32.36 MB, or at 45.97 MB when the series also holds the real
+        # cache.
         initial, params = InitialState("coherent", alpha_sq=100.0), SystemParams(chi=0.01, q=1.0)
         times = np.linspace(0.0, 5.0, 8)
         run_evolve(initial, params, times[:2])
@@ -563,15 +568,23 @@ class TestEntropySeries:
         assert peak < handed_over_bound(dim, times.size) + 16 * dim**2
         assert np.all((series.s_field >= 0.0) & (series.s_field <= math.log2(dim) + 1e-12))
 
-    @pytest.mark.parametrize("multi_block", [False, True])
-    def test_caller_cache_unchanged(self, rng, multi_block):
-        # entropy_series and _propagate empty copies: the caller's dict
-        # keeps its keys, its array objects and their bytes.
-        state = random_triangle_state(rng, 5) if multi_block else prepare_fock(5)
-        cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(7))
+    @pytest.mark.parametrize("kind", ["one block", "stack", "several blocks"])
+    def test_caller_cache_unchanged(self, rng, kind):
+        # The kernel, prepared and run, entropy_series and _propagate only
+        # read the cache: the caller's dict keeps its keys, its array
+        # objects and their bytes, for one block, a sweep's stack of
+        # spectra of three q, and several blocks.
+        params = SystemParams(chi=0.02, q=0.8)
+        state = random_triangle_state(rng, 5) if kind == "several blocks" else prepare_fock(5)
+        if kind == "stack":
+            cache = {5: eigh_tridiagonal(*build_block(params, 5, np.array([0.6, 0.8, 1.0])))}
+        else:
+            cache = build_spectral_cache(params, range(7))
         before = {n: (spectrum, [a.tobytes() for a in spectrum]) for n, spectrum in cache.items()}
-        entropy_series(state, cache, np.linspace(0.0, 3.0, 5))
-        _propagate(state, cache, np.linspace(0.0, 3.0, 5))
+        times = np.linspace(0.0, 3.0, 5)
+        dynamics._block_amplitudes(state, cache, state.occupied_blocks(), times)(times)
+        entropy_series(state, cache, times)
+        _propagate(state, cache, times)
         assert list(cache) == list(before)
         for n, (vals, vecs) in cache.items():
             (want_vals, want_vecs), want_bytes = before[n]
@@ -667,7 +680,7 @@ class TestEntropySeries:
             s_field, _, purity = entropy_series(state, cache, times)
         want_s, want_p = [], []
         for sl in dynamics._parts(samples, chunk):
-            a = dynamics._block_amplitudes(state, dict(cache), (n_total,), times)(times[sl]).T
+            a = dynamics._block_amplitudes(state, cache, (n_total,), times)(times[sl]).T
             spec = (a.real**2 + a.imag**2)[:, ::-1]
             want_s.append(dynamics._entropy_of_spectra(spec, 2.0))
             want_p.append((spec**2).sum(axis=1))
@@ -830,7 +843,7 @@ class TestPackedChunks:
         times = np.array(times)
         packed = _propagate(state, cache, times)
         assert packed.shape == (times.size, sum(n + 1 for n in state.occupied_blocks()))
-        assert propagated_tables(state, cache, times).tobytes() == scattered_tables(state, dict(cache), times).tobytes()
+        assert propagated_tables(state, cache, times).tobytes() == scattered_tables(state, cache, times).tobytes()
         # The series' own parts, propagated over all blocks at once into
         # its reused buffers, with a zero time placed among them, give each
         # block's amplitudes from a kernel prepared for that block alone.
@@ -854,7 +867,7 @@ class TestPackedChunks:
             entropy_series(state, cache, grid)
         assert np.concatenate([t for t, _ in recorded]).tobytes() == grid.tobytes()
         for t, amps in recorded:
-            assert amps.tobytes() == block_by_block(state, dict(cache), t).tobytes()
+            assert amps.tobytes() == block_by_block(state, cache, t).tobytes()
 
     @given(
         drawn=block_supported_states(min_blocks=2),

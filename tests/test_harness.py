@@ -423,15 +423,22 @@ class TestStackedSweep:
         ),
     )
     def test_coherent_memory_bounded_by_its_largest_q(self, alpha_sq, qs):
-        # The peak is the lowest q's own: its complex eigenvector copies,
-        # the real eigenvectors under them (half as many bytes) and its
-        # tables.  A run_evolve per q peaked at 1.81 and 1.70 times the
-        # copies, and this sweep at 1.62 and 1.58.  numpy's once-per-process
-        # allocations are made before tracing.
+        # The peak is the lowest q's own, on its dim levels: its real
+        # eigenvectors (half its _held), the complex cast of its largest
+        # block, the three (dim, dim) tables of its one sample and its
+        # state's table; five complex and two int64 arrays over its levels
+        # (rates, V^T a(0), a(0), packed phases and amplitudes, the sites);
+        # 128 KiB for Python objects.  Measured 0.80 and 0.70 _held (2.32
+        # and 6.71 MB).  Complex copies of every block's V took this sweep
+        # to 1.27 and 1.18 _held (3.66 and 11.25 MB).  numpy's
+        # once-per-process allocations are made before tracing.
         init = InitialState(kind="coherent", alpha_sq=alpha_sq)
         run_sweep_q(init, SystemParams(), qs[-1:], 3.0)
         _, peak = traced_peak(lambda: run_sweep_q(init, SystemParams(), qs, 3.0))
-        assert peak < 1.7 * init.build(qs[0])._held
+        state = init.build(qs[0])
+        dim = state.n_max + 1
+        levels = dim * (dim + 1) // 2
+        assert peak < state._held // 2 + 5 * 16 * dim**2 + (5 * 16 + 2 * 8) * levels + 2**17
 
     def test_coherent_memory_does_not_grow_with_q(self):
         # 13 to 16 levels a q: the states built and not yet scored, and a

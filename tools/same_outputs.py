@@ -147,6 +147,11 @@ EDGE_CALLS = (
     # the same on 72 levels, where a part holds 6 samples
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "1", "--initial", "coherent", "--alpha-sq", "30",
       "--steps", "201", "--out", f"{OUT}/coherent72.csv"),),
+    # the several-block kernel inside a sweep: 3 q near 1, about 171
+    # levels each, one q a chunk, each part multiplying by the cache's
+    # real eigenvectors
+    (("sweep-q", "--gamma", "1", "--chi", "0.01", "--initial", "coherent", "--alpha-sq", "100", "--q-min", "0.999",
+      "--q-max", "1", "--q-steps", "3", "--t", "3", "--out", f"{OUT}/sweep-coherent-100.csv"),),
 )
 
 
