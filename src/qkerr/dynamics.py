@@ -16,17 +16,24 @@ block N of a chunk of q in one stacked LAPACK call.  The state is pure,
 so S_field, S_atom and the purity all come from one Schmidt spectrum.
 One budget, _SLICE_BYTES, sizes the parts of a series and the chunks of a
 sweep, and one kernel, _block_amplitudes, prepared once per series,
-propagates each part.  README gives the measured peaks.
+propagates each part.  A several-block series of two or more parts
+scores its later half in one forked child (_score_forked), with the bits
+of one process.  README gives the measured peaks.
 dense_reference_evolve, a brute-force propagator for cross-checks,
 diagonalizes _lattice_hamiltonian, the whole lattice's Hamiltonian.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import operator
+import os
+import pickle
+import signal
 import sys
+import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -64,8 +71,11 @@ class TwoModeState:
     quanta>; entries beyond the triangle must be exactly zero.  The blocks
     N = n + m that hold weight, and _held, the 16 (N + 1)^2 bytes a block
     that a q sweep counts, are found once, here.  _held is exact for a
-    lone block, whose eigenvectors the kernel copies to complex, and twice
-    the real eigenvectors that several blocks hold.
+    lone block, whose eigenvectors the kernel copies to complex.  Several
+    blocks keep only their real eigenvectors, half of _held, but a chunk
+    of such states holds more than those, their (dim, dim) tables among
+    them, so _held is not an overcount there: counted at 8 (N + 1)^2, a
+    coherent sweep's chunks pass twice _SLICE_BYTES.
     """
 
     n_max: int
@@ -288,7 +298,8 @@ def entropy_series(
     table, and every array a part fills is allocated once.  The state is
     pure, so S_field, S_atom (equal to it bit for bit) and the purity sum
     p^2 all come from that one spectrum.  A LAPACK failure is raised as
-    ConvergenceError.
+    ConvergenceError.  On several blocks, two or more parts are scored in
+    two processes where _splits allows it (_score_forked).
 
     The kernel (_block_amplitudes) only reads cache, and the series drops
     its own reference once the kernel is prepared.  So a caller's dict
@@ -340,13 +351,110 @@ def entropy_series(
 
     s_field = np.empty(lead + times.shape)
     purity_field = np.empty_like(s_field)
-    for sl in _parts(times.size, cap):
-        spec = spectra(times[sl])
-        s_field[..., sl] = _entropy_of_spectra(spec, log_base)
-        purity_field[..., sl] = (spec**2).sum(axis=-1)
-        # not kept alive while the next part propagates
-        del spec
+
+    def score(parts: list[slice]) -> None:
+        for sl in parts:
+            spec = spectra(times[sl])
+            s_field[..., sl] = _entropy_of_spectra(spec, log_base)
+            purity_field[..., sl] = (spec**2).sum(axis=-1)
+            # not kept alive while the next part propagates
+            del spec
+
+    parts = list(_parts(times.size, cap))
+    if single or not _splits(len(parts)):
+        score(parts)
+    else:
+        _score_forked(score, parts, (s_field, purity_field))
     return s_field, s_field.copy(), purity_field
+
+
+def _splits(parts: int) -> bool:
+    """Whether a several-block series of this many parts is scored in two
+    processes: only where a second usable CPU can run the child and no
+    other thread could hold a lock across the fork."""
+    return (
+        parts >= 2
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def _score_forked(score: Callable[[list[slice]], None], parts: list[slice], outputs: tuple[np.ndarray, ...]) -> None:
+    """score(parts), with the later half of parts scored in one forked
+    child: it sends the rows it filled in outputs down a pipe as raw
+    float64, read straight into the parent's arrays, so each row keeps
+    the bits of the sequential loop.  The parent scores the first half
+    meanwhile, so its error comes first, as in that loop, and it then
+    kills the child.  A child's error comes back pickled and is raised
+    again with its class and message; a child that ends without sending
+    its rows raises OSError.  The child always leaves by os._exit and the
+    parent always reaps it.  Where no pipe or child can be made, the
+    parent scores every part itself."""
+    half = (len(parts) + 1) // 2
+    rows = slice(parts[half].start, parts[-1].stop)
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        score(parts)
+        return
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        score(parts)
+        return
+    if pid == 0:
+        status = 1
+        try:
+            # no collection here runs the parent's finalizers or copies its pages
+            gc.disable()
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                try:
+                    score(parts[half:])
+                except BaseException as exc:
+                    pipe.write(b"E" + pickle.dumps(exc))
+                else:
+                    pipe.write(b"R")
+                    for out in outputs:
+                        pipe.write(out[rows])
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    error = None
+    with open(read_fd, "rb", buffering=0) as pipe:
+        try:
+            score(parts[:half])
+            tag = pipe.read(1)
+            if tag == b"E":
+                error = pickle.loads(pipe.read())
+            sent = tag == b"R" and all(_read_into(pipe, out[rows]) for out in outputs)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if error is not None:
+        raise error
+    if not sent:
+        ended = f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"exited with status {code}"
+        raise OSError(f"the process scoring samples {rows.start} to {rows.stop - 1} {ended} before sending them")
+
+
+def _read_into(pipe, out: np.ndarray) -> bool:
+    """Fill the contiguous array out from the unbuffered pipe; False if
+    the pipe ends first."""
+    view = memoryview(out).cast("B")
+    while view.nbytes:
+        got = pipe.readinto(view)
+        if not got:
+            return False
+        view = view[got:]
+    return True
 
 
 def _parts(size: int, most: int):

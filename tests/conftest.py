@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -46,6 +47,18 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_left():
+    """Fail the last test's teardown if the test process still has a
+    child, running or unreaped: a series must reap the child it forks."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child of the test process outlived its test (waitpid gave pid {pid}, status {status})")
 
 
 @pytest.fixture

@@ -4,7 +4,9 @@ import contextlib
 import errno
 import io
 import math
+import os
 import runpy
+import signal
 import tempfile
 from pathlib import Path
 
@@ -347,6 +349,30 @@ class TestEvolve:
         message = "eigensolve failed on the field density matrix (dim 13): Eigenvalues did not converge"
         assert err == f"error: q=0.9: {message}\n"
         assert not out.exists()
+
+    def test_killed_scorer_exits_2(self, tmp_path, monkeypatch, capsys):
+        # 400 coherent samples on 11 levels make two parts, the second
+        # scored in a forked child: one that dies before sending its rows
+        # fails the call, and is reaped
+        parent = os.getpid()
+        eigvalsh = np.linalg.eigvalsh
+
+        def dying(matrix):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", dying)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "x.csv"
+        argv = ["evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.99", "--initial", "coherent", "--steps", "400"]
+        code = run_cli(argv + ["--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: the process scoring samples 200 to 399 was killed by signal 9 (Killed) before sending them\n"
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys):
         def exhausted(args):

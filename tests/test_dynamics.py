@@ -22,7 +22,12 @@ of entropy_series run on the whole grid as one part, unpacked into dense
 tables by conftest.propagated_tables.
 """
 
+import errno
 import math
+import os
+import re
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -47,6 +52,12 @@ from qkerr.harness import InitialState, run_evolve
 from conftest import load_bench, propagated_tables, random_triangle_state, traced_peak
 
 oracle = load_bench("oracle")
+
+
+def one_cpu(pid: int) -> set[int]:
+    """os.sched_getaffinity of a process that may run on CPU 0 alone, so
+    a several-block series scores every part without a forked child."""
+    return {0}
 
 
 def evolved(state: TwoModeState, cache, t: float) -> TwoModeState:
@@ -752,6 +763,8 @@ class TestEntropySeries:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        # one usable CPU: every part is scored here, where calls records it
+        monkeypatch.setattr(os, "sched_getaffinity", one_cpu)
         # 8 samples of 5 x 5 tables: 57 samples make eight near-equal parts
         monkeypatch.setattr(dynamics, "_SLICE_BYTES", 8 * 16 * 25)
         state = random_triangle_state(rng, 4)
@@ -864,6 +877,8 @@ class TestPackedChunks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "_block_amplitudes", recording)
             mp.setattr(dynamics, "_SLICE_BYTES", part * 16 * (state.n_max + 1) ** 2)
+            # every part propagated here, where recorded sees it
+            mp.setattr(os, "sched_getaffinity", one_cpu)
             entropy_series(state, cache, grid)
         assert np.concatenate([t for t, _ in recorded]).tobytes() == grid.tobytes()
         for t, amps in recorded:
@@ -961,3 +976,185 @@ class TestExcitationPhase:
         times = np.linspace(-5.0, 40.0, 23)
         for a, b in zip(entropy_series(state, cache, times), entropy_series(phased, cache, times)):
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
+
+
+def two_cpus(pid: int) -> set[int]:
+    """os.sched_getaffinity of a process that may run on CPUs 0 and 1, so
+    a several-block series of two or more parts forks one child."""
+    return {0, 1}
+
+
+def counted_forks(monkeypatch) -> list[int]:
+    """The pids of the children that os.fork makes from here on."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_parts(monkeypatch, state, cache, times, messages: dict[int, str]) -> None:
+    """Patch np.linalg.eigvalsh to raise LinAlgError(messages[i]) on the
+    density matrices of part i of the series, in whichever process scores
+    it: the parts' matrices are recorded by their bytes in a run on one CPU."""
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", one_cpu)
+        mp.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.tobytes()) or eigvalsh(a))
+        entropy_series(state, cache, times)
+    poisoned = {stacks[i]: message for i, message in messages.items()}
+
+    def failing(a):
+        if a.tobytes() in poisoned:
+            raise np.linalg.LinAlgError(poisoned[a.tobytes()])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+
+
+def raised(fn) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        fn()
+    return info.type, str(info.value)
+
+
+class TestForkedParts:
+    """A several-block series of two or more parts scores its later half
+    in one forked child, which sends its rows back through a pipe."""
+
+    @pytest.fixture
+    def small(self, rng, monkeypatch):
+        # 57 samples of 5 x 5 tables in eight parts of 7 or 8
+        monkeypatch.setattr(dynamics, "_SLICE_BYTES", 8 * 16 * 25)
+        monkeypatch.setattr(os, "sched_getaffinity", two_cpus)
+        state = random_triangle_state(rng, 4)
+        return state, build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(5)), np.linspace(0.0, 10.0, 57)
+
+    @pytest.mark.parametrize("samples, parts", [(400, 2), (700, 3), (28001, 104)])
+    def test_split_keeps_the_sequential_bits(self, monkeypatch, samples, parts):
+        state = prepare_coherent(0.5, 0.99)
+        cache = build_spectral_cache(SystemParams(chi=0.01, q=0.99), state.occupied_blocks())
+        times = np.linspace(0.0, 280.0, samples)
+        assert len(list(dynamics._parts(samples, dynamics._SLICE_BYTES // (16 * (state.n_max + 1) ** 2)))) == parts
+        forks = counted_forks(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", two_cpus)
+        split = entropy_series(state, cache, times)
+        assert len(forks) == 1
+        assert_no_child()
+        monkeypatch.setattr(os, "sched_getaffinity", one_cpu)
+        for a, b in zip(split, entropy_series(state, cache, times)):
+            assert a.tobytes() == b.tobytes()
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize(
+        "messages, wanted",
+        [({7: "child"}, "child"), ({0: "parent", 7: "child"}, "parent"), ({5: "first", 7: "second"}, "first")],
+        ids=["child", "both", "child-twice"],
+    )
+    def test_error_as_in_sequence(self, small, monkeypatch, messages, wanted):
+        # The first failing part's error, whichever process scores it, with
+        # the class and message of the run on one CPU.
+        state, cache, times = small
+        fail_parts(monkeypatch, state, cache, times, messages)
+        forks = counted_forks(monkeypatch)
+        split = raised(lambda: entropy_series(state, cache, times))
+        assert len(forks) == 1
+        assert_no_child()
+        monkeypatch.setattr(os, "sched_getaffinity", one_cpu)
+        message = f"eigensolve failed on the field density matrix (dim 5): {wanted}"
+        assert split == raised(lambda: entropy_series(state, cache, times)) == (ConvergenceError, message)
+
+    @pytest.mark.parametrize(
+        "end, ended",
+        [(lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9 (Killed)"), (lambda: os._exit(5), "exited with status 5")],
+        ids=["killed", "exit"],
+    )
+    def test_child_without_result_raises_oserror(self, small, monkeypatch, end, ended):
+        state, cache, times = small
+        parent = os.getpid()
+        eigvalsh = np.linalg.eigvalsh
+
+        def ending(a):
+            if os.getpid() != parent:
+                end()
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", ending)
+        # the child scores parts 4 to 7, samples 28 to 56
+        with pytest.raises(OSError, match=rf"^the process scoring samples 28 to 56 {re.escape(ended)} before sending them$"):
+            entropy_series(state, cache, times)
+        assert_no_child()
+
+    def test_interrupted_parent_reaps_the_child(self, small, monkeypatch):
+        state, cache, times = small
+        parent = os.getpid()
+        eigvalsh = np.linalg.eigvalsh
+
+        def interrupted(a):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", interrupted)
+        forks = counted_forks(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            entropy_series(state, cache, times)
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_failed_fork_scores_here(self, small, monkeypatch):
+        state, cache, times = small
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        here = entropy_series(state, cache, times)
+        monkeypatch.setattr(os, "sched_getaffinity", one_cpu)
+        for a, b in zip(here, entropy_series(state, cache, times)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_short_read(self):
+        out = np.zeros(2)
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, np.array([1.5, 2.5]).tobytes()[:12])
+        os.close(write_fd)
+        with open(read_fd, "rb", buffering=0) as pipe:
+            assert not dynamics._read_into(pipe, out)
+        assert out[0] == 1.5
+
+    def test_no_fork_outside_the_split(self, small, monkeypatch):
+        # one block, one part, one usable CPU and a second live thread each
+        # keep every part in this process
+        state, cache, times = small
+        forks = counted_forks(monkeypatch)
+        fock = prepare_fock(4)
+        entropy_series(fock, build_spectral_cache(SystemParams(q=0.8), [4]), np.linspace(0.0, 10.0, 2001))
+        entropy_series(state, cache, times[:8])
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", one_cpu)
+            entropy_series(state, cache, times)
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait)
+        waiting.start()
+        try:
+            entropy_series(state, cache, times)
+        finally:
+            release.set()
+            waiting.join()
+        assert forks == []
+        entropy_series(state, cache, times)
+        assert len(forks) == 1
+        assert_no_child()

@@ -6,10 +6,13 @@ Each argument is a directory holding the qkerr package, such as the src/
 of a checkout.  The calls are the benchmark's own (bench/workloads.py) and
 EDGE_CALLS below.  Each call runs in a fresh `python -m qkerr` for each
 side, with PYTHONPATH set to that side's tree, one OpenBLAS thread, no
-bytecode written and a temporary directory of the side's own.  Exit codes,
-stdout and stderr are compared with the temporary directory replaced by
-{out}, and so are the bytes of every file a call writes.  Each call that
-differs is printed, and the exit status is 1 if any does, else 0.
+bytecode written and a temporary directory of the side's own.  The change
+side runs twice: as is, and pinned to CPU 0 by os.sched_setaffinity, where
+a several-block series forks no child; both runs must give the parent's
+outputs.  Exit codes, stdout and stderr are compared with the temporary
+directory replaced by {out}, and so are the bytes of every file a call
+writes.  Each call that differs is printed, and the exit status is 1 if
+any does, else 0.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ EDGE_CALLS = (
       "--out", f"{OUT}/fock40-2049.csv"),),
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.99", "--initial", "coherent", "--steps", "2049",
       "--out", f"{OUT}/coherent-2049.csv"),),
+    # 400 samples on 11 levels: exactly two parts of 200, the least grid
+    # whose later part a forked child scores
+    (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.99", "--initial", "coherent", "--steps", "400",
+      "--out", f"{OUT}/coherent-400.csv"),),
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.7", "--fock-n", "200", "--out", f"{OUT}/fock200.csv"),),
     # a one-block grid is propagated in the fewest near-equal parts of at
     # most 512 KiB: at N = 512 33 parts of 61 or 62 samples; at N = 40 three
@@ -182,9 +189,14 @@ def _snapshot(folder: Path) -> dict[str, tuple[int, int]]:
     return {p.name: (p.stat().st_size, p.stat().st_mtime_ns) for p in folder.iterdir()}
 
 
-def run_group(src: Path, group) -> list[tuple]:
-    """Run one group of calls on the tree src in a new directory: for each
-    call its exit code, stdout, stderr and the files it wrote or rewrote."""
+def _pin_to_cpu_0() -> None:
+    os.sched_setaffinity(0, {0})
+
+
+def run_group(src: Path, group, pinned: bool = False) -> list[tuple]:
+    """Run one group of calls on the tree src in a new directory, each call
+    pinned to CPU 0 if pinned: for each call its exit code, stdout, stderr
+    and the files it wrote or rewrote."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
     results = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -193,7 +205,7 @@ def run_group(src: Path, group) -> list[tuple]:
             before = _snapshot(folder)
             proc = subprocess.run(
                 [sys.executable, "-m", "qkerr", *(arg.replace(OUT, tmp) for arg in argv)],
-                cwd=tmp, env=env, capture_output=True, text=True,
+                cwd=tmp, env=env, capture_output=True, text=True, preexec_fn=_pin_to_cpu_0 if pinned else None,
             )
             written = {
                 name: (folder / name).read_bytes()
@@ -222,9 +234,10 @@ def main(argv: list[str]) -> int:
     parent_src, change_src = (Path(a).resolve() for a in argv)
     calls = differing = 0
     for group in bench_calls() + list(EDGE_CALLS):
-        for call, parent, change in zip(group, run_group(parent_src, group), run_group(change_src, group)):
+        runs = zip(group, run_group(parent_src, group), run_group(change_src, group), run_group(change_src, group, True))
+        for call, parent, change, pinned in runs:
             calls += 1
-            found = _differences(parent, change)
+            found = _differences(parent, change) + [f"pinned to CPU 0, {line}" for line in _differences(parent, pinned)]
             if found:
                 differing += 1
                 print(" ".join(call))
