@@ -17,8 +17,9 @@ so S_field, S_atom and the purity all come from one Schmidt spectrum.
 One budget, _SLICE_BYTES, sizes the parts of a series and the chunks of a
 sweep, and one kernel, _block_amplitudes, prepared once per series,
 propagates each part.  A several-block series of two or more parts
-scores its later half in one forked child (_score_forked), with the bits
-of one process.  README gives the measured peaks.
+scores its later half in one forked child (_score_forked), into output
+pages the two share, with the bits of one process.  README gives the
+measured peaks.
 dense_reference_evolve, a brute-force propagator for cross-checks,
 diagonalizes _lattice_hamiltonian, the whole lattice's Hamiltonian.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import mmap
 import operator
 import os
 import pickle
@@ -299,7 +301,8 @@ def entropy_series(
     pure, so S_field, S_atom (equal to it bit for bit) and the purity sum
     p^2 all come from that one spectrum.  A LAPACK failure is raised as
     ConvergenceError.  On several blocks, two or more parts are scored in
-    two processes where _splits allows it (_score_forked).
+    two processes where _splits allows it (_score_forked), and then
+    s_field and the purity are the rows of one shared anonymous mapping.
 
     The kernel (_block_amplitudes) only reads cache, and the series drops
     its own reference once the kernel is prepared.  So a caller's dict
@@ -323,34 +326,40 @@ def entropy_series(
     # a cache handed over loses its last reference here
     del cache
     cap = _SLICE_BYTES // (16 * (math.prod(lead) * (blocks[0] + 1) if single else dim**2))
+    parts = list(_parts(times.size, cap))
     if single:
 
         def spectra(t: np.ndarray) -> np.ndarray:
             return _block_spectra(np.swapaxes(propagate(t), -1, -2))
 
     else:
-        # the flat site n * dim + m of each packed row, and one zeroed
-        # buffer of dense tables that every part rewrites at those sites
-        most = max((sl.stop - sl.start for sl in _parts(times.size, cap)), default=0)
+        # the flat site n * dim + m of each packed row, one zeroed buffer of
+        # dense tables that every part rewrites at those sites, and one of a
+        # part's packed phases and amplitudes, then of the tables' conjugate
+        most = max((sl.stop - sl.start for sl in parts), default=0)
         m = np.concatenate([np.arange(n + 1) for n in blocks])
         sites = (np.repeat(blocks, [n + 1 for n in blocks]) - m) * dim + m
-        packed = np.empty((2, sites.size * most), dtype=complex)
+        packed = np.empty(max(2 * sites.size, dim * dim) * most, dtype=complex)
         tables = np.zeros((most, dim, dim), dtype=complex)
-        conj, rho = np.empty_like(tables), np.empty_like(tables)
+        rho = np.empty_like(tables)
 
         def spectra(t: np.ndarray) -> np.ndarray:
             n = t.size
-            phases, amps = packed[:, : sites.size * n].reshape(2, sites.size, n)
+            phases, amps = packed[: 2 * sites.size * n].reshape(2, sites.size, n)
             psi = tables[:n]
             psi.reshape(n, -1).T[sites] = propagate(t, phases, amps)
-            gram = np.matmul(psi, np.conjugate(psi, out=conj[:n]).transpose(0, 2, 1), out=rho[:n])
+            conj = np.conjugate(psi, out=packed[: n * dim * dim].reshape(n, dim, dim))
+            gram = np.matmul(psi, conj.transpose(0, 2, 1), out=rho[:n])
             try:
                 return np.linalg.eigvalsh(gram)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(f"eigensolve failed on the field density matrix (dim {dim}): {exc}") from exc
 
-    s_field = np.empty(lead + times.shape)
-    purity_field = np.empty_like(s_field)
+    split = not single and _splits(len(parts))
+    # the two rows of one allocation, in pages shared with the child of a split
+    s_field, purity_field = (
+        np.frombuffer(mmap.mmap(-1, 16 * times.size)).reshape(2, -1) if split else np.empty((2, *lead, *times.shape))
+    )
 
     def score(parts: list[slice]) -> None:
         for sl in parts:
@@ -360,11 +369,10 @@ def entropy_series(
             # not kept alive while the next part propagates
             del spec
 
-    parts = list(_parts(times.size, cap))
-    if single or not _splits(len(parts)):
-        score(parts)
+    if split:
+        _score_forked(score, parts)
     else:
-        _score_forked(score, parts, (s_field, purity_field))
+        score(parts)
     return s_field, s_field.copy(), purity_field
 
 
@@ -381,80 +389,59 @@ def _splits(parts: int) -> bool:
     )
 
 
-def _score_forked(score: Callable[[list[slice]], None], parts: list[slice], outputs: tuple[np.ndarray, ...]) -> None:
+def _score_forked(score: Callable[[list[slice]], None], parts: list[slice]) -> None:
     """score(parts), with the later half of parts scored in one forked
-    child: it sends the rows it filled in outputs down a pipe as raw
-    float64, read straight into the parent's arrays, so each row keeps
-    the bits of the sequential loop.  The parent scores the first half
-    meanwhile, so its error comes first, as in that loop, and it then
-    kills the child.  A child's error comes back pickled and is raised
-    again with its class and message; a child that ends without sending
-    its rows raises OSError.  The child always leaves by os._exit and the
-    parent always reaps it.  Where no pipe or child can be made, the
-    parent scores every part itself."""
+    child, into outputs whose pages it shares with the parent, so each row
+    keeps the bits of the sequential loop.  The parent scores the first
+    half meanwhile, so its error comes first, as in that loop, and it then
+    kills the child.  The child's one reply, pickled down a pipe, is None
+    or its error, raised again with its class and message; a child that
+    ends without replying raises OSError.  The child always leaves by
+    os._exit and the parent always reaps it.  Where no pipe or child can
+    be made, the parent scores every part itself."""
     half = (len(parts) + 1) // 2
-    rows = slice(parts[half].start, parts[-1].stop)
+    fds = ()
     try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        score(parts)
-        return
-    try:
+        fds = os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in fds:
+            os.close(fd)
         score(parts)
         return
+    read_fd, write_fd = fds
     if pid == 0:
         status = 1
         try:
             # no collection here runs the parent's finalizers or copies its pages
             gc.disable()
             os.close(read_fd)
+            try:
+                score(parts[half:])
+                reply = None
+            except BaseException as exc:
+                reply = exc
             with open(write_fd, "wb") as pipe:
-                try:
-                    score(parts[half:])
-                except BaseException as exc:
-                    pipe.write(b"E" + pickle.dumps(exc))
-                else:
-                    pipe.write(b"R")
-                    for out in outputs:
-                        pipe.write(out[rows])
+                pipe.write(pickle.dumps(reply))
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
-    error = None
     with open(read_fd, "rb", buffering=0) as pipe:
         try:
             score(parts[:half])
-            tag = pipe.read(1)
-            if tag == b"E":
-                error = pickle.loads(pipe.read())
-            sent = tag == b"R" and all(_read_into(pipe, out[rows]) for out in outputs)
+            reply = pipe.read()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not reply:
+        ended = f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"exited with status {code}"
+        raise OSError(f"the process scoring samples {parts[half].start} to {parts[-1].stop - 1} {ended} before sending them")
+    error = pickle.loads(reply)
     if error is not None:
         raise error
-    if not sent:
-        ended = f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"exited with status {code}"
-        raise OSError(f"the process scoring samples {rows.start} to {rows.stop - 1} {ended} before sending them")
-
-
-def _read_into(pipe, out: np.ndarray) -> bool:
-    """Fill the contiguous array out from the unbuffered pipe; False if
-    the pipe ends first."""
-    view = memoryview(out).cast("B")
-    while view.nbytes:
-        got = pipe.readinto(view)
-        if not got:
-            return False
-        view = view[got:]
-    return True
 
 
 def _parts(size: int, most: int):

@@ -352,8 +352,8 @@ class TestEvolve:
 
     def test_killed_scorer_exits_2(self, tmp_path, monkeypatch, capsys):
         # 400 coherent samples on 11 levels make two parts, the second
-        # scored in a forked child: one that dies before sending its rows
-        # fails the call, and is reaped
+        # scored in a forked child: one that dies before its reply fails
+        # the call, and is reaped
         parent = os.getpid()
         eigvalsh = np.linalg.eigvalsh
 

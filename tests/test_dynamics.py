@@ -522,16 +522,17 @@ class TestEntropySeries:
     def test_multi_block_memory_bounded_by_chunk_bytes(self, rng):
         # At n_max = 60 a sample's table takes 16 * 61**2 bytes, so the
         # budget cuts the 3,000 samples into 375 parts of 8 (0.91
-        # _SLICE_BYTES a table).  A part's three tables (psi, its conjugate
-        # and rho_field) are allocated once, next to the prepared arrays:
-        # the packed phases and amplitudes of one part, and the
-        # eigenvalues, V^T a(0) and a(0) of 1,891 levels.  The kernel
-        # multiplies by the caller's real V, untraced, through numpy's
-        # complex cast of one block at a time, at most 61 x 61.  numpy
-        # broadcasts the phase product through two buffers of
-        # np.getbufsize() entries.  With the output columns and 128 KiB for
-        # index arrays and Python objects that bounds the peak at 2.53 MB
-        # (measured 2.35 MB).  A kernel that keeps a complex copy of every
+        # _SLICE_BYTES a table).  A part's two tables (psi and rho_field)
+        # are allocated once, next to the prepared arrays: the packed
+        # phases and amplitudes of one part, whose buffer then holds the
+        # conjugate tables, and the eigenvalues, V^T a(0) and a(0) of 1,891
+        # levels.  The kernel multiplies by the caller's real V, untraced,
+        # through numpy's complex cast of one block at a time, at most
+        # 61 x 61.  numpy broadcasts the phase product through two buffers
+        # of np.getbufsize() entries.  With the output columns and 128 KiB
+        # for index arrays and Python objects that bounds the peak at
+        # 2.05 MB (measured 1.92 MB).  A third table for the conjugate took
+        # it to 2.40 MB, and a kernel that keeps a complex copy of every
         # block's V peaks at 3.61 MB.
         state = random_triangle_state(rng, 60)
         part = dynamics._SLICE_BYTES // (16 * 61**2)
@@ -539,7 +540,7 @@ class TestEntropySeries:
         cache = build_spectral_cache(SystemParams(chi=0.02, q=0.8), range(61))
         times = np.linspace(0.0, 40.0, 3000)
         (s_field, s_atom, _), peak = traced_peak(lambda: entropy_series(state, cache, times))
-        tables = 3 * 16 * part * 61**2
+        tables = 2 * 16 * part * 61**2
         prepared = 16 * 61**2 + 16 * 1891 * (2 * part + 3)
         assert peak < tables + prepared + 2 * 16 * np.getbufsize() + 3 * 8 * times.size + 2**17
         assert np.array_equal(s_field, s_atom)
@@ -1032,7 +1033,8 @@ def raised(fn) -> tuple[type, str]:
 
 class TestForkedParts:
     """A several-block series of two or more parts scores its later half
-    in one forked child, which sends its rows back through a pipe."""
+    in one forked child, into output pages the two share, and the child
+    replies once through a pipe: None, or its error."""
 
     @pytest.fixture
     def small(self, rng, monkeypatch):
@@ -1078,8 +1080,13 @@ class TestForkedParts:
 
     @pytest.mark.parametrize(
         "end, ended",
-        [(lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9 (Killed)"), (lambda: os._exit(5), "exited with status 5")],
-        ids=["killed", "exit"],
+        [
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9 (Killed)"),
+            (lambda: os._exit(5), "exited with status 5"),
+            # a result is an explicit reply, never a zero exit status
+            (lambda: os._exit(0), "exited with status 0"),
+        ],
+        ids=["killed", "exit", "exit-0"],
     )
     def test_child_without_result_raises_oserror(self, small, monkeypatch, end, ended):
         state, cache, times = small
@@ -1126,14 +1133,21 @@ class TestForkedParts:
         for a, b in zip(here, entropy_series(state, cache, times)):
             assert a.tobytes() == b.tobytes()
 
-    def test_short_read(self):
-        out = np.zeros(2)
-        read_fd, write_fd = os.pipe()
-        os.write(write_fd, np.array([1.5, 2.5]).tobytes()[:12])
-        os.close(write_fd)
-        with open(read_fd, "rb", buffering=0) as pipe:
-            assert not dynamics._read_into(pipe, out)
-        assert out[0] == 1.5
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("messages", [{}, {7: "child"}, {0: "parent"}], ids=["success", "child-error", "parent-error"])
+    def test_no_pipe_end_outlives_the_split(self, small, monkeypatch, messages):
+        state, cache, times = small
+        fail_parts(monkeypatch, state, cache, times, messages)
+        forks = counted_forks(monkeypatch)
+        before = sorted(os.listdir("/proc/self/fd"))
+        if messages:
+            with pytest.raises(ConvergenceError):
+                entropy_series(state, cache, times)
+        else:
+            entropy_series(state, cache, times)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert len(forks) == 1
+        assert_no_child()
 
     def test_no_fork_outside_the_split(self, small, monkeypatch):
         # one block, one part, one usable CPU and a second live thread each

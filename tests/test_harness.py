@@ -425,13 +425,14 @@ class TestStackedSweep:
     def test_coherent_memory_bounded_by_its_largest_q(self, alpha_sq, qs):
         # The peak is the lowest q's own, on its dim levels: its real
         # eigenvectors (half its _held), the complex cast of its largest
-        # block, the three (dim, dim) tables of its one sample and its
+        # block, the two (dim, dim) tables of its one sample and its
         # state's table; five complex and two int64 arrays over its levels
-        # (rates, V^T a(0), a(0), packed phases and amplitudes, the sites);
-        # 128 KiB for Python objects.  Measured 0.80 and 0.70 _held (2.32
-        # and 6.71 MB).  Complex copies of every block's V took this sweep
-        # to 1.27 and 1.18 _held (3.66 and 11.25 MB).  numpy's
-        # once-per-process allocations are made before tracing.
+        # (rates, V^T a(0), a(0), packed phases and amplitudes, which then
+        # hold the conjugate table, the sites); 128 KiB for Python objects.
+        # Measured 0.77 and 0.68 _held (2.22 and 6.47 MB).  Complex copies
+        # of every block's V took this sweep to 1.27 and 1.18 _held (3.66
+        # and 11.25 MB).  numpy's once-per-process allocations are made
+        # before tracing.
         init = InitialState(kind="coherent", alpha_sq=alpha_sq)
         run_sweep_q(init, SystemParams(), qs[-1:], 3.0)
         _, peak = traced_peak(lambda: run_sweep_q(init, SystemParams(), qs, 3.0))

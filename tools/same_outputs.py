@@ -43,6 +43,10 @@ EDGE_CALLS = (
     # whose later part a forked child scores
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.99", "--initial", "coherent", "--steps", "400",
       "--out", f"{OUT}/coherent-400.csv"),),
+    # 700 samples on 11 levels: three parts of 233, 233 and 234, the odd
+    # split, where the child scores exactly one part
+    (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.99", "--initial", "coherent", "--steps", "700",
+      "--out", f"{OUT}/coherent-700.csv"),),
     (("evolve", "--gamma", "1", "--chi", "0.01", "--q", "0.7", "--fock-n", "200", "--out", f"{OUT}/fock200.csv"),),
     # a one-block grid is propagated in the fewest near-equal parts of at
     # most 512 KiB: at N = 512 33 parts of 61 or 62 samples; at N = 40 three
